@@ -70,9 +70,11 @@ class TablaModel:
             options.append(rows)
             rows *= 2
         options.append(self.chip.row_max)
-        for rows in options:
-            point = DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
-            plan = planner.evaluate(dfg, point, minibatch, density)
+        points = [
+            DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
+            for rows in options
+        ]
+        for plan in planner.evaluate_points(dfg, points, minibatch, density):
             if best is None or plan.seconds_for(minibatch) < best.seconds_for(
                 minibatch
             ):

@@ -559,7 +559,7 @@ def figure15(
 @sweep_task("figures.figure16")
 def _figure16_point(name: str):
     b = benchmark(name)
-    planner = Planner(XILINX_VU9P, executor=default_executor())
+    planner = Planner(XILINX_VU9P)
     sweep = planner.sweep(b.translate().dfg, 10_000, b.density)
     base = sweep["T1xR1"].seconds_for(10_000)
     return b.name, {

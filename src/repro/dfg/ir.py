@@ -206,17 +206,22 @@ class Dfg:
         tree-bus ALUs and never materialised; gradient outputs are written
         back over the thread's model replica (the local SGD update).
         """
+        consumed = set()
+        materialised = set()
+        for node in self.topo_order():
+            # A reduction streams its operand; identity aliases the same
+            # buffer (a rename/permute). Any other consumer needs it stored.
+            streams = op_info(node.op).reduce or node.op == "identity"
+            for vid in node.inputs:
+                consumed.add(vid)
+                if not streams:
+                    materialised.add(vid)
         words = 0
         for node in self.topo_order():
             out = self.values[node.output]
             if out.is_gradient:
                 continue
-            consumers = self.consumers(out)
-            if consumers and all(
-                op_info(c.op).reduce or c.op == "identity" for c in consumers
-            ):
-                # Streamed into a reduction, or merely renamed/permuted
-                # (identity aliases the same buffer).
+            if node.output in consumed and node.output not in materialised:
                 continue
             words += self.size(out)
         return words

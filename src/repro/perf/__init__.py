@@ -7,8 +7,7 @@ Two tools that make the stack fast *about itself*:
   system instances, with optional on-disk persistence.
 * :mod:`repro.perf.parallel` — a ``concurrent.futures``-based sweep
   executor (with a deterministic serial fallback) that fans out
-  independent sweep points in the experiment harness and the Planner's
-  design-space exploration.
+  independent sweep points in the experiment harness.
 * :mod:`repro.perf.tasks` — a module-scope sweep task registry so
   figure sweeps pickle cleanly into ``SweepExecutor("process")``
   workers.

@@ -1,12 +1,11 @@
 """Queue-backed distributed sweep execution (`SweepExecutor("queue")`).
 
-The figure harness and the Planner's DSE are embarrassingly parallel,
-but the thread/process executors top out at one machine's cores. This
-module turns the same picklable :class:`repro.perf.tasks.TaskCall`
-sweeps into a small-cluster workload, mirroring the paper's runtime
-shape: a coordinator (the Sigma of the sweep) fans work out to any
-number of worker processes on any number of hosts and aggregates their
-results in input order.
+The figure harness is embarrassingly parallel, but the thread/process
+executors top out at one machine's cores. This module turns the same
+picklable :class:`repro.perf.tasks.TaskCall` sweeps into a small-cluster
+workload, mirroring the paper's runtime shape: a coordinator (the Sigma
+of the sweep) fans work out to any number of worker processes on any
+number of hosts and aggregates their results in input order.
 
 Transport is a :class:`multiprocessing.managers.BaseManager` server run
 *in-process* by the coordinator: two proxied queues — ``work`` carrying

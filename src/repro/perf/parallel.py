@@ -1,11 +1,13 @@
 """Parallel sweep execution with a deterministic serial fallback.
 
-The experiment harness (Figures 7/8/9/12/15/16) and the Planner's
-design-space exploration are embarrassingly parallel: every sweep point is
-an independent pure computation. :class:`SweepExecutor` fans those points
-out over a ``concurrent.futures`` pool while keeping the *results* in
-input order, so parallel and serial runs produce bit-identical output —
-the property the perf harness asserts.
+The experiment harness (Figures 7/8/9/12/15/16) is embarrassingly
+parallel: every sweep point is an independent pure computation.
+:class:`SweepExecutor` fans those points out over a
+``concurrent.futures`` pool while keeping the *results* in input order,
+so parallel and serial runs produce bit-identical output — the property
+the perf harness asserts. The Planner's design-space exploration is not
+fanned out: each of its points is a few microseconds of arithmetic over
+one per-DFG cost profile, so the Planner costs them serially.
 
 Modes:
 
@@ -100,7 +102,7 @@ _DEFAULT: Optional[SweepExecutor] = None
 
 
 def default_executor() -> SweepExecutor:
-    """The executor the figure harness and Planner use by default.
+    """The executor the figure harness uses by default.
 
     Built lazily on first call from ``REPRO_SWEEP_MODE`` /
     ``REPRO_SWEEP_JOBS`` (validated — a bad value raises

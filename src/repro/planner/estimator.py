@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from ..dfg import ir
 from ..dfg.ops import op_info
@@ -76,6 +76,123 @@ class ThreadEstimate:
         return max(self.work_cycles + self.comm_cycles, self.critical_path)
 
 
+class NodeCost(NamedTuple):
+    """What the estimator needs of one macro-node, independent of the
+    design point."""
+
+    nid: int
+    #: Scalar applications, thinned by the density of a sparse operand.
+    space: float
+    #: ALU cycles per application.
+    cycles: int
+    reduce: bool
+    #: Partials a reduction merges (after density); 1 for element-wise ops.
+    width: int
+    #: Outputs a reduction produces; their merges pipeline.
+    out_count: int
+    #: Produced operands of lower rank fanned out to this shaped op.
+    broadcasts: int
+
+
+class CostProfile:
+    """The design-point-independent part of the estimate, for one DFG.
+
+    Built in one topological walk of the DFG under fixed cost parameters
+    and density annotations; :meth:`estimate` then costs any (PEs, rows)
+    point with only the tiling, merge, broadcast and shuffle arithmetic.
+    The DSE builds one profile per plan and evaluates every design point
+    from it.
+    """
+
+    def __init__(
+        self,
+        dfg: ir.Dfg,
+        params: CostParams = CostParams(),
+        density: Optional[Mapping[str, float]] = None,
+    ):
+        density = density or {}
+        self.params = params
+        # Density per value id: sparse operands gate the work they feed;
+        # a reduction's output is dense again regardless of input zeros.
+        densities: Dict[int, float] = {}
+        for value in dfg.values.values():
+            if value.producer is None:
+                densities[value.vid] = (
+                    float(density[value.name])
+                    if value.category == ir.DATA and value.name in density
+                    else 1.0
+                )
+        nodes: List[NodeCost] = []
+        for node in dfg.topo_order():
+            info = op_info(node.op)
+            factor = min((densities[vid] for vid in node.inputs), default=1.0)
+            densities[node.output] = 1.0 if info.reduce else factor
+            width = out_count = 1
+            if info.reduce:
+                width = math.prod(dfg.extents[a] for a in node.reduce_axes)
+                width = max(1, math.ceil(width * factor))
+                out_count = max(1, dfg.size(dfg.values[node.output]))
+            nodes.append(
+                NodeCost(
+                    node.nid,
+                    dfg.node_iter_space(node) * factor,
+                    info.cycles,
+                    info.reduce,
+                    width,
+                    out_count,
+                    _broadcasts(dfg, node),
+                )
+            )
+        self.nodes = tuple(nodes)
+        self.critical_path = dfg.critical_path_cycles() + params.pipeline_depth
+
+    def estimate(self, n_pe: int, rows: int) -> ThreadEstimate:
+        """Cycles for one thread of ``n_pe`` PEs in ``rows`` rows.
+
+        Work, communication and each node's total accumulate in
+        topological order, each node's communication as reduction, then
+        broadcast, then shuffle: the ops-first shuffle term is not an
+        integer, so the order of the float sums is part of the result.
+        """
+        if n_pe < 1:
+            raise ValueError("a thread needs at least one PE")
+        params = self.params
+        tree = params.interconnect == TREE
+        hop = params.bus_hop_cycles
+        ops_first = params.mapping == "ops_first"
+        # Scalars fanned out to a shaped operation traverse the buses.
+        if tree:
+            per_broadcast = (1 + math.ceil(math.log2(max(2, rows)))) * hop
+        else:
+            per_broadcast = max(2, rows) * hop
+        work = 0.0
+        comm = 0.0
+        per_node: Dict[int, float] = {}
+        for nid, space, cycles, reduce, width, outs, broadcasts in self.nodes:
+            slots = math.ceil(space / n_pe)
+            node_work = slots * cycles
+            node_comm = 0.0
+            spread = min(width, n_pe)
+            if reduce and spread > 1:
+                # Merge the partials across the PEs that hold them: a
+                # tree is logarithmic, a flat shared bus serialises every
+                # transfer. Independent outputs pipeline their merges:
+                # full latency once plus an issue slot per extra output.
+                if tree:
+                    merge = math.ceil(math.log2(spread)) * hop
+                else:
+                    merge = (spread - 1) * hop
+                node_comm += merge + max(0, outs - 1)
+            node_comm += broadcasts * per_broadcast
+            if ops_first and not reduce:
+                # TABLA-style mapping: operands frequently live on other PEs.
+                node_comm += params.shuffle_fraction * slots * hop
+            work += node_work
+            comm += node_comm
+            per_node[nid] = node_work + node_comm
+        return ThreadEstimate(work, comm, self.critical_path, per_node)
+
+
 def estimate_thread_cycles(
     dfg: ir.Dfg,
     n_pe: int,
@@ -92,112 +209,26 @@ def estimate_thread_cycles(
         params: interconnect/mapping model.
         density: optional DATA-input name -> density annotation.
     """
-    if n_pe < 1:
-        raise ValueError("a thread needs at least one PE")
-    densities = _propagate_density(dfg, density or {})
-    work = 0.0
-    comm = 0.0
-    per_node: Dict[int, float] = {}
-    for node in dfg.topo_order():
-        info = op_info(node.op)
-        factor = min(
-            (densities[vid] for vid in node.inputs), default=1.0
-        )
-        space = dfg.node_iter_space(node) * factor
-        node_work = math.ceil(space / n_pe) * info.cycles
-        node_comm = 0.0
-        if info.reduce:
-            node_comm += _reduction_comm(dfg, node, n_pe, rows, params, factor)
-        node_comm += _broadcast_comm(dfg, node, rows, params)
-        if params.mapping == "ops_first" and not info.reduce:
-            # TABLA-style mapping: operands frequently live on other PEs.
-            node_comm += (
-                params.shuffle_fraction
-                * math.ceil(space / n_pe)
-                * params.bus_hop_cycles
-            )
-        work += node_work
-        comm += node_comm
-        per_node[node.nid] = node_work + node_comm
-    critical = dfg.critical_path_cycles() + params.pipeline_depth
-    return ThreadEstimate(work, comm, critical, per_node)
+    return CostProfile(dfg, params, density).estimate(n_pe, rows)
 
 
-def _reduction_comm(
-    dfg: ir.Dfg,
-    node: ir.Node,
-    n_pe: int,
-    rows: int,
-    params: CostParams,
-    density: float = 1.0,
-) -> float:
-    """Merge cost of a reduction across the PEs that hold partials.
+def _broadcasts(dfg: ir.Dfg, node: ir.Node) -> int:
+    """Produced operands of lower rank than a shaped node's output.
 
-    With a sparse (one-hot-gated) input only ``width * density`` partials
-    are non-zero; the compiler's gather-style schedule merges only those.
+    Constants and inputs are pre-placed by the memory interface; only
+    values computed on one PE must be fanned out.
     """
-    width = math.prod(dfg.extents[a] for a in node.reduce_axes)
-    width = max(1, math.ceil(width * density))
-    out_count = max(1, dfg.size(dfg.values[node.output]))
-    spread = min(width, n_pe)
-    if spread <= 1:
-        return 0.0
-    if params.interconnect == TREE:
-        merge = math.ceil(math.log2(spread)) * params.bus_hop_cycles
-    else:
-        # A flat shared bus serialises every partial transfer.
-        merge = (spread - 1) * params.bus_hop_cycles
-    # Independent outputs pipeline their merges through the buses; charge
-    # full latency once plus an issue slot per extra output.
-    return merge + max(0, out_count - 1)
-
-
-def _broadcast_comm(
-    dfg: ir.Dfg, node: ir.Node, rows: int, params: CostParams
-) -> float:
-    """Scalars fanned out to a shaped operation traverse the buses."""
     out_axes = set(dfg.values[node.output].axes)
     if not out_axes:
-        return 0.0
-    cost = 0.0
+        return 0
+    count = 0
     for vid in node.inputs:
         value = dfg.values[vid]
         if value.category == ir.CONST or value.producer is None:
-            continue  # constants/inputs are pre-placed by the memory interface
+            continue
         if set(value.axes) < out_axes:
-            if params.interconnect == TREE:
-                cost += (1 + math.ceil(math.log2(max(2, rows)))) * (
-                    params.bus_hop_cycles
-                )
-            else:
-                cost += max(2, rows) * params.bus_hop_cycles
-    return cost
-
-
-def _propagate_density(
-    dfg: ir.Dfg, density: Mapping[str, float]
-) -> Dict[int, float]:
-    """Density per value id: sparse operands gate the work they feed.
-
-    A value produced by reducing over any axis becomes dense again (the
-    reduction output is a full scalar/vector regardless of input zeros).
-    """
-    out: Dict[int, float] = {}
-    for value in dfg.values.values():
-        if value.producer is None:
-            if value.category == ir.DATA and value.name in density:
-                out[value.vid] = float(density[value.name])
-            else:
-                out[value.vid] = 1.0
-    for node in dfg.topo_order():
-        info = op_info(node.op)
-        if info.reduce:
-            out[node.output] = 1.0
-        else:
-            out[node.output] = min(
-                (out[vid] for vid in node.inputs), default=1.0
-            )
-    return out
+            count += 1
+    return count
 
 
 def effective_data_words(

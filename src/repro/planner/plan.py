@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..dfg import ir
 from ..hw.spec import ChipSpec
-from ..perf.tasks import sweep_task, task_call
 from .estimator import (
     CostParams,
+    CostProfile,
     ThreadEstimate,
     effective_data_words,
-    estimate_thread_cycles,
 )
 
 #: Fraction of on-chip storage available to thread buffers; the rest is
@@ -186,21 +185,15 @@ class AcceleratorPlan:
 class Planner:
     """Design-space exploration for one DFG on one chip.
 
-    ``executor`` (a :class:`repro.perf.parallel.SweepExecutor`) fans the
-    design-point evaluations out; ``None`` keeps the serial reference
-    path. Either way the chosen plan is identical — selection folds over
-    the points in enumeration order.
+    Every design point of a plan or sweep is costed serially from one
+    :class:`~repro.planner.estimator.CostProfile` of the DFG, so a point
+    costs only its own tiling arithmetic; selection folds over the points
+    in enumeration order.
     """
 
-    def __init__(
-        self,
-        chip: ChipSpec,
-        params: CostParams = CostParams(),
-        executor=None,
-    ):
+    def __init__(self, chip: ChipSpec, params: CostParams = CostParams()):
         self._chip = chip
         self._params = params
-        self._executor = executor
 
     @property
     def chip(self) -> ChipSpec:
@@ -223,10 +216,11 @@ class Planner:
 
     def max_threads(self, dfg: ir.Dfg, minibatch: int) -> int:
         """``t_max = min(#BRAMs*BRAMsize / DFG.storage(), row_max, b)``."""
-        storage = max(1, self.storage_per_thread(dfg))
-        by_storage = int(
-            self._chip.onchip_bytes * _STORAGE_HEADROOM // storage
-        )
+        return self._thread_bound(self.storage_per_thread(dfg), minibatch)
+
+    def _thread_bound(self, storage_bytes: int, minibatch: int) -> int:
+        budget = self._chip.onchip_bytes * _STORAGE_HEADROOM
+        by_storage = int(budget // max(1, storage_bytes))
         return max(1, min(by_storage, self._chip.row_max, minibatch))
 
     # -- enumeration ------------------------------------------------------
@@ -235,9 +229,11 @@ class Planner:
     ) -> List[DesignPoint]:
         """The pruned (threads, rows) space: PE allocation at row
         granularity, thread counts at powers of two plus the max fit."""
+        return self._design_points(self.max_threads(dfg, minibatch))
+
+    def _design_points(self, t_max: int) -> List[DesignPoint]:
         columns = self._chip.columns
         row_max = self._chip.row_max
-        t_max = self.max_threads(dfg, minibatch)
         points: List[DesignPoint] = []
         rows = 1
         row_options: List[int] = []
@@ -277,26 +273,54 @@ class Planner:
         overrides the per-sample stream size (e.g. Table 1's on-disk
         record sizes).
         """
-        estimate = estimate_thread_cycles(
-            dfg,
-            point.pes_per_thread,
-            point.rows_per_thread,
-            self._params,
-            density=None,
+        return self.evaluate_points(
+            dfg, [point], minibatch, density, stream_words
+        )[0]
+
+    def evaluate_points(
+        self,
+        dfg: ir.Dfg,
+        points: Sequence[DesignPoint],
+        minibatch: int,
+        density: Optional[Mapping[str, float]] = None,
+        stream_words: Optional[float] = None,
+    ) -> List[AcceleratorPlan]:
+        """:meth:`evaluate` for several points, from one walk of ``dfg``."""
+        storage = self.storage_per_thread(dfg)
+        return self._cost(
+            dfg, points, storage, minibatch, density, stream_words
         )
+
+    def _cost(
+        self,
+        dfg: ir.Dfg,
+        points: Sequence[DesignPoint],
+        storage_bytes: int,
+        minibatch: int,
+        density: Optional[Mapping[str, float]],
+        stream_words: Optional[float],
+    ) -> List[AcceleratorPlan]:
+        profile = CostProfile(dfg, self._params)
         if stream_words is None:
             stream_words = effective_data_words(dfg, density)
-        return AcceleratorPlan(
-            chip=self._chip,
-            design=point,
-            thread_estimate=estimate,
-            data_words_per_sample=stream_words,
-            model_words=dfg.model_words(),
-            gradient_words=dfg.gradient_words(),
-            minibatch=minibatch,
-            storage_per_thread_bytes=self.storage_per_thread(dfg),
-            params=self._params,
-        )
+        model_words = dfg.model_words()
+        gradient_words = dfg.gradient_words()
+        return [
+            AcceleratorPlan(
+                chip=self._chip,
+                design=point,
+                thread_estimate=profile.estimate(
+                    point.pes_per_thread, point.rows_per_thread
+                ),
+                data_words_per_sample=stream_words,
+                model_words=model_words,
+                gradient_words=gradient_words,
+                minibatch=minibatch,
+                storage_per_thread_bytes=storage_bytes,
+                params=self._params,
+            )
+            for point in points
+        ]
 
     def plan(
         self,
@@ -367,11 +391,8 @@ class Planner:
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
     ) -> Dict[str, AcceleratorPlan]:
-        points = self.design_space(dfg, minibatch)
-        plans = self._evaluate_all(
-            dfg, minibatch, density, stream_words, points
-        )
-        return {p.label(): plan for p, plan in zip(points, plans)}
+        plans = self._evaluate_all(dfg, minibatch, density, stream_words)
+        return {plan.design.label(): plan for plan in plans}
 
     def _evaluate_all(
         self,
@@ -379,45 +400,14 @@ class Planner:
         minibatch: int,
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
-        points: Optional[List[DesignPoint]] = None,
     ) -> List[AcceleratorPlan]:
-        """All design points, in enumeration order, optionally parallel.
-
-        The evaluation is a registered sweep task bound via
-        :func:`~repro.perf.tasks.task_call`, so the fan-out pickles into
-        process-pool and queue-mode workers (chips, cost params, and
-        DFGs all pickle) as well as running in threads or serially.
-        """
-        if points is None:
-            points = self.design_space(dfg, minibatch)
-        call = task_call(
-            _evaluate_design_point,
-            self._chip,
-            self._params,
-            dfg,
-            minibatch,
-            dict(density) if density is not None else None,
-            stream_words,
+        """Every design point, in enumeration order; the thread storage
+        bounds the space and sizes every plan, so it is derived once."""
+        storage = self.storage_per_thread(dfg)
+        points = self._design_points(self._thread_bound(storage, minibatch))
+        return self._cost(
+            dfg, points, storage, minibatch, density, stream_words
         )
-        if self._executor is None:
-            return [call(p) for p in points]
-        return self._executor.map(call, points)
-
-
-@sweep_task("planner.evaluate")
-def _evaluate_design_point(
-    point: DesignPoint,
-    chip: ChipSpec,
-    params: CostParams,
-    dfg: ir.Dfg,
-    minibatch: int,
-    density: Optional[Dict[str, float]],
-    stream_words: Optional[float],
-) -> AcceleratorPlan:
-    """Module-level DSE evaluation: picklable for process/queue sweeps."""
-    return Planner(chip, params).evaluate(
-        dfg, point, minibatch, density, stream_words
-    )
 
 
 def _better(a: AcceleratorPlan, b: AcceleratorPlan, minibatch: int) -> bool:

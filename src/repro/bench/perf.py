@@ -23,11 +23,6 @@ study — a quorum fraction x deadline grid on a 16-node straggler cluster
 — on both the event-driven and the format-2 quorum-replay paths, asserts
 every :class:`IterationTiming` is bit-identical between them, and
 records the replay speedup.
-
-A fourth, on-demand leg (:func:`measure_queue_sweep`, CLI
-``--queue-smoke``) regenerates the same figures through the queue-backed
-distributed executor with local worker processes and asserts the rows
-stay bit-identical to serial — the distribution-correctness gate.
 """
 
 from __future__ import annotations
@@ -125,6 +120,7 @@ def measure_stages(
     """
     from ..core.stack import CosmicStack
     from ..core.system import CosmicSystem, platform_for
+    from ..hw.accelerator import MimdTimingModel
     from ..hw.spec import XILINX_VU9P
     from ..ml.benchmarks import BENCHMARKS, benchmark
     from ..perf.cache import cache_disabled
@@ -142,6 +138,7 @@ def measure_stages(
             bench.density,
             stream_words=bench.bytes_per_sample() / XILINX_VU9P.word_bytes,
         )
+        timing = MimdTimingModel.for_plan(plan)
         stack = CosmicStack.from_benchmark(bench)
         system = CosmicSystem(
             bench, platform_for(bench, "fpga"), nodes=16
@@ -159,7 +156,7 @@ def measure_stages(
                     lambda: stack.compile(rows=2, columns=4), repeats
                 ),
                 "simulate": _timeit(
-                    lambda: plan.seconds_for(10_000), repeats
+                    lambda: timing.run_batch(10_000), repeats
                 ),
                 "epoch": _timeit(lambda: system.epoch_seconds(), repeats),
             }
@@ -179,18 +176,19 @@ def _result_payload(results: Sequence) -> str:
 def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
     """Regenerate Figure 7 + Figure 16 on the measured paths and compare.
 
-    Four regenerations: the serial uncached reference (cache bypassed —
-    which also bypasses schedule replay, so the reference is pure
-    event-driven simulation), a cold-cache run with schedule replay
+    Four regenerations, each through the figures' one sweep path (a
+    plain loop over the benchmarks): the uncached reference (cache
+    bypassed — which also bypasses schedule replay, so the reference is
+    pure event-driven simulation), a cold-cache run with schedule replay
     forced off, a cold-cache run with replay on (the shipping default:
     records each cluster schedule once, replays every other point), and
-    a warm-cache run. Raises :class:`AssertionError` if any path's rows
-    diverge from the reference — the determinism contract of the cache,
-    the parallel executor, and the replay engine.
+    a warm-cache run. Raises :class:`AssertionError` if any leg's rows
+    diverge from the reference — the determinism contract of the cache
+    and the replay engine. The payload keeps its ``serial_uncached_s``
+    key for the reference leg, so committed baselines stay comparable.
     """
     from ..bench import figures
     from ..perf.cache import cache_disabled, get_cache
-    from ..perf.parallel import SweepExecutor, set_default_executor
     from ..runtime.schedule import replay_disabled
 
     fig7_names = QUICK_BENCHES if quick else None
@@ -199,29 +197,23 @@ def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
         return [figures.figure7(fig7_names), figures.figure16()]
 
     cache = get_cache()
-    previous = set_default_executor(SweepExecutor("serial"))
-    try:
-        cache.clear()
-        with cache_disabled():
-            start = time.perf_counter()
-            reference = regenerate()
-            serial_uncached_s = time.perf_counter() - start
-
-        set_default_executor(SweepExecutor("auto"))
-        cache.clear()
-        with replay_disabled():
-            start = time.perf_counter()
-            cold_noreplay = regenerate()
-            cold_noreplay_s = time.perf_counter() - start
-        cache.clear()
+    cache.clear()
+    with cache_disabled():
         start = time.perf_counter()
-        cold = regenerate()
-        cold_s = time.perf_counter() - start
+        reference = regenerate()
+        serial_uncached_s = time.perf_counter() - start
+    cache.clear()
+    with replay_disabled():
         start = time.perf_counter()
-        warm = regenerate()
-        warm_s = time.perf_counter() - start
-    finally:
-        set_default_executor(previous)
+        cold_noreplay = regenerate()
+        cold_noreplay_s = time.perf_counter() - start
+    cache.clear()
+    start = time.perf_counter()
+    cold = regenerate()
+    cold_s = time.perf_counter() - start
+    start = time.perf_counter()
+    warm = regenerate()
+    warm_s = time.perf_counter() - start
 
     expected = _result_payload(reference)
     if _result_payload(cold_noreplay) != expected:
@@ -352,114 +344,6 @@ def run_replay_smoke(
             "replay-on run recorded no cluster-schedule traces; the "
             "replayer never engaged"
         )
-    return problems
-
-
-def measure_queue_sweep(
-    workers: int = 2,
-    names: Optional[Sequence[str]] = QUICK_BENCHES,
-) -> Dict[str, object]:
-    """The queue-mode measurement leg: Figure 7 + Figure 16 through a
-    coordinator with ``workers`` local worker processes, compared
-    against the serial reference for bit-identity.
-
-    Returns a payload with both wall times, the identity verdict, and
-    the coordinator's end-of-sweep worker stats. Raises
-    :class:`AssertionError` on row divergence — distribution must never
-    change results.
-    """
-    from ..perf.cache import get_cache
-    from ..perf.distributed import QueueCoordinator
-    from ..perf.parallel import SweepExecutor, set_default_executor
-
-    from . import figures
-
-    def regenerate():
-        return [figures.figure7(names), figures.figure16()]
-
-    cache = get_cache()
-    previous = set_default_executor(SweepExecutor("serial"))
-    coordinator = QueueCoordinator(lease_s=60.0)
-    try:
-        cache.clear()
-        start = time.perf_counter()
-        reference = regenerate()
-        serial_s = time.perf_counter() - start
-
-        coordinator.start()
-        coordinator.spawn_local_workers(workers)
-        set_default_executor(
-            SweepExecutor("queue", coordinator=coordinator)
-        )
-        cache.clear()
-        start = time.perf_counter()
-        queued = regenerate()
-        queue_s = time.perf_counter() - start
-    finally:
-        set_default_executor(previous)
-        coordinator.shutdown()
-
-    if _result_payload(queued) != _result_payload(reference):
-        raise AssertionError(
-            "queue-distributed rows diverge from serial regeneration"
-        )
-    summary = coordinator.last_summary
-    worker_stats = {}
-    requeued = 0
-    if summary is not None:
-        requeued = summary.requeued
-        for w in summary.workers:
-            worker_stats[w.worker_id] = {
-                "completed": w.completed,
-                "failed": w.failed,
-                "busy_s": round(w.busy_s, 3),
-            }
-    return {
-        "serial_s": round(serial_s, 6),
-        "queue_s": round(queue_s, 6),
-        "workers": workers,
-        "requeued": requeued,
-        "worker_stats": worker_stats,
-        "rows_identical": True,
-    }
-
-
-def run_queue_smoke(workers: int = 2) -> List[str]:
-    """CI probe: queue-distributed sweeps must be bit-identical to
-    serial ones. Launches a coordinator plus ``workers`` local worker
-    processes, regenerates Figure 7 + Figure 16 both ways, and reports
-    problems (empty list = pass). Prints the timing and per-worker
-    stats so the job log shows the distribution actually engaged.
-    """
-    problems: List[str] = []
-    try:
-        payload = measure_queue_sweep(workers=workers)
-    except AssertionError as exc:
-        return [str(exc)]
-    except Exception as exc:  # worker spawn/connect failures
-        return [f"queue sweep failed to run: {exc}"]
-    print(
-        f"  serial      {payload['serial_s']:.3f}s\n"
-        f"  queue       {payload['queue_s']:.3f}s "
-        f"({payload['workers']} workers, {payload['requeued']} requeued)"
-    )
-    for wid, stats in sorted(payload["worker_stats"].items()):
-        print(
-            f"    {wid:30s} done={stats['completed']:4d} "
-            f"failed={stats['failed']:2d} busy={stats['busy_s']:.2f}s"
-        )
-    active = [
-        wid
-        for wid, stats in payload["worker_stats"].items()
-        if stats["completed"]
-    ]
-    if len(active) < min(2, workers):
-        problems.append(
-            f"only {len(active)} worker(s) completed tasks; expected at "
-            f"least {min(2, workers)} of {workers} to participate"
-        )
-    if not payload["rows_identical"]:
-        problems.append("queue-mode rows are not identical to serial")
     return problems
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from ..compiler.program import CompiledProgram
 from ..dfg import ir
 
 from .pe import Pe
+
+if TYPE_CHECKING:
+    from ..planner.plan import AcceleratorPlan
 
 #: Whether :meth:`MimdTimingModel.run_batch` uses the closed-form NumPy
 #: path by default. The scalar loop remains available as the reference
@@ -179,6 +182,29 @@ class MimdTimingModel:
         self.columns = int(columns)
         self.preload_words = int(preload_words)
         self.drain_words = int(drain_words)
+
+    @classmethod
+    def for_plan(
+        cls,
+        plan: AcceleratorPlan,
+        stream_words_per_sample: Optional[float] = None,
+    ) -> MimdTimingModel:
+        """The timing model of the design ``plan`` chose; each sample
+        streams ``stream_words_per_sample`` words (default: the plan's
+        own per-sample data words)."""
+        words = (
+            stream_words_per_sample
+            if stream_words_per_sample is not None
+            else plan.data_words_per_sample
+        )
+        return cls(
+            threads=plan.design.threads,
+            compute_cycles=int(math.ceil(plan.cycles_per_sample)),
+            sample_words=int(math.ceil(words)),
+            columns=plan.design.columns,
+            preload_words=plan.model_words,
+            drain_words=plan.gradient_words,
+        )
 
     def run_batch(
         self, samples: int, vectorized: Optional[bool] = None

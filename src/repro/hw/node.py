@@ -14,7 +14,6 @@ really computes the numbers it would in hardware.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -54,18 +53,8 @@ class NodeAccelerator:
         self._interp = Interpreter(translation.dfg)
         self.plan = plan
         self.threads = plan.design.threads
-        words = (
-            stream_words_per_sample
-            if stream_words_per_sample is not None
-            else plan.data_words_per_sample
-        )
-        self._timing = MimdTimingModel(
-            threads=self.threads,
-            compute_cycles=int(math.ceil(plan.cycles_per_sample)),
-            sample_words=int(math.ceil(words)),
-            columns=plan.design.columns,
-            preload_words=plan.model_words,
-            drain_words=plan.gradient_words,
+        self._timing = MimdTimingModel.for_plan(
+            plan, stream_words_per_sample
         )
 
     def process_partition(

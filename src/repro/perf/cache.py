@@ -12,8 +12,7 @@ minibatch) point twice pays for it once.
 Two tiers:
 
 * **in-memory** — a process-wide dict, always available, shared by every
-  caller (the figure harness fans sweep points out over threads, so all
-  workers hit one cache).
+  caller.
 * **on-disk** (optional) — plans and compiled programs persist under a
   cache directory keyed by fingerprint. Payloads are pickled for exact
   reconstruction; compiled programs additionally get a diff-able JSON

@@ -123,6 +123,20 @@ class TestHarness:
         }
         assert all(v >= 0 for v in stages["stock"].values())
 
+    def test_simulate_stage_runs_the_mimd_timing_model(self, monkeypatch):
+        from repro.hw.accelerator import MimdTimingModel
+
+        batches = []
+        run_batch = MimdTimingModel.run_batch
+
+        def spy(self, samples, vectorized=None):
+            batches.append(samples)
+            return run_batch(self, samples, vectorized)
+
+        monkeypatch.setattr(MimdTimingModel, "run_batch", spy)
+        measure_stages(["stock"], repeats=2)
+        assert batches.count(10_000) == 2
+
     def test_figure_sweep_rows_identical(self):
         get_cache().clear()
         sweep = measure_figure_sweep(quick=True)

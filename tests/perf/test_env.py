@@ -25,11 +25,6 @@ class TestPrimitives:
         with pytest.raises(EnvError, match=">= 1"):
             env.env_int("REPRO_TEST_VAR", minimum=1)
 
-    def test_float_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_VAR", "fast")
-        with pytest.raises(EnvError, match="not a number"):
-            env.env_float("REPRO_TEST_VAR")
-
     @pytest.mark.parametrize("raw,expected", [
         ("1", True), ("true", True), ("YES", True), ("on", True),
         ("0", False), ("False", False), ("no", False), ("off", False),
@@ -44,88 +39,6 @@ class TestPrimitives:
         with pytest.raises(EnvError, match="not a boolean"):
             env.env_flag("REPRO_TEST_VAR", True)
 
-    def test_choice_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_VAR", "warp")
-        with pytest.raises(EnvError, match="not a valid choice"):
-            env.env_choice("REPRO_TEST_VAR", "a", ("a", "b"))
-
-
-class TestAddress:
-    def test_parses_host_and_port(self):
-        assert env.parse_address("10.0.0.7:8765") == ("10.0.0.7", 8765)
-
-    @pytest.mark.parametrize("raw", [
-        "8765", ":8765", "host:", "host:not-a-port", "host:70000",
-    ])
-    def test_rejects_malformed(self, raw):
-        with pytest.raises(EnvError):
-            env.parse_address(raw, "REPRO_SWEEP_ADDR")
-
-    def test_default_sweep_address_is_loopback_ephemeral(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_ADDR", raising=False)
-        assert env.sweep_address() == ("127.0.0.1", 0)
-
-
-class TestSweepKnobs:
-    def test_mode_default_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_MODE", raising=False)
-        assert env.sweep_mode() == "auto"
-        monkeypatch.setenv("REPRO_SWEEP_MODE", "queue")
-        assert env.sweep_mode() == "queue"
-        monkeypatch.setenv("REPRO_SWEEP_MODE", "cluster")
-        with pytest.raises(EnvError, match="REPRO_SWEEP_MODE"):
-            env.sweep_mode()
-
-    def test_jobs_must_be_positive_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "three")
-        with pytest.raises(EnvError, match="REPRO_SWEEP_JOBS"):
-            env.sweep_jobs()
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "0")
-        with pytest.raises(EnvError, match=">= 1"):
-            env.sweep_jobs()
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "4")
-        assert env.sweep_jobs() == 4
-
-    def test_lease_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_LEASE_S", "0.01")
-        with pytest.raises(EnvError, match="REPRO_SWEEP_LEASE_S"):
-            env.sweep_lease_s()
-        monkeypatch.delenv("REPRO_SWEEP_LEASE_S", raising=False)
-        assert env.sweep_lease_s() == 30.0
-
-    def test_summary_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_SUMMARY", raising=False)
-        assert env.sweep_summary() is True
-        monkeypatch.setenv("REPRO_SWEEP_SUMMARY", "0")
-        assert env.sweep_summary() is False
-
-
-class TestAuthkey:
-    def test_default_is_well_known_loopback_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_AUTHKEY", raising=False)
-        monkeypatch.delenv("REPRO_SWEEP_AUTHKEY_FILE", raising=False)
-        assert env.sweep_authkey() == b"cosmic-sweep"
-
-    def test_env_value_used(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_AUTHKEY", "sekrit")
-        monkeypatch.delenv("REPRO_SWEEP_AUTHKEY_FILE", raising=False)
-        assert env.sweep_authkey() == b"sekrit"
-
-    def test_file_wins_over_env(self, monkeypatch, tmp_path):
-        keyfile = tmp_path / "authkey"
-        keyfile.write_text("from-file\nsecond line ignored\n")
-        monkeypatch.setenv("REPRO_SWEEP_AUTHKEY", "from-env")
-        monkeypatch.setenv("REPRO_SWEEP_AUTHKEY_FILE", str(keyfile))
-        assert env.sweep_authkey() == b"from-file"
-
-    def test_empty_or_missing_file_rejected(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.write_text("\n")
-        with pytest.raises(EnvError, match="is empty"):
-            env.read_authkey_file(str(empty))
-        with pytest.raises(EnvError, match="cannot read"):
-            env.read_authkey_file(str(tmp_path / "no-such-file"))
-
 
 class TestCacheKnobs:
     def test_disable_flag_inverts(self, monkeypatch):
@@ -138,23 +51,3 @@ class TestCacheKnobs:
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "lots")
         with pytest.raises(EnvError, match="REPRO_CACHE_MAX_BYTES"):
             env.cache_max_bytes()
-
-
-class TestLazyDefaultExecutor:
-    def test_bad_mode_surfaces_as_env_error(self, monkeypatch):
-        import repro.perf.parallel as parallel
-
-        monkeypatch.setenv("REPRO_SWEEP_MODE", "bogus")
-        monkeypatch.setattr(parallel, "_DEFAULT", None)
-        with pytest.raises(EnvError, match="REPRO_SWEEP_MODE"):
-            parallel.default_executor()
-
-    def test_env_mode_and_jobs_applied(self, monkeypatch):
-        import repro.perf.parallel as parallel
-
-        monkeypatch.setenv("REPRO_SWEEP_MODE", "thread")
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
-        monkeypatch.setattr(parallel, "_DEFAULT", None)
-        executor = parallel.default_executor()
-        assert executor.mode == "thread"
-        assert executor.max_workers == 3

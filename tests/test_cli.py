@@ -118,35 +118,6 @@ class TestChaosCommand:
         assert "invalid choice" in capsys.readouterr().err
 
 
-class TestWorkerCommand:
-    def test_malformed_connect_rejected(self, capsys):
-        assert main(["worker", "--connect", "no-port-here"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_missing_authkey_file_rejected(self, capsys, tmp_path):
-        code = main([
-            "worker", "--connect", "127.0.0.1:1",
-            "--authkey-file", str(tmp_path / "absent"),
-        ])
-        assert code == 2
-        assert "cannot read authkey file" in capsys.readouterr().err
-
-    def test_unreachable_coordinator_exits_2(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        _, port = probe.getsockname()
-        probe.close()
-        assert main(["worker", "--connect", f"127.0.0.1:{port}"]) == 2
-        assert "cannot reach coordinator" in capsys.readouterr().err
-
-    def test_connect_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["worker"])
-        assert "--connect" in capsys.readouterr().err
-
-
 class TestModuleEntry:
     def test_python_dash_m(self):
         import subprocess

@@ -259,7 +259,12 @@ def _cmd_rtl(name: str, target: str, rows: int, columns: int) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def train_flow(args):
+    """Run the ``train`` command's flow without printing.
+
+    Returns ``(benchmark, dataset, result)``; ``args`` is the parsed
+    ``train`` namespace.
+    """
     from .core import CosmicStack, platform_for
     from .ml import benchmark
     from .runtime import ClusterSimulator, ClusterSpec
@@ -291,6 +296,11 @@ def _cmd_train(args) -> int:
         loss_fn=dataset.loss,
         model=init,
     )
+    return b, dataset, result
+
+
+def _cmd_train(args) -> int:
+    b, dataset, result = train_flow(args)
     print(f"benchmark:         {b.name} ({dataset.description})")
     print(f"cluster:           {args.nodes} nodes x {args.threads} threads")
     print(f"iterations:        {result.iterations}")
@@ -300,7 +310,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def chaos_flow(args):
+    """Run the ``chaos`` command's flow without printing.
+
+    Returns ``(benchmark, dataset, healthy, result)``: the healthy
+    baseline run and the run under ``args.scenario``.
+    """
     from .bench.chaos import fault_tolerance_config
     from .core import platform_for
     from .ml import benchmark
@@ -358,7 +373,11 @@ def _cmd_chaos(args) -> int:
 
     healthy = run(scenario_timeline("healthy", topology, iteration_s))
     result = run(scenario_timeline(args.scenario, topology, iteration_s))
+    return b, dataset, healthy, result
 
+
+def _cmd_chaos(args) -> int:
+    b, dataset, healthy, result = chaos_flow(args)
     print(f"benchmark:          {b.name} ({dataset.description})")
     print(f"cluster:            {args.nodes} nodes x {args.groups} groups")
     print(f"scenario:           {args.scenario}")

@@ -463,19 +463,22 @@ def _feed_phase(
     pipes: Dict[int, SigmaPipeline],
     vectorized: bool,
 ):
-    """Book every send of one gather/reduce phase, then dispatch the chunk
-    callbacks in event-loop order.
+    """Book every send of one gather/reduce phase, then feed each Sigma
+    its chunks in event-loop order.
 
     ``sends`` is ``(start, src, dst, nbytes)`` in issue order. Chunk
     events are globally sorted by ``(arrival, insertion counter)`` —
-    exactly the heap order of :class:`EventLoop` — and fed to the real
-    :class:`SigmaPipeline` objects. Returns each sender's partial-complete
-    time (the :class:`_Feeder` semantics the quorum window judges).
+    exactly the heap order of :class:`EventLoop` — and each Sigma's
+    chunks, in that order, go to its real :class:`SigmaPipeline` as one
+    :meth:`~SigmaPipeline.on_chunks` stream (a pipeline's state depends
+    only on its own chunks). Returns each sender's partial-complete time
+    (the :class:`_Feeder` semantics the quorum window judges).
     """
     book = _book_send_vectorized if vectorized else _book_send_scalar
     arrivals: List[float] = []
     sizes: List[int] = []
-    owners: List[Tuple[int, int]] = []  # (sender, sigma) per chunk
+    senders: List[int] = []
+    sigmas: List[int] = []
     plans: Dict[int, tuple] = {}
     done: Dict[int, float] = {}
     for start, src, dst, nbytes in sends:
@@ -484,18 +487,24 @@ def _feed_phase(
         send_arrivals, _ = book(ledger, cfg, src, dst, start, plans[nbytes])
         arrivals.extend(send_arrivals)
         sizes.extend(plans[nbytes][0])
-        owners.extend([(src, dst)] * len(send_arrivals))
+        senders.extend([src] * len(send_arrivals))
+        sigmas.extend([dst] * len(send_arrivals))
         done[src] = 0.0
     if not arrivals:
         return done
     # Stable argsort by arrival == the event loop's (time, insertion
     # counter) heap order; chunks were appended in issue order.
-    order = np.argsort(np.array(arrivals), kind="stable")
-    for idx in order.tolist():
-        sender, sigma = owners[idx]
-        agg_done = pipes[sigma].on_chunk(arrivals[idx], sizes[idx])
-        if agg_done > done[sender]:
-            done[sender] = agg_done
+    streams: Dict[int, List[int]] = {}
+    for idx in np.argsort(np.array(arrivals), kind="stable").tolist():
+        streams.setdefault(sigmas[idx], []).append(idx)
+    for sigma, stream in streams.items():
+        finishes = pipes[sigma].on_chunks(
+            [arrivals[i] for i in stream], [sizes[i] for i in stream]
+        )
+        for idx, agg_done in zip(stream, finishes):
+            sender = senders[idx]
+            if agg_done > done[sender]:
+                done[sender] = agg_done
     return done
 
 

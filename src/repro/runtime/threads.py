@@ -11,10 +11,9 @@ computation overlap.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
-
-from .events import Resource
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -35,25 +34,43 @@ class PoolConfig:
 
 
 class WorkerPool:
-    """A fixed set of workers, each serially reusable."""
+    """A fixed set of workers, each serially reusable.
+
+    ``free[i]`` is when worker ``i`` next becomes free and ``busy[i]`` the
+    seconds it has worked. A work item goes to the first worker with the
+    smallest ``max(free, earliest)`` and starts then (FCFS in call order).
+    """
 
     def __init__(self, name: str, workers: int):
         if workers < 1:
             raise ValueError("a pool needs at least one worker")
-        self._workers = [Resource(f"{name}[{i}]") for i in range(workers)]
+        self.name = name
+        self.free: List[float] = [0.0] * workers
+        self.busy: List[float] = [0.0] * workers
 
     def dispatch(self, earliest: float, duration: float) -> float:
         """Run one work item on the first worker free; returns finish time."""
-        worker = min(self._workers, key=lambda w: max(w.free_at, earliest))
-        start = worker.acquire(earliest, duration)
-        return start + duration
+        free = self.free
+        best, start = 0, free[0]
+        if earliest > start:
+            start = earliest
+        for i in range(1, len(free)):
+            t = free[i]
+            if earliest > t:
+                t = earliest
+            if t < start:
+                best, start = i, t
+        done = start + duration
+        free[best] = done
+        self.busy[best] += duration
+        return done
 
     @property
     def size(self) -> int:
-        return len(self._workers)
+        return len(self.free)
 
     def busy_seconds(self) -> float:
-        return sum(w.busy_seconds for w in self._workers)
+        return sum(self.busy)
 
 
 class CircularBuffer:
@@ -70,8 +87,8 @@ class CircularBuffer:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        #: (free_time, nbytes) chunks currently occupying space
-        self._occupied: deque = deque()
+        #: (free_time, nbytes) chunks currently occupying space, sorted
+        self._occupied: list = []
         self._used = 0
         self.peak_used = 0
         self.stall_seconds = 0.0
@@ -88,25 +105,28 @@ class CircularBuffer:
         """
         if nbytes > self.capacity_bytes:
             raise ValueError("chunk larger than the whole circular buffer")
+        occupied = self._occupied
+        used = self._used
         start = when
-        self._drain(start)
-        while self._used + nbytes > self.capacity_bytes:
-            if not self._occupied:
-                raise RuntimeError("buffer full but nothing draining")
-            next_free = self._occupied[0][0]
-            self.stall_seconds += max(0.0, next_free - start)
-            start = max(start, next_free)
-            self._drain(start)
-        self._occupied.append((free_time, nbytes))
-        self._occupied = deque(sorted(self._occupied))
-        self._used += nbytes
-        self.peak_used = max(self.peak_used, self._used)
+        k = 0  # occupied[:k] has drained by ``start``
+        while True:
+            while k < len(occupied) and occupied[k][0] <= start:
+                used -= occupied[k][1]
+                k += 1
+            if used + nbytes <= self.capacity_bytes:
+                break
+            # Everything due by ``start`` has drained, so the next chunk
+            # frees strictly later: the producer stalls until then.
+            next_free = occupied[k][0]
+            self.stall_seconds += next_free - start
+            start = next_free
+        del occupied[:k]
+        insort(occupied, (free_time, nbytes))
+        used += nbytes
+        self._used = used
+        if used > self.peak_used:
+            self.peak_used = used
         return start
-
-    def _drain(self, now: float):
-        while self._occupied and self._occupied[0][0] <= now:
-            _, nbytes = self._occupied.popleft()
-            self._used -= nbytes
 
 
 class SigmaPipeline:
@@ -121,25 +141,107 @@ class SigmaPipeline:
         self.bytes_aggregated = 0
 
     def on_chunk(self, arrival: float, nbytes: int) -> float:
-        """Process one received chunk; returns its aggregation finish time.
+        """Process one received chunk; returns its aggregation finish time."""
+        return self.on_chunks((arrival,), (nbytes,))[0]
 
-        The Incoming Network Handler catches the epoll event, a networking
-        thread copies the chunk into the circular buffer, and an
-        aggregation thread folds it into the aggregation buffer.
+    def on_chunks(
+        self, arrivals: Sequence[float], sizes: Sequence[int]
+    ) -> List[float]:
+        """Process received chunks in arrival order; returns each chunk's
+        aggregation finish time.
+
+        For each chunk, the Incoming Network Handler catches the epoll
+        event, a networking thread copies the chunk into the circular
+        buffer (stalling while it is full), and an aggregation thread
+        folds it into the aggregation buffer. This is
+        :meth:`WorkerPool.dispatch` and :meth:`CircularBuffer.reserve`
+        inlined, with the same float operations in the same order.
         """
         cfg = self.config
-        copy_s = nbytes / cfg.copy_bytes_per_s
-        agg_s = nbytes / cfg.aggregate_bytes_per_s
-        copy_done = self.networking.dispatch(
-            arrival + cfg.wakeup_overhead_s, copy_s
-        )
-        free_time_guess = copy_done + agg_s
-        reserved = self.buffer.reserve(copy_done - copy_s, nbytes, free_time_guess)
-        copy_done = reserved + copy_s
-        agg_done = self.aggregation.dispatch(copy_done, agg_s)
-        self._aggregated_until = max(self._aggregated_until, agg_done)
-        self.bytes_aggregated += nbytes
-        return agg_done
+        copy_rate = cfg.copy_bytes_per_s
+        agg_rate = cfg.aggregate_bytes_per_s
+        wakeup = cfg.wakeup_overhead_s
+        net_free = self.networking.free
+        net_busy = self.networking.busy
+        agg_free = self.aggregation.free
+        agg_busy = self.aggregation.busy
+        net_rest = range(1, len(net_free))
+        agg_rest = range(1, len(agg_free))
+        buf = self.buffer
+        capacity = buf.capacity_bytes
+        occupied = buf._occupied
+        used = buf._used
+        peak = buf.peak_used
+        stall = buf.stall_seconds
+        until = self._aggregated_until
+        total = self.bytes_aggregated
+        out = []
+        try:
+            for arrival, nbytes in zip(arrivals, sizes):
+                copy_s = nbytes / copy_rate
+                agg_s = nbytes / agg_rate
+                # Networking pool: first worker with the earliest start.
+                earliest = arrival + wakeup
+                best, start = 0, net_free[0]
+                if earliest > start:
+                    start = earliest
+                for i in net_rest:
+                    t = net_free[i]
+                    if earliest > t:
+                        t = earliest
+                    if t < start:
+                        best, start = i, t
+                copy_done = start + copy_s
+                net_free[best] = copy_done
+                net_busy[best] += copy_s
+                # Circular buffer: reserve space from the copy's start.
+                if nbytes > capacity:
+                    raise ValueError(
+                        "chunk larger than the whole circular buffer"
+                    )
+                free_time_guess = copy_done + agg_s
+                reserved = copy_done - copy_s
+                k = 0  # occupied[:k] has drained by ``reserved``
+                while True:
+                    while k < len(occupied) and occupied[k][0] <= reserved:
+                        used -= occupied[k][1]
+                        k += 1
+                    if used + nbytes <= capacity:
+                        break
+                    # Stall until the next chunk frees (strictly later).
+                    next_free = occupied[k][0]
+                    stall += next_free - reserved
+                    reserved = next_free
+                del occupied[:k]
+                insort(occupied, (free_time_guess, nbytes))
+                used += nbytes
+                if used > peak:
+                    peak = used
+                # Aggregation pool: fold once the copy lands.
+                copy_done = reserved + copy_s
+                best, start = 0, agg_free[0]
+                if copy_done > start:
+                    start = copy_done
+                for i in agg_rest:
+                    t = agg_free[i]
+                    if copy_done > t:
+                        t = copy_done
+                    if t < start:
+                        best, start = i, t
+                agg_done = start + agg_s
+                agg_free[best] = agg_done
+                agg_busy[best] += agg_s
+                if agg_done > until:
+                    until = agg_done
+                total += nbytes
+                out.append(agg_done)
+        finally:
+            buf._used = used
+            buf.peak_used = peak
+            buf.stall_seconds = stall
+            self._aggregated_until = until
+            self.bytes_aggregated = total
+        return out
 
     def fold_local(self, ready: float, nbytes: int) -> float:
         """Fold the node's *own* partial update into the aggregate.

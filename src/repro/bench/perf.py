@@ -1,28 +1,25 @@
 """Perf-regression harness: time the stack, gate against a baseline.
 
-``python -m repro perf`` measures two things and writes them to
+``python -m repro perf`` measures three things and writes them to
 ``BENCH_perf.json``:
 
 * **Stage timings** — translate / plan / compile / simulate / epoch per
-  benchmark, each measured with the artifact cache bypassed so the
-  numbers track the *work*, not the cache.
+  benchmark, each timing the work itself rather than a memo hit: the
+  translator and the Planner's DSE are called below their memos, and
+  the epoch runs the event-driven cluster simulation.
 * **Figure-sweep comparison** — a full Figure 7 + Figure 16 regeneration
-  three ways: the serial uncached reference path, a cold-cache run (the
-  first regeneration in a process), and a warm-cache run (the
-  steady-state the cache exists for: every later regeneration in the
-  process, and — with ``REPRO_CACHE_DIR`` — fresh processes too). The
-  harness asserts all three produce bit-identical
-  :class:`ExperimentResult` rows and records the speedups.
+  with schedule replay off and on, each after one untimed warm-up
+  regeneration and from an empty schedule table. The harness asserts
+  both produce bit-identical :class:`ExperimentResult` rows and records
+  the replay speedup.
+* **Quorum sweep** (:func:`measure_quorum_sweep`) — a graceful-degradation
+  study, a quorum fraction x deadline grid on a 16-node straggler
+  cluster, on both the event-driven and the quorum-replay paths; every
+  :class:`IterationTiming` must be bit-identical between them.
 
 Comparing a run against a committed baseline flags any stage that got
-more than ``tolerance`` times slower (and a warm-sweep speedup that
-collapsed), so CI catches perf regressions the functional suite cannot.
-
-A third leg (:func:`measure_quorum_sweep`) times a graceful-degradation
-study — a quorum fraction x deadline grid on a 16-node straggler cluster
-— on both the event-driven and the format-2 quorum-replay paths, asserts
-every :class:`IterationTiming` is bit-identical between them, and
-records the replay speedup.
+more than ``tolerance`` times slower, and any leg whose rows diverged,
+so CI catches perf regressions the functional suite cannot.
 """
 
 from __future__ import annotations
@@ -45,11 +42,6 @@ QUICK_BENCHES = ("stock", "movielens", "mnist")
 #: never flags a stage whose baseline is under it.
 FLOOR_SECONDS = 0.005
 
-#: The warm-cache sweep must stay at least this much faster than the
-#: serial uncached path (the headline acceptance number is recorded in
-#: the payload; the gate uses a CI-safe fraction of it).
-MIN_WARM_SPEEDUP = 3.0
-
 
 @dataclass
 class PerfReport:
@@ -65,7 +57,7 @@ class PerfReport:
 
     def to_dict(self) -> Dict:
         return {
-            "format_version": 1,
+            "format_version": 2,
             "quick": self.quick,
             "machine": self.machine,
             "stages": self.stages,
@@ -110,7 +102,7 @@ def _timeit(fn: Callable[[], object], repeats: int) -> float:
 def measure_stages(
     names: Optional[Iterable[str]] = None, repeats: int = 2
 ) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark wall time of each toolchain stage, cache bypassed.
+    """Per-benchmark wall time of each toolchain stage's own work.
 
     ``translate`` parses + translates the DSL program; ``plan`` runs the
     full design-space exploration; ``compile`` scalarises, maps, and
@@ -120,11 +112,13 @@ def measure_stages(
     """
     from ..core.stack import CosmicStack
     from ..core.system import CosmicSystem, platform_for
+    from ..dfg.translate import translate
+    from ..dsl import parse
     from ..hw.accelerator import MimdTimingModel
     from ..hw.spec import XILINX_VU9P
     from ..ml.benchmarks import BENCHMARKS, benchmark
-    from ..perf.cache import cache_disabled
     from ..planner import Planner
+    from ..runtime.schedule import replay_disabled
 
     benches = (
         list(BENCHMARKS) if names is None else [benchmark(n) for n in names]
@@ -143,23 +137,24 @@ def measure_stages(
         system = CosmicSystem(
             bench, platform_for(bench, "fpga"), nodes=16
         )
-        with cache_disabled():
-            timings = {
-                "translate": _timeit(bench.translate, repeats),
-                "plan": _timeit(
-                    lambda: Planner(XILINX_VU9P).plan(
-                        translation.dfg, 10_000, bench.density
-                    ),
-                    repeats,
+        source = bench.source()
+        timings = {
+            "translate": _timeit(
+                lambda: translate(parse(source), bench.dims), repeats
+            ),
+            "plan": _timeit(
+                lambda: Planner(XILINX_VU9P)._plan_uncached(
+                    translation.dfg, 10_000, bench.density, None
                 ),
-                "compile": _timeit(
-                    lambda: stack.compile(rows=2, columns=4), repeats
-                ),
-                "simulate": _timeit(
-                    lambda: timing.run_batch(10_000), repeats
-                ),
-                "epoch": _timeit(lambda: system.epoch_seconds(), repeats),
-            }
+                repeats,
+            ),
+            "compile": _timeit(
+                lambda: stack.compile(rows=2, columns=4), repeats
+            ),
+            "simulate": _timeit(lambda: timing.run_batch(10_000), repeats),
+        }
+        with replay_disabled():
+            timings["epoch"] = _timeit(system.epoch_seconds, repeats)
         out[bench.name] = {k: round(v, 6) for k, v in timings.items()}
     return out
 
@@ -174,67 +169,40 @@ def _result_payload(results: Sequence) -> str:
 
 
 def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
-    """Regenerate Figure 7 + Figure 16 on the measured paths and compare.
+    """Regenerate Figure 7 + Figure 16 with schedule replay off and on.
 
-    Four regenerations, each through the figures' one sweep path (a
-    plain loop over the benchmarks): the uncached reference (cache
-    bypassed — which also bypasses schedule replay, so the reference is
-    pure event-driven simulation), a cold-cache run with schedule replay
-    forced off, a cold-cache run with replay on (the shipping default:
-    records each cluster schedule once, replays every other point), and
-    a warm-cache run. Raises :class:`AssertionError` if any leg's rows
-    diverge from the reference — the determinism contract of the cache
-    and the replay engine. The payload keeps its ``serial_uncached_s``
-    key for the reference leg, so committed baselines stay comparable.
+    One untimed warm-up regeneration first, so both timed legs share the
+    same memoised translations and plans; then each leg starts from an
+    empty schedule table. Raises :class:`AssertionError` if the two legs'
+    rows diverge — the determinism contract of the replay engine.
     """
     from ..bench import figures
-    from ..perf.cache import cache_disabled, get_cache
-    from ..runtime.schedule import replay_disabled
+    from ..runtime import schedule
 
     fig7_names = QUICK_BENCHES if quick else None
 
     def regenerate():
         return [figures.figure7(fig7_names), figures.figure16()]
 
-    cache = get_cache()
-    cache.clear()
-    with cache_disabled():
+    regenerate()
+    schedule.TRACES.clear()
+    with schedule.replay_disabled():
         start = time.perf_counter()
-        reference = regenerate()
-        serial_uncached_s = time.perf_counter() - start
-    cache.clear()
-    with replay_disabled():
-        start = time.perf_counter()
-        cold_noreplay = regenerate()
-        cold_noreplay_s = time.perf_counter() - start
-    cache.clear()
+        replay_off = regenerate()
+        replay_off_s = time.perf_counter() - start
+    schedule.TRACES.clear()
     start = time.perf_counter()
-    cold = regenerate()
-    cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    warm = regenerate()
-    warm_s = time.perf_counter() - start
+    replay_on = regenerate()
+    replay_on_s = time.perf_counter() - start
 
-    expected = _result_payload(reference)
-    if _result_payload(cold_noreplay) != expected:
+    if _result_payload(replay_on) != _result_payload(replay_off):
         raise AssertionError(
-            "cold-cache (replay off) rows diverge from serial uncached"
+            "figure rows diverge between schedule replay off and on"
         )
-    if _result_payload(cold) != expected:
-        raise AssertionError(
-            "cold-cache (replay on) rows diverge from serial uncached"
-        )
-    if _result_payload(warm) != expected:
-        raise AssertionError("warm-cache rows diverge from serial uncached")
-
     return {
-        "serial_uncached_s": round(serial_uncached_s, 6),
-        "cold_noreplay_s": round(cold_noreplay_s, 6),
-        "cold_cache_s": round(cold_s, 6),
-        "warm_cache_s": round(warm_s, 6),
-        "cold_speedup": round(serial_uncached_s / cold_s, 3),
-        "warm_speedup": round(serial_uncached_s / warm_s, 3),
-        "replay_speedup": round(cold_noreplay_s / cold_s, 3),
+        "replay_off_s": round(replay_off_s, 6),
+        "replay_on_s": round(replay_on_s, 6),
+        "replay_speedup": round(replay_off_s / replay_on_s, 3),
         "rows_identical": True,
     }
 
@@ -253,9 +221,8 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
     the replay leg never recorded a trace (a silently-disabled replayer
     would vacuously pass).
     """
-    from ..perf.cache import get_cache
     from ..runtime import ClusterSimulator, ClusterSpec, QuorumConfig
-    from ..runtime.schedule import replay_disabled
+    from ..runtime import schedule
 
     fractions = (0.5, 1.0) if quick else (0.5, 0.75, 0.9, 1.0)
     deadlines = (1e-3, 20e-3) if quick else (1e-3, 5e-3, 20e-3, 80e-3)
@@ -277,21 +244,18 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
     def run_grid():
         return [sim.iteration(16_000, quorum=rule) for rule in grid]
 
-    cache = get_cache()
-    cache.clear()
-    with replay_disabled():
+    with schedule.replay_disabled():
         start = time.perf_counter()
         event_rows = run_grid()
         event_s = time.perf_counter() - start
-    cache.clear()
+    schedule.TRACES.clear()
     start = time.perf_counter()
     replay_rows = run_grid()
     replay_s = time.perf_counter() - start
 
-    traced = [k for (k, _) in cache._memory if k == "cluster-schedule"]
-    if cache.enabled and not traced:
+    if not schedule.TRACES:
         raise AssertionError(
-            "quorum sweep recorded no cluster-schedule trace; the "
+            "quorum sweep recorded no schedule trace; the "
             "replayer never engaged"
         )
     for rule, event, replayed in zip(grid, event_rows, replay_rows):
@@ -300,7 +264,6 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
                 f"quorum replay diverges from event-driven simulation at "
                 f"fraction={rule.fraction} deadline_s={rule.deadline_s}"
             )
-    cache.clear()
     return {
         "points": len(grid),
         "fractions": list(fractions),
@@ -317,31 +280,27 @@ def run_replay_smoke(
 ) -> List[str]:
     """CI probe: Figure 7 must be bit-identical with replay off and on.
 
-    Regenerates from a cleared cache twice — once with the schedule
-    replayer disabled (pure event-driven simulation) and once with it on
-    — and also checks that the replay run actually recorded schedule
-    traces (a silently-disabled replayer would vacuously pass). Returns
-    a list of problems; empty means the smoke passed.
+    Regenerates twice — once with the schedule replayer disabled (pure
+    event-driven simulation) and once with it on, from an empty schedule
+    table — and also checks that the replay run actually recorded
+    schedule traces (a silently-disabled replayer would vacuously pass).
+    Returns a list of problems; empty means the smoke passed.
     """
     from ..bench import figures
-    from ..perf.cache import get_cache
-    from ..runtime.schedule import replay_disabled
+    from ..runtime import schedule
 
-    cache = get_cache()
     problems: List[str] = []
-    cache.clear()
-    with replay_disabled():
+    with schedule.replay_disabled():
         off = [figures.figure7(names)]
-    cache.clear()
+    schedule.TRACES.clear()
     on = [figures.figure7(names)]
     if _result_payload(off) != _result_payload(on):
         problems.append(
             "Figure 7 rows differ between replay-off and replay-on runs"
         )
-    traced = [k for (k, _) in cache._memory if k == "cluster-schedule"]
-    if cache.enabled and not traced:
+    if not schedule.TRACES:
         problems.append(
-            "replay-on run recorded no cluster-schedule traces; the "
+            "replay-on run recorded no schedule traces; the "
             "replayer never engaged"
         )
     return problems
@@ -389,9 +348,8 @@ def compare_to_baseline(
     """Regression messages; empty means the run is within tolerance.
 
     A stage regresses when it is ``tolerance`` times slower than the
-    baseline *and* the baseline is above the noise floor. The warm-sweep
-    speedup regresses when it falls below half the acceptance threshold
-    (machines differ; collapsing to ~1x means the cache stopped working).
+    baseline *and* the baseline is above the noise floor; a leg regresses
+    when its rows diverged.
     """
     problems: List[str] = []
     for bench, stages in current.stages.items():
@@ -407,14 +365,10 @@ def compare_to_baseline(
                     f"{bench}/{stage}: {seconds:.4f}s vs baseline "
                     f"{base:.4f}s (>{tolerance:g}x)"
                 )
-    warm = current.sweep.get("warm_speedup", 0.0)
-    if warm and warm < MIN_WARM_SPEEDUP / 2:
-        problems.append(
-            f"figure-sweep warm-cache speedup collapsed to {warm:.2f}x "
-            f"(acceptance {MIN_WARM_SPEEDUP:g}x, gate {MIN_WARM_SPEEDUP / 2:g}x)"
-        )
     if not current.sweep.get("rows_identical", False):
-        problems.append("figure-sweep rows are not identical across paths")
+        problems.append(
+            "figure-sweep rows are not identical with replay off and on"
+        )
     if current.quorum and not current.quorum.get("rows_identical", False):
         problems.append(
             "quorum-sweep rows are not identical between the replay and "
@@ -425,7 +379,7 @@ def compare_to_baseline(
 
 def render_report(report: PerfReport) -> str:
     """Human-readable table of the payload."""
-    lines = ["== perf: toolchain stage timings (seconds, cache bypassed) =="]
+    lines = ["== perf: toolchain stage timings (seconds, below the memos) =="]
     header = "bench".ljust(12) + "".join(s.rjust(11) for s in STAGES)
     lines.append(header)
     lines.append("-" * len(header))
@@ -436,27 +390,12 @@ def render_report(report: PerfReport) -> str:
         )
     sweep = report.sweep
     lines.append("")
-    lines.append("== perf: Figure 7 + Figure 16 regeneration ==")
+    lines.append("== perf: Figure 7 + Figure 16 regeneration (warmed up) ==")
+    lines.append(f"  replay off       {sweep['replay_off_s']:.3f}s")
     lines.append(
-        f"  serial uncached  {sweep['serial_uncached_s']:.3f}s"
+        f"  replay on        {sweep['replay_on_s']:.3f}s"
+        f"  ({sweep['replay_speedup']:.2f}x)"
     )
-    if "cold_noreplay_s" in sweep:
-        lines.append(
-            f"  cold, no replay  {sweep['cold_noreplay_s']:.3f}s"
-        )
-    lines.append(
-        f"  cold cache       {sweep['cold_cache_s']:.3f}s"
-        f"  ({sweep['cold_speedup']:.2f}x)"
-    )
-    lines.append(
-        f"  warm cache       {sweep['warm_cache_s']:.3f}s"
-        f"  ({sweep['warm_speedup']:.2f}x)"
-    )
-    if "replay_speedup" in sweep:
-        lines.append(
-            f"  replay speedup   {sweep['replay_speedup']:.2f}x"
-            "  (cold regeneration, schedule replay off -> on)"
-        )
     lines.append(
         "  rows identical   "
         + ("yes" if sweep.get("rows_identical") else "NO")

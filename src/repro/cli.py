@@ -13,10 +13,9 @@ Commands:
   scenario with the fault-tolerant runtime and report recovery cost
   against the healthy run.
 * ``perf [--quick] [--update-baseline]`` — time the toolchain stages and
-  an uncached/cached figure regeneration, and gate against the committed
-  ``BENCH_perf.json`` baseline. ``--replay-smoke`` runs only the
-  schedule-replay identity probe (Figure 7 rows with replay off vs on).
-* ``cache stats|prune`` — inspect or evict the on-disk artifact cache.
+  a figure regeneration with schedule replay off and on, and gate against
+  the committed ``BENCH_perf.json`` baseline. ``--replay-smoke`` runs only
+  the schedule-replay identity probe (Figure 7 rows with replay off vs on).
 """
 
 from __future__ import annotations
@@ -122,29 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only assert Figure 7 rows identical with schedule replay "
         "off vs on (the CI replay gate)",
     )
-
-    cache = sub.add_parser(
-        "cache", help="inspect or prune the artifact cache"
-    )
-    cache.add_argument("action", choices=["stats", "prune"])
-    cache.add_argument(
-        "--dir",
-        default=None,
-        metavar="PATH",
-        help="cache directory (default: REPRO_CACHE_DIR)",
-    )
-    cache.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="prune: evict LRU entries until the disk tier fits this many "
-        "bytes (default: REPRO_CACHE_MAX_BYTES)",
-    )
-    cache.add_argument(
-        "--all",
-        action="store_true",
-        help="prune: evict every disk entry",
-    )
     return parser
 
 
@@ -167,8 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_chaos(args)
     if command == "perf":
         return _cmd_perf(args)
-    if command == "cache":
-        return _cmd_cache(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 
@@ -462,50 +436,6 @@ def _cmd_perf(args) -> int:
             print(f"  - {problem}")
         return 1
     print(f"\nwithin {args.tolerance:g}x of baseline {baseline_path}")
-    return 0
-
-
-def _cmd_cache(args) -> int:
-    from .perf.cache import ArtifactCache, get_cache
-
-    if args.dir is not None:
-        cache = ArtifactCache(disk_dir=args.dir)
-    else:
-        cache = get_cache()
-
-    if cache.disk_dir is None:
-        print("no disk cache configured (set REPRO_CACHE_DIR or --dir)")
-        return 0
-
-    if args.action == "stats":
-        usage = cache.disk_usage()
-        total_count = sum(count for count, _ in usage.values())
-        total_bytes = sum(nbytes for _, nbytes in usage.values())
-        print(f"cache dir:  {cache.disk_dir}")
-        cap = cache.max_disk_bytes
-        print(f"size cap:   {cap if cap is not None else 'none'}")
-        for kind in sorted(usage):
-            count, nbytes = usage[kind]
-            print(f"  {kind:20s} {count:4d} entries  {nbytes:>12,d} bytes")
-        print(f"  {'total':20s} {total_count:4d} entries  "
-              f"{total_bytes:>12,d} bytes")
-        return 0
-
-    # prune
-    if args.all:
-        cap = 0
-    elif args.max_bytes is not None:
-        cap = args.max_bytes
-    else:
-        cap = cache.max_disk_bytes
-    if cap is None:
-        print("no size cap given; pass --max-bytes N or --all "
-              "(or set REPRO_CACHE_MAX_BYTES)")
-        return 2
-    evicted = cache.prune_disk(max_bytes=cap)
-    freed = sum(entry.bytes for entry in evicted)
-    print(f"evicted {len(evicted)} entries ({freed:,d} bytes) "
-          f"from {cache.disk_dir}")
     return 0
 
 

@@ -8,14 +8,14 @@ plus the functional trainer. The scale-out system model lives in
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from ..circuit import RtlDesign, construct
 from ..compiler import CompiledProgram, compile_thread
-from ..dfg.translate import Translation
+from ..dfg.translate import Translation, translate
+from ..dsl import parse
 from ..hw.spec import ChipSpec, XILINX_VU9P
 from ..ml.benchmarks import Benchmark
-from ..perf.cache import cached_translate, compile_cache_key, get_cache
 from ..planner import AcceleratorPlan, CostParams, Planner
 from ..runtime import DistributedTrainer
 
@@ -40,24 +40,22 @@ class CosmicStack:
         """
         self.source = source
         self.density = dict(density or {})
-        self._translation = cached_translate(source, bindings)
+        self._translation = translate(parse(source), bindings)
         if functional_bindings and functional_bindings != bindings:
-            self._functional = cached_translate(source, functional_bindings)
+            self._functional = translate(parse(source), functional_bindings)
         else:
             self._functional = self._translation
-        self._plans: Dict[
-            Tuple[ChipSpec, int, CostParams], AcceleratorPlan
-        ] = {}
 
     @classmethod
     def from_benchmark(cls, bench: Benchmark) -> "CosmicStack":
-        """Build the stack for one Table 1 benchmark."""
-        return cls(
-            bench.source(),
-            bindings=bench.dims,
-            density=bench.density,
-            functional_bindings=bench.functional_dims,
-        )
+        """Build the stack for one Table 1 benchmark, on the benchmark's
+        own memoised translations (so its plans are shared too)."""
+        stack = cls.__new__(cls)
+        stack.source = bench.source()
+        stack.density = dict(bench.density)
+        stack._translation = bench.translate()
+        stack._functional = bench.translate(scaled=True)
+        return stack
 
     # -- layers ---------------------------------------------------------
     @property
@@ -76,22 +74,15 @@ class CosmicStack:
         minibatch: Optional[int] = None,
         params: CostParams = CostParams(),
     ) -> AcceleratorPlan:
-        """Architecture layer: Planner DSE for ``chip`` (cached).
+        """Architecture layer: Planner DSE for ``chip``.
 
-        The key is the (chip, minibatch, params) value triple — both
-        dataclasses are frozen/hashable, so distinct parameter sets can
-        never collide the way a stringified repr could (and a ``scaled()``
-        chip that keeps its display name still gets its own entry).
-        ``Planner.plan`` additionally memoizes through the global artifact
-        cache, so equivalent plans are shared *across* stack instances.
+        :meth:`Planner.plan` memoises on the paper-scale graph, so a
+        repeat (chip, minibatch, params) here returns the identical plan.
         """
         minibatch = minibatch or self._translation.minibatch
-        key = (chip, minibatch, params)
-        if key not in self._plans:
-            self._plans[key] = Planner(chip, params).plan(
-                self._translation.dfg, minibatch, self.density
-            )
-        return self._plans[key]
+        return Planner(chip, params).plan(
+            self._translation.dfg, minibatch, self.density
+        )
 
     def compile(
         self,
@@ -110,22 +101,11 @@ class CosmicStack:
         """
         from ..dfg.optimize import optimize
 
-        key = compile_cache_key(
-            self._functional.dfg, rows, columns, max_nodes, optimize_graph
-        )
-
-        def build() -> CompiledProgram:
-            dfg = self._functional.dfg
-            if optimize_graph:
-                dfg, _ = optimize(dfg)
-            return compile_thread(
-                dfg, rows=rows, columns=columns, max_nodes=max_nodes
-            )
-
-        from ..compiler.serialize import program_to_dict
-
-        return get_cache().get_or_compute(
-            "compile", key, build, sidecar=program_to_dict
+        dfg = self._functional.dfg
+        if optimize_graph:
+            dfg, _ = optimize(dfg)
+        return compile_thread(
+            dfg, rows=rows, columns=columns, max_nodes=max_nodes
         )
 
     def rtl(

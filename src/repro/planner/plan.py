@@ -331,21 +331,23 @@ class Planner:
     ) -> AcceleratorPlan:
         """Pick the smallest, best-performing design point.
 
-        Memoized in the global artifact cache, keyed by the content of
-        every input (chip, cost params, DFG, minibatch, density, stream
-        size) — repeated sweeps over identical points skip the whole DSE.
+        Memoised on ``dfg`` (a translated graph is never mutated), keyed by
+        every other input the DSE reads: chip, cost params, minibatch,
+        density and stream size. Planners on the same graph share it.
         """
-        from ..perf.cache import get_cache, plan_cache_key, plan_to_dict
-
-        key = plan_cache_key(
-            self._chip, self._params, dfg, minibatch, density, stream_words
+        key = (
+            self._chip,
+            self._params,
+            minibatch,
+            tuple(sorted((density or {}).items())),
+            stream_words,
         )
-        return get_cache().get_or_compute(
-            "plan",
-            key,
-            lambda: self._plan_uncached(dfg, minibatch, density, stream_words),
-            sidecar=plan_to_dict,
-        )
+        memo = dfg.__dict__.setdefault("_plans", {})
+        if key not in memo:
+            memo[key] = self._plan_uncached(
+                dfg, minibatch, density, stream_words
+            )
+        return memo[key]
 
     def _plan_uncached(
         self,
@@ -370,27 +372,8 @@ class Planner:
     ) -> Dict[str, AcceleratorPlan]:
         """Evaluate every design point (Figure 16's DSE heat map).
 
-        Memoized like :meth:`plan` — the sweep is a pure function of the
-        same inputs, and Figure 16 re-runs it per benchmark.
+        Not memoised: no workload sweeps the same point twice.
         """
-        from ..perf.cache import get_cache, plan_cache_key
-
-        key = plan_cache_key(
-            self._chip, self._params, dfg, minibatch, density, stream_words
-        )
-        return get_cache().get_or_compute(
-            "sweep",
-            key,
-            lambda: self._sweep_uncached(dfg, minibatch, density, stream_words),
-        )
-
-    def _sweep_uncached(
-        self,
-        dfg: ir.Dfg,
-        minibatch: int,
-        density: Optional[Mapping[str, float]],
-        stream_words: Optional[float],
-    ) -> Dict[str, AcceleratorPlan]:
         plans = self._evaluate_all(dfg, minibatch, density, stream_words)
         return {plan.design.label(): plan for plan in plans}
 

@@ -15,9 +15,10 @@ One iteration of the distributed flow (Figure 1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional
 
+from . import schedule
 from .director import Topology, assign_roles
 from .events import EventLoop
 from .network import Network, NetworkConfig
@@ -69,18 +70,6 @@ class QuorumConfig:
     def quorum(self, contributors: int) -> int:
         """Minimum partials that must be folded out of ``contributors``."""
         return max(1, math.ceil(self.fraction * contributors))
-
-    def cache_token(self) -> Tuple[str, str, str]:
-        """Canonical form of the quorum rule for artifact-cache keys.
-
-        ``repr`` round-trips the floats exactly (the same convention
-        :func:`repro.perf.cache.fingerprint` applies to bare floats), so
-        two configs produce the same token iff they close windows
-        identically. The frozen dataclass is also hashable and directly
-        fingerprintable; this token exists for callers composing keys by
-        hand (and for the JSON sidecars, where a dataclass cannot go).
-        """
-        return ("quorum", repr(self.fraction), repr(self.deadline_s))
 
 
 @dataclass
@@ -150,8 +139,8 @@ class ClusterSimulator:
             faults: fault context (a FaultSpec/FaultTimeline, or any
                 truthy marker) under which this simulator runs. A faulted
                 cluster's schedule differs from the healthy one, so any
-                truthy value disables both the iteration memo and
-                schedule replay — every call re-simulates event-driven.
+                truthy value disables schedule replay and its timing memo
+                — every call re-simulates event-driven.
         """
         if update_bytes <= 0:
             raise ValueError("model update must have positive size")
@@ -187,124 +176,50 @@ class ClusterSimulator:
         on the slowest partial; the timing's ``dropped`` field lists the
         node ids whose partials missed the window.
 
-        The event simulation itself is a pure function of the cluster
-        spec, topology, update size, quorum rule, and each node's compute
-        time — so it is memoized in the artifact cache keyed on exactly
-        those inputs. The compute model is still invoked once per node
-        per call (it may be stateful, e.g. straggler injection), and its
-        *results* are part of the key: different compute times mean a
-        fresh simulation, identical ones reuse the previous schedule.
-
-        Healthy iterations — quorum-windowed ones included — additionally
-        go through the schedule-replay engine
-        (:mod:`repro.runtime.schedule`): the event schedule is recorded
-        once per (topology, update size) and every other sweep point
-        re-times that trace instead of re-simulating. A quorum rule is
-        evaluated by the replayer directly on the booked arrival arrays
-        (the memo key carries the rule, so windowed and barrier results
-        never collide). A fault context on the simulator disables the
-        memo, the schedule cache, and replay — faults change the
-        schedule, so a faulted run must never see (or produce) a
-        healthy-run artifact. The cached and replayed results are
-        bit-identical to the event-driven simulation, enforced by the
-        differential property suites.
+        A healthy iteration with replay on re-times the cluster's recorded
+        schedule (:mod:`repro.runtime.schedule`): the trace is recorded
+        once per (roles, groups, update size) in
+        :data:`~repro.runtime.schedule.TRACES`, and each replayed timing
+        is memoised beside it by (spec, quorum rule, per-node compute
+        times). The compute model is still invoked once per node per call
+        (it may be stateful, e.g. straggler injection); different compute
+        times mean a fresh replay. A fault context on the simulator, or
+        ``replay_disabled()``, runs the event-driven simulation every time
+        and never touches the table — faults change the schedule, so a
+        faulted run must never see (or produce) a healthy-run trace.
+        Replayed results are bit-identical to the event-driven simulation,
+        enforced by the differential property suites.
         """
-        from dataclasses import replace
-
-        from ..perf.cache import fingerprint, get_cache
-
         topo = self.topology
         per_node = max(1, batch_samples // topo.nodes)
         compute_times = [
             self._compute_seconds(role.node_id, per_node)
             for role in topo.roles
         ]
-        if self.faults:
-            # Fault contexts bypass the memo AND the schedule cache: the
-            # healthy-run key does not describe a faulted schedule.
+        if self.faults or not schedule.replay_enabled():
             return self._iteration_uncached(quorum, compute_times)
-        cache = get_cache()
-        if not cache.enabled:  # skip fingerprinting on the uncached path
-            return self._iteration_uncached(quorum, compute_times)
-        key = fingerprint(
-            "iteration",
-            self.spec,
-            topo.roles,
-            self.update_bytes,
-            quorum,
-            compute_times,
-        )
-        timing = cache.get_or_compute(
-            "iteration",
-            key,
-            lambda: self._timed_iteration(quorum, compute_times),
-        )
-        # Hand every caller its own list fields; the cached instance must
+        key = (tuple(topo.roles), topo.groups, self.update_bytes)
+        if key not in schedule.TRACES:
+            schedule.TRACES[key] = (schedule.record_schedule(self), {})
+        trace, timings = schedule.TRACES[key]
+        if trace.roles != key[0] or trace.update_bytes != self.update_bytes:
+            raise RuntimeError(
+                "schedule table returned a trace recorded for a different "
+                "cluster; the table key is missing an input"
+            )
+        memo = (self.spec, quorum, tuple(compute_times))
+        if memo not in timings:
+            timings[memo] = schedule.replay_iteration(
+                trace, self.spec, compute_times, quorum=quorum
+            )
+        timing = timings[memo]
+        # Hand every caller its own list fields; the memoised instance must
         # stay pristine for the next hit.
         return replace(
             timing,
             contributors=list(timing.contributors),
             dropped=list(timing.dropped),
         )
-
-    def _timed_iteration(
-        self,
-        quorum: Optional[QuorumConfig],
-        compute_times: List[float],
-    ) -> IterationTiming:
-        """Memo-miss path: replay the recorded schedule when eligible,
-        otherwise run the full event-driven simulation.
-
-        Quorum windows replay too (since schedule format 2): the trace's
-        per-sender arrival annotations let the replayer evaluate the
-        window closure on the booked arrival arrays and re-book only the
-        withheld-send pass. Only the ``REPRO_SCHEDULE_REPLAY=0`` kill
-        switch (and, upstream of this method, a fault context) forces the
-        full event-driven simulation.
-        """
-        from .schedule import replay_enabled, replay_iteration
-
-        if replay_enabled():
-            trace = self._schedule_trace()
-            return replay_iteration(
-                trace, self.spec, compute_times, quorum=quorum
-            )
-        return self._iteration_uncached(quorum, compute_times)
-
-    def _schedule_trace(self):
-        """Fetch (or record) this cluster's schedule trace, content-
-        addressed on everything that shapes the schedule."""
-        from ..perf.cache import get_cache
-        from .schedule import (
-            SCHEDULE_FORMAT,
-            record_schedule,
-            schedule_cache_key,
-            trace_sidecar,
-        )
-
-        cache = get_cache()
-        key = schedule_cache_key(self.topology, self.update_bytes)
-        trace = cache.get_or_compute(
-            "cluster-schedule",
-            key,
-            lambda: record_schedule(self),
-            sidecar=trace_sidecar,
-            # Belt-and-suspenders versioning: the format is part of the
-            # key, but a stale pickle surfacing anyway (hand-copied cache
-            # dir, key collision after an undisciplined edit) is dropped
-            # and re-recorded rather than replayed.
-            validate=lambda t: (
-                getattr(t, "format_version", None) == SCHEDULE_FORMAT
-            ),
-        )
-        if trace.roles != tuple(self.topology.roles) or (
-            trace.update_bytes != self.update_bytes
-        ):
-            raise RuntimeError(
-                "cluster-schedule cache returned a trace recorded for a "
-                "different cluster; the cache key is missing an input"
-            )
-        return trace
 
     def _iteration_uncached(
         self,

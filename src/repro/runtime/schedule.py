@@ -23,10 +23,9 @@ This module implements that split:
   the event loop would have dispatched them. A pure-scalar mode
   (``vectorized=False``) is kept as a cross-validated reference.
 
-Traces are content-addressed (:func:`schedule_cache_key`) and cached in
-the ``cluster-schedule`` kind of :mod:`repro.perf.cache`, so a figure
-sweep records each (topology, model size) once — persisting to disk with
-``REPRO_CACHE_DIR`` — and replays every other (minibatch, NetworkConfig)
+Traces live in :data:`TRACES`, one entry per (roles, groups, model size)
+beside the iteration timings replayed from it, so a figure sweep records
+each topology once and replays every other (minibatch, NetworkConfig)
 point.
 
 Since format 2, traces additionally carry **per-sender arrival
@@ -59,33 +58,45 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..perf.env import schedule_replay_enabled as _schedule_replay_enabled
 from .director import NodeRole, Topology
 from .network import NetworkConfig
 from .threads import SigmaPipeline
 
 #: Bumped whenever the simulator's send structure or the replay arithmetic
-#: changes; part of the trace cache key so stale traces are never replayed
-#: against a newer simulator. Format 2 added the per-sender arrival
-#: annotations (:class:`ArrivalPoint`) that quorum-window replay reads;
-#: format-1 traces are invalidated cleanly — their cache keys no longer
-#: match, and a stale pickle that somehow surfaces fails the
-#: ``validate=`` check on the cache load path and is recomputed.
+#: changes; :func:`replay_iteration` refuses a trace of another format.
+#: Format 2 added the per-sender arrival annotations
+#: (:class:`ArrivalPoint`) that quorum-window replay reads.
 SCHEDULE_FORMAT = 2
 
 #: Phase indices the recorder distinguishes (gather, reduce, broadcast).
 _PHASES = 3
 
 
-def replay_enabled() -> bool:
-    """Replay kill-switch: ``REPRO_SCHEDULE_REPLAY=0`` forces the full
-    event-driven simulation everywhere (parsed, with validation, by
-    :func:`repro.perf.env.schedule_replay_enabled`).
+#: Accepted spellings of ``REPRO_SCHEDULE_REPLAY``.
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off", "")
 
-    Module-level import: this runs once per simulated iteration, and a
-    function-local import costs more than the accessor itself.
-    """
-    return _schedule_replay_enabled()
+
+class EnvError(ValueError):
+    """A ``REPRO_*`` variable holds a value that cannot be parsed."""
+
+
+def replay_enabled() -> bool:
+    """Replay kill-switch: ``REPRO_SCHEDULE_REPLAY=0`` (or false/no/off)
+    forces the full event-driven simulation everywhere. Any spelling
+    outside 1/0, true/false, yes/no, on/off raises :class:`EnvError`."""
+    raw = os.environ.get("REPRO_SCHEDULE_REPLAY")
+    if raw is None:
+        return True
+    lowered = raw.strip().lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise EnvError(
+        f"REPRO_SCHEDULE_REPLAY={raw!r} is not a boolean; use one of "
+        f"{', '.join(_TRUE)} / {', '.join(f or repr('') for f in _FALSE)}"
+    )
 
 
 @contextmanager
@@ -173,8 +184,8 @@ class ArrivalPoint:
     TX-chain start instants that produced them. The ``senders`` tuple is
     what quorum replay reads — it names the contributor set whose booked
     arrival array each window closure is evaluated over; the
-    ``recorded_*`` arrays are provenance (they show up diff-ably in the
-    JSON sidecar and pin the recording the annotations came from).
+    ``recorded_*`` arrays are provenance (they pin the recording the
+    annotations came from).
     """
 
     node_id: int  # the receiving Sigma (or master Sigma)
@@ -187,7 +198,7 @@ class ArrivalPoint:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Content-addressed event schedule of one healthy iteration.
+    """The event schedule of one healthy iteration.
 
     ``gather_sends`` / ``reduce_sends`` / ``broadcast_sends`` hold
     ``(src, dst, nbytes)`` in the order the simulator issued them; the
@@ -197,7 +208,7 @@ class ScheduleTrace:
     ``arrival_points`` annotates each Sigma/master aggregation point with
     its ordered contributors and the recorded arrival/TX events — the
     structure quorum-window replay evaluates. The ``recorded_*`` fields
-    are provenance for the JSON sidecar.
+    are provenance.
     """
 
     format_version: int
@@ -229,17 +240,14 @@ class ScheduleTrace:
         return tuple(p for p in self.arrival_points if p.phase == phase)
 
 
-def schedule_cache_key(topology: Topology, update_bytes: int) -> str:
-    """Fingerprint of everything that determines the schedule structure."""
-    from ..perf.cache import fingerprint
-
-    return fingerprint(
-        "cluster-schedule",
-        SCHEDULE_FORMAT,
-        tuple(topology.roles),
-        topology.groups,
-        update_bytes,
-    )
+#: Healthy-run schedules, keyed by everything that shapes one:
+#: ``(roles, groups, update_bytes) -> (trace, timings)``, where ``timings``
+#: memoises each replayed :class:`IterationTiming` by ``(ClusterSpec,
+#: QuorumConfig or None, compute_times)``. Only
+#: :meth:`ClusterSimulator.iteration` reads or writes it, and only for
+#: healthy iterations with replay on; figure sweeps share entries across
+#: the fresh simulators they build.
+TRACES: Dict[tuple, Tuple[ScheduleTrace, Dict[tuple, object]]] = {}
 
 
 def _arrival_points(recorder: ScheduleRecorder) -> Tuple[ArrivalPoint, ...]:
@@ -301,44 +309,6 @@ def record_schedule(simulator) -> ScheduleTrace:
         recorded_chunk_bytes=simulator.spec.network.chunk_bytes,
         recorded_total_s=timing.total_s,
     )
-
-
-def trace_sidecar(trace: ScheduleTrace) -> Dict:
-    """Diff-able JSON record written next to the pickled trace on disk."""
-    return {
-        "format_version": trace.format_version,
-        "nodes": trace.nodes,
-        "groups": trace.groups,
-        "update_bytes": trace.update_bytes,
-        "roles": [
-            {
-                "node_id": r.node_id,
-                "role": r.role,
-                "group": r.group,
-                "sigma_id": r.sigma_id,
-            }
-            for r in trace.roles
-        ],
-        "gather_sends": [list(s) for s in trace.gather_sends],
-        "reduce_sends": [list(s) for s in trace.reduce_sends],
-        "broadcast_sends": [list(s) for s in trace.broadcast_sends],
-        "arrival_points": [
-            {
-                "node_id": p.node_id,
-                "phase": ["gather", "reduce"][p.phase],
-                "senders": list(p.senders),
-                "chunk_counts": list(p.chunk_counts),
-                "recorded_arrivals": [list(a) for a in p.recorded_arrivals],
-                "recorded_tx_starts": [
-                    list(t) for t in p.recorded_tx_starts
-                ],
-            }
-            for p in trace.arrival_points
-        ],
-        "recorded_chunk_bookings": trace.recorded_chunk_bookings,
-        "recorded_chunk_bytes": trace.recorded_chunk_bytes,
-        "recorded_total_s": trace.recorded_total_s,
-    }
 
 
 # ---------------------------------------------------------------------------

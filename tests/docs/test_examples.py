@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.cache import get_cache
+from repro.runtime import schedule
 
 DOCS_DIR = Path(__file__).resolve().parents[2] / "docs"
 
@@ -84,12 +84,12 @@ def doc_files():
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Guide examples share the process-wide cache; isolate them from
-    the rest of the suite (and from each other across files)."""
-    get_cache().clear()
+def fresh_table():
+    """Guide examples share the process-wide schedule table; isolate them
+    from the rest of the suite (and from each other across files)."""
+    schedule.TRACES.clear()
     yield
-    get_cache().clear()
+    schedule.TRACES.clear()
 
 
 class TestExtraction:

@@ -14,7 +14,7 @@ from repro.bench.perf import (
     write_report,
 )
 from repro.cli import main
-from repro.perf.cache import get_cache
+from repro.runtime import schedule
 
 
 def _report(stages=None, sweep=None, quorum=None):
@@ -23,11 +23,9 @@ def _report(stages=None, sweep=None, quorum=None):
         or {"stock": {"translate": 0.01, "plan": 0.02, "compile": 0.03}},
         sweep=sweep
         or {
-            "serial_uncached_s": 0.2,
-            "cold_cache_s": 0.1,
-            "warm_cache_s": 0.02,
-            "cold_speedup": 2.0,
-            "warm_speedup": 10.0,
+            "replay_off_s": 0.2,
+            "replay_on_s": 0.1,
+            "replay_speedup": 2.0,
             "rows_identical": True,
         },
         quorum=quorum
@@ -64,13 +62,6 @@ class TestComparator:
         current = _report(stages={"brand-new": {"plan": 9.9}})
         assert compare_to_baseline(current, _report()) == []
 
-    def test_collapsed_speedup_flagged(self):
-        bad_sweep = dict(_report().sweep, warm_speedup=1.1)
-        problems = compare_to_baseline(
-            _report(sweep=bad_sweep), _report()
-        )
-        assert any("speedup" in p for p in problems)
-
     def test_divergent_rows_flagged(self):
         bad_sweep = dict(_report().sweep, rows_identical=False)
         problems = compare_to_baseline(
@@ -100,7 +91,7 @@ class TestPayloadRoundTrip:
         assert loaded.stages == _report().stages
         assert loaded.sweep == _report().sweep
         assert loaded.quorum == _report().quorum
-        assert json.loads(path.read_text())["format_version"] == 1
+        assert json.loads(path.read_text())["format_version"] == 2
 
     def test_pre_quorum_payload_loads(self):
         payload = _report().to_dict()
@@ -110,7 +101,7 @@ class TestPayloadRoundTrip:
     def test_render_is_textual(self):
         text = render_report(_report())
         assert "stock" in text
-        assert "warm cache" in text
+        assert "replay on" in text
         assert "quorum replay" in text
 
 
@@ -138,14 +129,13 @@ class TestHarness:
         assert batches.count(10_000) == 2
 
     def test_figure_sweep_rows_identical(self):
-        get_cache().clear()
         sweep = measure_figure_sweep(quick=True)
         assert sweep["rows_identical"] is True
-        assert sweep["serial_uncached_s"] > 0
-        assert sweep["warm_speedup"] > 1.0
+        assert sweep["replay_off_s"] > 0
+        assert sweep["replay_on_s"] > 0
+        assert schedule.TRACES  # the replay-on leg recorded its traces
 
     def test_quorum_sweep_rows_identical(self):
-        get_cache().clear()
         quorum = measure_quorum_sweep(quick=True)
         assert quorum["rows_identical"] is True
         assert quorum["points"] == len(quorum["fractions"]) * len(

@@ -13,7 +13,6 @@ import hashlib
 from repro.baselines import TABLA_PARAMS, TablaModel
 from repro.hw import XILINX_VU9P
 from repro.ml import BENCHMARKS
-from repro.perf.cache import cache_disabled
 from repro.planner import CostParams, Planner
 
 #: SHA-256 of the canonical text below, recorded at the parent commit.
@@ -45,19 +44,18 @@ def design_space_text():
     CoSMIC and the TABLA cost parameters."""
     lines = []
     tabla = TablaModel(XILINX_VU9P)
-    with cache_disabled():
-        for b in BENCHMARKS:
-            dfg = b.translate().dfg
-            for params in (CostParams(), TABLA_PARAMS):
-                planner = Planner(XILINX_VU9P, params)
-                sweep = planner.sweep(dfg, 10_000, b.density)
-                for label, plan in sweep.items():
-                    lines.append(_estimate_repr(label, plan))
-                best = planner.plan(dfg, 10_000, b.density)
-                lines.append(_estimate_repr("plan", best))
-            for pes in (None, XILINX_VU9P.max_pes):
-                plan = tabla.plan(dfg, 10_000, b.density, pes=pes)
-                lines.append(_estimate_repr(plan.design.label(), plan))
+    for b in BENCHMARKS:
+        dfg = b.translate().dfg
+        for params in (CostParams(), TABLA_PARAMS):
+            planner = Planner(XILINX_VU9P, params)
+            sweep = planner.sweep(dfg, 10_000, b.density)
+            for label, plan in sweep.items():
+                lines.append(_estimate_repr(label, plan))
+            best = planner.plan(dfg, 10_000, b.density)
+            lines.append(_estimate_repr("plan", best))
+        for pes in (None, XILINX_VU9P.max_pes):
+            plan = tabla.plan(dfg, 10_000, b.density, pes=pes)
+            lines.append(_estimate_repr(plan.design.label(), plan))
     return "\n".join(lines)
 
 

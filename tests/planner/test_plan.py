@@ -111,6 +111,19 @@ class TestPlanSelection:
         best_time = min(p.seconds_for(10_000) for p in sweep.values())
         assert plan.seconds_for(10_000) <= best_time * 1.011
 
+    def test_plan_memoised_on_the_graph(self):
+        dfg = mlp()
+        first = Planner(XILINX_VU9P).plan(dfg, 10_000)
+        assert Planner(XILINX_VU9P).plan(dfg, 10_000) is first
+        # A scaled chip keeps its display name but is a different input.
+        scaled = XILINX_VU9P.scaled(
+            bandwidth_bytes=2 * XILINX_VU9P.bandwidth_bytes
+        )
+        assert scaled.name == XILINX_VU9P.name
+        other = Planner(scaled).plan(dfg, 10_000)
+        assert other is not first
+        assert other.chip == scaled
+
     def test_multithreading_helps_at_fixed_rows(self):
         """Figure 16: for a fixed rows-per-thread, more threads win."""
         planner = Planner(XILINX_VU9P)

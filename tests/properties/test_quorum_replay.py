@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.cluster as cluster_mod
-from repro.perf.cache import cache_disabled, get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
@@ -28,6 +27,7 @@ from repro.runtime import (
     replay_disabled,
     replay_iteration,
 )
+from repro.runtime import schedule
 
 network_configs = st.builds(
     NetworkConfig,
@@ -123,11 +123,11 @@ class TestQuorumReplayDifferential:
         active returns exactly what the full simulation returns with the
         ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
         sim, _ = cluster
-        with replay_disabled(), cache_disabled():
+        with replay_disabled():
             event = sim.iteration(batch, quorum=rule)
-        get_cache().clear()
+        schedule.TRACES.clear()
         replayed = sim.iteration(batch, quorum=rule)
-        get_cache().clear()
+        schedule.TRACES.clear()
         assert_bit_identical(event, replayed, "iteration() vs kill switch")
 
 
@@ -207,10 +207,10 @@ class TestQuorumWindowEdges:
             assert set(tied) <= set(replayed.contributors)
 
     def test_memoized_quorum_iterations_stay_distinct(self):
-        """The iteration memo key carries the quorum rule: two different
+        """The timing memo key carries the quorum rule: two different
         windows on the same cluster never collide, and a repeat of the
         same window is served from the memo unchanged."""
-        get_cache().clear()
+        schedule.TRACES.clear()
         sim, _ = straggler_sim()
         tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
         loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
@@ -220,4 +220,4 @@ class TestQuorumWindowEdges:
         assert_bit_identical(first, again, "memo round-trip")
         assert first.total_s < barrier.total_s
         assert first.dropped and not barrier.dropped
-        get_cache().clear()
+        schedule.TRACES.clear()

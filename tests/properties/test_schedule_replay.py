@@ -13,7 +13,6 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.cache import cache_disabled, get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
@@ -23,6 +22,7 @@ from repro.runtime import (
     replay_disabled,
     replay_iteration,
 )
+from repro.runtime import schedule
 
 # Sampled (not continuous) parameters keep every example on a realistic
 # operating point while still crossing the interesting structural
@@ -108,9 +108,9 @@ class TestReplayDifferential:
         returns exactly what the full simulation returns with the
         ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
         sim, _ = cluster
-        with replay_disabled(), cache_disabled():
+        with replay_disabled():
             event = sim.iteration(batch)
-        get_cache().clear()
+        schedule.TRACES.clear()
         replayed = sim.iteration(batch)
-        get_cache().clear()
+        schedule.TRACES.clear()
         assert_bit_identical(event, replayed, "iteration() vs kill switch")

@@ -1,14 +1,13 @@
-"""Fault-context gating: a faulted cluster must never touch (or
-populate) the healthy-run caches — neither the iteration memo nor the
-``cluster-schedule`` trace cache — and must never go through the
-schedule replayer, whose traces describe only healthy schedules."""
+"""Fault-context gating: a faulted cluster must never read or write the
+schedule table — neither a trace nor a memoised timing — and must never
+go through the schedule replayer, whose traces describe only healthy
+schedules."""
 
 import numpy as np
 import pytest
 
 from repro.dfg import translate
 from repro.dsl import parse
-from repro.perf.cache import get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
@@ -21,13 +20,14 @@ from repro.runtime import (
     apply_faults,
     chaos_train,
 )
+from repro.runtime import schedule
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    get_cache().clear()
+def fresh_table():
+    schedule.TRACES.clear()
     yield
-    get_cache().clear()
+    schedule.TRACES.clear()
 
 
 def make_sim(faults=None, nodes=8, groups=2):
@@ -40,19 +40,32 @@ def make_sim(faults=None, nodes=8, groups=2):
 
 
 def schedule_keys():
-    return [k for (k, _) in get_cache()._memory if k == "cluster-schedule"]
+    return list(schedule.TRACES)
 
 
 class TestFaultContextGating:
     def test_faulted_sim_bypasses_memo_and_schedule_cache(self):
         sim = make_sim(faults=FaultSpec(straggler={1: 2.0}))
-        cache = get_cache()
         first = sim.iteration(8_000)
         second = sim.iteration(8_000)
-        assert first == second  # still deterministic, just uncached
-        assert cache.stats.lookups == 0
-        assert len(cache) == 0
+        assert first == second  # still deterministic, just not memoised
         assert schedule_keys() == []
+
+    def test_faulted_sim_never_reads_the_table(self, monkeypatch):
+        """Even with a healthy entry for the same cluster in the table,
+        a faulted simulator neither reads nor writes it."""
+        make_sim().iteration(8_000)
+
+        class Untouchable(dict):
+            def _touch(self, *args):
+                pytest.fail("faulted simulator touched the schedule table")
+
+            __getitem__ = __setitem__ = __contains__ = get = _touch
+
+        monkeypatch.setattr(
+            schedule, "TRACES", Untouchable(schedule.TRACES)
+        )
+        make_sim(faults=FaultSpec(straggler={1: 2.0})).iteration(8_000)
 
     def test_faulted_sim_never_replays(self, monkeypatch):
         import repro.runtime.schedule as schedule_mod
@@ -68,7 +81,7 @@ class TestFaultContextGating:
         self, monkeypatch
     ):
         """The dangerous ordering: a healthy run populates the schedule
-        cache first, then a faulted clone of the *same* topology runs.
+        table first, then a faulted clone of the *same* topology runs.
         The faulted run must re-simulate, not re-time the healthy trace."""
         import repro.runtime.schedule as schedule_mod
 
@@ -168,7 +181,6 @@ class TestChaosTrainInterplay:
     def test_faulted_chaos_run_never_replays(self, monkeypatch):
         import repro.runtime.schedule as schedule_mod
 
-        get_cache().clear()
         monkeypatch.setattr(
             schedule_mod,
             "replay_iteration",
@@ -181,8 +193,7 @@ class TestChaosTrainInterplay:
 
     def test_healthy_chaos_run_may_replay(self):
         """An empty timeline is no fault context; the healthy chaos run
-        goes through the normal cached/replayed path."""
-        get_cache().clear()
+        goes through the normal memoised/replayed path."""
         result = self._run(FaultTimeline())
         assert result.iterations > 0
         assert len(schedule_keys()) >= 1

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import random
 
-from repro.perf.cache import cache_disabled, get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
@@ -26,6 +25,7 @@ from repro.runtime import (
     SigmaPipeline,
     replay_disabled,
 )
+from repro.runtime import schedule
 from repro.runtime.director import default_groups
 
 #: SHA-256 of the canonical text below, recorded at the parent commit.
@@ -69,7 +69,6 @@ def _simulator(nodes, groups, spread):
 
 def cluster_lines():
     lines = []
-    cache = get_cache()
     for nodes in NODES:
         base = default_groups(nodes)
         for groups in (base, min(2 * base, nodes)):
@@ -77,15 +76,15 @@ def cluster_lines():
                 for spread in SPREADS:
                     sim = _simulator(nodes, groups, spread)
                     label = (nodes, groups, quorum, spread)
-                    cache.clear()
+                    schedule.TRACES.clear()
                     replayed = sim.iteration(1024, quorum=quorum)
-                    with replay_disabled(), cache_disabled():
+                    with replay_disabled():
                         event = sim.iteration(1024, quorum=quorum)
                     lines.append(repr(label) + " replay")
                     lines.append(_timing_repr(replayed))
                     lines.append(repr(label) + " event")
                     lines.append(_timing_repr(event))
-    cache.clear()
+    schedule.TRACES.clear()
     return lines
 
 

@@ -1,10 +1,9 @@
-"""Schedule recording, trace caching, and the replay gating rules."""
+"""Schedule recording, the trace table, and the replay gating rules."""
 
 import dataclasses
 
 import pytest
 
-from repro.perf.cache import cache_disabled, get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
@@ -14,21 +13,25 @@ from repro.runtime import (
     replay_enabled,
     replay_iteration,
 )
+from repro.runtime import schedule
 from repro.runtime.schedule import (
     GATHER_PHASE,
     REDUCE_PHASE,
     SCHEDULE_FORMAT,
+    EnvError,
     ScheduleRecorder,
-    schedule_cache_key,
-    trace_sidecar,
 )
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    get_cache().clear()
+def fresh_table():
+    schedule.TRACES.clear()
     yield
-    get_cache().clear()
+    schedule.TRACES.clear()
+
+
+def table_key(sim):
+    return (tuple(sim.topology.roles), sim.topology.groups, sim.update_bytes)
 
 
 def make_sim(nodes=8, groups=2, update_bytes=100_000, compute=1e-3):
@@ -131,27 +134,12 @@ class TestRecording:
             finals = [a[-1] for a in point.recorded_arrivals]
             assert finals == sorted(finals)
 
-    def test_sidecar_is_json_serialisable(self):
-        import json
-
-        trace = record_schedule(make_sim())
-        payload = json.loads(json.dumps(trace_sidecar(trace)))
-        assert payload["nodes"] == 8
-        assert len(payload["gather_sends"]) == len(trace.gather_sends)
-        assert len(payload["arrival_points"]) == len(trace.arrival_points)
-        assert {p["phase"] for p in payload["arrival_points"]} <= {
-            "gather",
-            "reduce",
-        }
-
     def test_cache_key_tracks_schedule_inputs(self):
-        a, b = make_sim(nodes=8, groups=2), make_sim(nodes=8, groups=4)
-        assert schedule_cache_key(
-            a.topology, a.update_bytes
-        ) != schedule_cache_key(b.topology, b.update_bytes)
-        assert schedule_cache_key(
-            a.topology, 100_000
-        ) != schedule_cache_key(a.topology, 200_000)
+        """Groups and update size each get their own table entry."""
+        make_sim(nodes=8, groups=2).iteration(8_000)
+        make_sim(nodes=8, groups=4).iteration(8_000)
+        make_sim(nodes=8, groups=2, update_bytes=200_000).iteration(8_000)
+        assert len(schedule.TRACES) == 3
 
     def test_recorder_rejects_send_before_phase(self):
         recorder = ScheduleRecorder()
@@ -182,40 +170,44 @@ class TestTraceCaching:
         sim.iteration(16_000)
         sim.iteration(24_000)
         assert len(recordings) == 1
-        keys = [k for (k, _) in get_cache()._memory if k == "cluster-schedule"]
-        assert len(keys) == 1
-
-    def test_stale_disk_trace_invalidated_and_rerecorded(self, tmp_path):
-        """A persisted trace whose format predates this replayer is
-        deleted on load (the ``validate=`` hook) and re-recorded — it
-        must never reach ``replay_iteration``."""
-        cache = get_cache()
-        cache.disk_dir = tmp_path
-        try:
-            sim = make_sim()
-            stale = dataclasses.replace(
-                record_schedule(sim), format_version=SCHEDULE_FORMAT - 1
-            )
-            key = schedule_cache_key(sim.topology, sim.update_bytes)
-            cache.get_or_compute("cluster-schedule", key, lambda: stale)
-            cache.clear()  # drop the memory tier; the stale pickle stays
-            timing = sim.iteration(8_000)
-            assert timing.total_s > 0
-            assert cache.stats.invalidated == 1
-            fresh = cache.get_or_compute(
-                "cluster-schedule", key, lambda: pytest.fail("not re-stored")
-            )
-            assert fresh.format_version == SCHEDULE_FORMAT
-        finally:
-            cache.disk_dir = None
+        assert list(schedule.TRACES) == [table_key(sim)]
 
     def test_mismatched_cached_trace_is_rejected(self):
         sim = make_sim(update_bytes=100_000)
         wrong = record_schedule(make_sim(update_bytes=999))
-        key = schedule_cache_key(sim.topology, sim.update_bytes)
-        get_cache().get_or_compute("cluster-schedule", key, lambda: wrong)
+        schedule.TRACES[table_key(sim)] = (wrong, {})
         with pytest.raises(RuntimeError, match="different cluster"):
             sim.iteration(8_000)
+
+    def test_iteration_memoised_and_transparent(self):
+        sim = make_sim(nodes=8, groups=2)
+        memoised = sim.iteration(8_000)
+        again = sim.iteration(8_000)
+        (_, timings), = schedule.TRACES.values()
+        assert len(timings) == 1
+        with replay_disabled():
+            event = sim.iteration(8_000)
+        assert memoised == again == event
+        # Hits hand out private list fields, not the memoised instance's.
+        again.contributors.append(-1)
+        again.dropped.append(-1)
+        assert sim.iteration(8_000).contributors == memoised.contributors
+        assert sim.iteration(8_000).dropped == memoised.dropped
+
+    def test_stateful_compute_fn_defeats_memo(self):
+        import itertools
+
+        ticks = itertools.count(1)
+        sim = ClusterSimulator(
+            ClusterSpec(nodes=4),
+            lambda node_id, samples: 1e-3 * next(ticks),
+            update_bytes=100_000,
+        )
+        first = sim.iteration(4_000)
+        second = sim.iteration(4_000)
+        # Different injected compute times -> different keys -> a fresh
+        # replay, not a stale hit.
+        assert first.total_s != second.total_s
 
 
 class TestReplayGating:
@@ -271,6 +263,20 @@ class TestReplayGating:
         monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
         assert replay_enabled()
 
+    @pytest.mark.parametrize("raw,expected", [
+        ("1", True), ("true", True), ("YES", True), ("on", True),
+        ("0", False), ("False", False), ("no", False), ("off", False),
+        ("", False),
+    ])
+    def test_flag_accepted_spellings(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", raw)
+        assert replay_enabled() is expected
+
+    def test_flag_rejects_junk(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "maybe")
+        with pytest.raises(EnvError, match="REPRO_SCHEDULE_REPLAY"):
+            replay_enabled()
+
     def test_replay_disabled_restores_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
         with replay_disabled():
@@ -302,13 +308,12 @@ class TestReplayValidation:
 class TestEndToEnd:
     def test_epoch_seconds_identical_with_and_without_replay(self):
         sim = make_sim(nodes=6, groups=2)
-        with replay_disabled(), cache_disabled():
+        with replay_disabled():
             reference = sim.epoch_seconds(10_000, 128)
-        get_cache().clear()
         assert sim.epoch_seconds(10_000, 128) == reference
 
     def test_replay_used_on_the_cached_path(self, monkeypatch):
-        """Positive control for the gating tests: on the healthy cached
+        """Positive control for the gating tests: on the healthy memoised
         path the replayer genuinely is the engine that runs."""
         import repro.runtime.schedule as schedule_mod
 

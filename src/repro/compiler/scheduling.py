@@ -142,10 +142,11 @@ def verify_schedule(dfg: ir.Dfg, mapping: Mapping, schedule: Schedule):
     transfer latency when they live on different PEs); no two ops overlap
     on one PE.
     """
-    if set(schedule.ops) != {n.nid for n in dfg.topo_order()}:
+    order = dfg.topo_order()
+    if set(schedule.ops) != {n.nid for n in order}:
         raise ValueError("schedule does not cover the graph exactly")
     done: Dict[int, int] = {}
-    for node in dfg.topo_order():
+    for node in order:
         op = schedule.ops[node.nid]
         if op.pe != mapping.pe_of_node[node.nid]:
             raise ValueError(f"node {node.nid} scheduled on the wrong PE")
@@ -155,20 +156,17 @@ def verify_schedule(dfg: ir.Dfg, mapping: Mapping, schedule: Schedule):
         transfer_done.setdefault((t.value, t.dst_pe), []).append(
             t.start + t.latency
         )
-    for node in dfg.topo_order():
+    for node in order:
         op = schedule.ops[node.nid]
         for vid in node.inputs:
             value = dfg.values[vid]
             if value.category == ir.CONST:
                 continue
             src = mapping.pe_of_value.get(vid)
-            if value.producer is not None and op.start < done[vid] - (
-                0 if src == op.pe else 0
-            ):
-                if op.start < done[vid]:
-                    raise ValueError(
-                        f"node {node.nid} starts before producer of {vid}"
-                    )
+            if value.producer is not None and op.start < done[vid]:
+                raise ValueError(
+                    f"node {node.nid} starts before producer of {vid}"
+                )
             if src is not None and src != op.pe:
                 key = (vid, op.pe)
                 if key not in transfer_done:
@@ -179,8 +177,11 @@ def verify_schedule(dfg: ir.Dfg, mapping: Mapping, schedule: Schedule):
                     raise ValueError(
                         f"node {node.nid} starts before value {vid} arrives"
                     )
-    for pe in range(schedule.grid.n_pe):
-        ops = schedule.ops_on_pe(pe)
+    ops_by_pe: Dict[int, List[ScheduledOp]] = {}
+    for op in schedule.ops.values():
+        ops_by_pe.setdefault(op.pe, []).append(op)
+    for pe in sorted(ops_by_pe):
+        ops = sorted(ops_by_pe[pe], key=lambda op: op.start)
         for a, b in zip(ops, ops[1:]):
             if b.start < a.end:
                 raise ValueError(f"PE {pe} runs two ops at cycle {b.start}")

@@ -13,7 +13,7 @@ sub-partition ``D_ij`` (Figure 1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -47,20 +47,27 @@ class Interpreter:
     """Evaluates a :class:`repro.dfg.ir.Dfg` on NumPy arrays.
 
     Construction precompiles an execution plan — topological order, op
-    dispatch, and operand-alignment transforms — so the per-call cost of
-    :meth:`run` is the NumPy arithmetic itself. The un-compiled per-node
-    path survives as :meth:`run_reference` and the two are cross-validated
-    bit-for-bit in tests.
+    dispatch, and operand-alignment transforms — plus the graph's inputs
+    and gradient names, so the per-call cost of :meth:`run` is the feed
+    checks and the NumPy arithmetic itself. The per-node reference path
+    it is cross-validated against bit-for-bit lives in the tests.
     """
 
     def __init__(self, dfg: ir.Dfg):
         dfg.validate()
         self._dfg = dfg
-        self._topo = dfg.topo_order()
+        topo = dfg.topo_order()
         self._plans = {
-            False: [self._compile_step(n, batch=False) for n in self._topo],
-            True: [self._compile_step(n, batch=True) for n in self._topo],
+            False: [self._compile_step(n, batch=False) for n in topo],
+            True: [self._compile_step(n, batch=True) for n in topo],
         }
+        #: (value, declared shape) of every unproduced value, in vid order.
+        self._inputs = [
+            (value, dfg.shape(value))
+            for value in dfg.values.values()
+            if value.producer is None
+        ]
+        self._gradient_names = {v.name for v in dfg.gradient_outputs()}
 
     @property
     def dfg(self) -> ir.Dfg:
@@ -112,18 +119,6 @@ class Interpreter:
             env[step.output] = result
         return self._collect_outputs(env)
 
-    def run_reference(
-        self,
-        feeds: Mapping[str, np.ndarray],
-        batch: bool = False,
-    ) -> Dict[str, np.ndarray]:
-        """:meth:`run` without the precompiled plan (reference path)."""
-        env: Dict[int, np.ndarray] = {}
-        batch_size = self._bind_inputs(feeds, env, batch)
-        for node in self._topo:
-            env[node.output] = self._execute(node, env, batch, batch_size)
-        return self._collect_outputs(env)
-
     def _collect_outputs(
         self, env: Dict[int, np.ndarray]
     ) -> Dict[str, np.ndarray]:
@@ -139,8 +134,7 @@ class Interpreter:
 
         In batch mode a value's rank is static: DATA inputs and every
         produced value carry the leading batch dim; MODEL and CONST
-        operands do not and get expanded — the same decisions
-        :meth:`_with_batch`/:func:`_align` make dynamically.
+        operands do not and get expanded.
         """
         info = op_info(node.op)
         out_value = self._dfg.values[node.output]
@@ -189,8 +183,7 @@ class Interpreter:
     ) -> Dict[str, np.ndarray]:
         """Like :meth:`run` but restricted to gradient outputs."""
         out = self.run(feeds, batch=batch)
-        grad_names = {v.name for v in self._dfg.gradient_outputs()}
-        return {k: v for k, v in out.items() if k in grad_names}
+        return {k: v for k, v in out.items() if k in self._gradient_names}
 
     # -- internals ---------------------------------------------------------
     def _bind_inputs(
@@ -198,16 +191,13 @@ class Interpreter:
         batch: bool,
     ) -> Optional[int]:
         batch_size: Optional[int] = None
-        for value in self._dfg.values.values():
-            if value.producer is not None:
-                continue
+        for value, expect in self._inputs:
             if value.category == ir.CONST:
                 env[value.vid] = np.float64(value.const_value)
                 continue
             if value.name not in feeds:
                 raise InterpreterError(f"missing feed for input {value.name!r}")
             arr = np.asarray(feeds[value.name], dtype=np.float64)
-            expect = self._dfg.shape(value)
             if batch and value.category == ir.DATA:
                 if arr.shape[1:] != expect:
                     raise InterpreterError(
@@ -228,69 +218,3 @@ class Interpreter:
         if batch and batch_size is None:
             raise InterpreterError("batch mode requires at least one DATA feed")
         return batch_size
-
-    def _execute(
-        self, node: ir.Node, env: Dict[int, np.ndarray], batch: bool,
-        batch_size: Optional[int],
-    ) -> np.ndarray:
-        info = op_info(node.op)
-        out_value = self._dfg.values[node.output]
-        out_axes = out_value.axes
-        if info.reduce:
-            in_value = self._dfg.values[node.inputs[0]]
-            arr = env[node.inputs[0]]
-            arr = self._with_batch(arr, in_value, batch, batch_size)
-            offset = 1 if batch else 0
-            positions = tuple(
-                offset + in_value.axes.index(a) for a in node.reduce_axes
-            )
-            return info.numpy_fn(arr, axis=positions)
-        aligned = []
-        for vid in node.inputs:
-            value = self._dfg.values[vid]
-            arr = self._with_batch(env[vid], value, batch, batch_size)
-            aligned.append(_align(arr, value.axes, out_axes, batch))
-        result = info.numpy_fn(*aligned)
-        # Materialise broadcasts so the output has its declared shape.
-        shape = self._dfg.shape(out_value)
-        if batch:
-            shape = (batch_size,) + shape
-        if np.shape(result) != shape:
-            result = np.broadcast_to(result, shape)
-        return result
-
-    def _with_batch(
-        self, arr: np.ndarray, value: ir.Value, batch: bool,
-        batch_size: Optional[int],
-    ) -> np.ndarray:
-        """Give every operand a leading batch dim in batch mode."""
-        if not batch:
-            return arr
-        has_batch = (
-            value.category == ir.DATA
-            or np.ndim(arr) == len(value.axes) + 1
-        )
-        if has_batch:
-            return arr
-        return np.expand_dims(arr, 0)
-
-
-def _align(
-    arr: np.ndarray, in_axes: Tuple[str, ...], out_axes: Tuple[str, ...],
-    batch: bool,
-) -> np.ndarray:
-    """Permute/expand ``arr`` so its trailing dims follow ``out_axes``."""
-    offset = 1 if batch else 0
-    if in_axes == out_axes:
-        return arr
-    present = [a for a in out_axes if a in in_axes]
-    perm = list(range(offset)) + [offset + in_axes.index(a) for a in present]
-    if np.ndim(arr) != offset + len(in_axes):
-        raise InterpreterError(
-            f"operand rank {np.ndim(arr)} does not match axes {in_axes}"
-        )
-    arr = np.transpose(arr, perm)
-    index = [slice(None)] * offset + [
-        slice(None) if a in in_axes else None for a in out_axes
-    ]
-    return arr[tuple(index)]

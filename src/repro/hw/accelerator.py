@@ -24,16 +24,12 @@ import numpy as np
 
 from ..compiler.program import CompiledProgram
 from ..dfg import ir
+from ..dfg.ops import op_info
 
 from .pe import Pe
 
 if TYPE_CHECKING:
     from ..planner.plan import AcceleratorPlan
-
-#: Whether :meth:`MimdTimingModel.run_batch` uses the closed-form NumPy
-#: path by default. The scalar loop remains available as the reference
-#: (``vectorized=False``) and the two are cross-validated bit-for-bit.
-VECTORIZED_DEFAULT = True
 
 
 @dataclass
@@ -62,7 +58,7 @@ class ThreadSimulator:
         nonlinear_pes = {
             program.mapping.pe_of_node[n.nid]
             for n in dfg.topo_order()
-            if _needs_nonlinear(n.op)
+            if op_info(n.op).nonlinear
         }
         self._pes = [
             Pe(i, has_nonlinear_unit=(i in nonlinear_pes or not nonlinear_pes))
@@ -91,8 +87,9 @@ class ThreadSimulator:
             env[node.output] = pe.execute(node.op, operands, node.output)
 
         outputs: Dict[str, float] = {}
+        output_vids = set(dfg.outputs.values())
         for value in dfg.values.values():
-            if value.is_gradient or value.vid in dfg.outputs.values():
+            if value.is_gradient or value.vid in output_vids:
                 outputs[value.name] = env[value.vid]
         return ThreadRunResult(
             outputs=outputs,
@@ -206,51 +203,13 @@ class MimdTimingModel:
             drain_words=plan.gradient_words,
         )
 
-    def run_batch(
-        self, samples: int, vectorized: Optional[bool] = None
-    ) -> MimdBatchResult:
+    def run_batch(self, samples: int) -> MimdBatchResult:
         """Cycles to stream + process ``samples`` vectors, plus the model
         preload (broadcast) and gradient drain phases.
 
-        ``vectorized=None`` follows the module default
-        (:data:`VECTORIZED_DEFAULT`); the scalar path is kept as the
-        cycle-faithful reference and cross-validated bit-for-bit in tests.
-        """
-        if vectorized is None:
-            vectorized = VECTORIZED_DEFAULT
-        if vectorized:
-            return self._run_batch_vectorized(samples)
-        return self._run_batch_scalar(samples)
-
-    def _run_batch_scalar(self, samples: int) -> MimdBatchResult:
-        """Reference implementation: step the round-robin interface one
-        sample at a time."""
-        stream_per_sample = math.ceil(self.sample_words / self.columns)
-        preload = math.ceil(self.preload_words / self.columns)
-        drain = math.ceil(self.drain_words / self.columns) * self.threads
-        interface_free = preload
-        thread_free = [preload] * self.threads
-        compute_bound = 0
-        for s in range(samples):
-            t = s % self.threads
-            stream_start = interface_free
-            stream_end = stream_start + stream_per_sample
-            interface_free = stream_end
-            compute_start = max(stream_end, thread_free[t])
-            if thread_free[t] >= stream_end:
-                compute_bound += 1
-            thread_free[t] = compute_start + self.compute_cycles
-        finish = max(thread_free) if samples else preload
-        return MimdBatchResult(
-            total_cycles=finish + drain,
-            stream_cycles=interface_free - preload,
-            compute_bound_threads=compute_bound,
-            per_thread_finish=list(thread_free),
-        )
-
-    def _run_batch_vectorized(self, samples: int) -> MimdBatchResult:
-        """Closed-form solution of the scalar recurrence, over all threads
-        at once.
+        This is the closed-form solution of the round-robin recurrence,
+        over all threads at once; the sample-at-a-time loop it is
+        cross-validated against bit-for-bit lives in the tests.
 
         Thread ``t`` receives samples ``t, t+T, t+2T, ...``; its ``k``-th
         sample finishes streaming at ``E_k = preload + (t+1+kT)*w`` where
@@ -313,9 +272,3 @@ class MimdTimingModel:
         result = self.run_batch(samples)
         busy = result.total_cycles
         return samples / busy if busy else float("inf")
-
-
-def _needs_nonlinear(op: str) -> bool:
-    from ..dfg.ops import op_info
-
-    return op_info(op).nonlinear

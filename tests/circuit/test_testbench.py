@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit.testbench import generate_testbench
+from repro.circuit.testbench import generate_testbench, golden_vectors
 from repro.compiler import compile_thread
 from repro.dfg import Interpreter, translate
 from repro.dsl import parse
@@ -16,6 +16,14 @@ gradient g[n];
 iterator i[0:n];
 s = sum[i](w[i] * x[i]);
 g[i] = (s - y) * x[i];
+"""
+
+#: LINREG with the inner product kept as a model variable: ``s`` is a
+#: named output of the graph that is not a gradient.
+MODEL_OUTPUT = LINREG.replace("model w[n];", "model w[n];\nmodel s;") + """
+aggregator:
+iterator j[0:nodes];
+w[i] = sum[j](g[j, i]) / nodes;
 """
 
 
@@ -67,3 +75,29 @@ class TestGenerateTestbench:
         _, program, feeds, _ = setup
         tb = generate_testbench(program, feeds)
         assert f"repeat ({program.schedule.makespan + 8})" in tb
+
+
+class TestGoldenVectors:
+    def test_keys_are_the_gradient_elements(self, setup):
+        _, program, feeds, n = setup
+        golden = golden_vectors(program, feeds)
+        names = {v.name for v in program.expansion.dfg.gradient_outputs()}
+        assert set(golden) == names
+        assert len(names) == n
+
+    def test_non_gradient_output_is_left_out(self):
+        n = 4
+        t = translate(parse(MODEL_OUTPUT), {"n": n, "nodes": 2})
+        program = compile_thread(t.dfg, rows=1, columns=2)
+        rng = np.random.default_rng(1)
+        feeds = {
+            "x": rng.normal(size=n),
+            "y": np.float64(0.5),
+            "w": rng.normal(size=n),
+            "s": np.float64(0.0),
+        }
+        dfg = program.expansion.dfg
+        assert "s" in dfg.outputs
+        golden = golden_vectors(program, feeds)
+        assert set(golden) == {v.name for v in dfg.gradient_outputs()}
+        assert "s" not in golden

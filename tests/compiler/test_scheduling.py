@@ -65,6 +65,26 @@ class TestLegality:
         with pytest.raises(ValueError):
             verify_schedule(prog.expansion.dfg, prog.mapping, prog.schedule)
 
+    def test_verify_catches_two_ops_on_one_pe(self):
+        prog = program(rows=2, columns=2)
+        dfg, schedule = prog.expansion.dfg, prog.schedule
+        consumed = {vid for node in dfg.topo_order() for vid in node.inputs}
+        # Delay a sink op (nothing reads its output) to the start of a
+        # later op on its PE: its own operands and transfers still arrive
+        # in time, so only the PE exclusivity check can catch it.
+        sink, later = next(
+            (a, b)
+            for a in schedule.ops.values()
+            if dfg.nodes[a.nid].output not in consumed
+            for b in schedule.ops.values()
+            if b.pe == a.pe and b.start > a.start
+        )
+        schedule.ops[sink.nid] = type(sink)(
+            sink.nid, sink.pe, later.start, later.start + sink.end - sink.start
+        )
+        with pytest.raises(ValueError, match="runs two ops"):
+            verify_schedule(dfg, prog.mapping, schedule)
+
 
 class TestMakespan:
     def test_more_pes_not_slower_per_sample(self):

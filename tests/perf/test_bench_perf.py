@@ -120,9 +120,9 @@ class TestHarness:
         batches = []
         run_batch = MimdTimingModel.run_batch
 
-        def spy(self, samples, vectorized=None):
+        def spy(self, samples):
             batches.append(samples)
-            return run_batch(self, samples, vectorized)
+            return run_batch(self, samples)
 
         monkeypatch.setattr(MimdTimingModel, "run_batch", spy)
         measure_stages(["stock"], repeats=2)

@@ -13,7 +13,11 @@ sub-partition ``D_ij`` (Figure 1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+import functools
+import math
+import string
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -22,52 +26,74 @@ from .ops import op_info
 
 
 class InterpreterError(ValueError):
-    """Bad feeds or an inconsistent graph at execution time."""
+    """Bad feeds, or a graph whose operands cannot be aligned."""
 
 
 class _Step:
-    """One precompiled macro-op: resolved op function plus the operand
-    alignment the generic path would recompute on every call."""
+    """One precompiled macro-op: ``fn`` applied to fixed views of its
+    operands. Reduce axes and einsum subscripts are bound into ``fn``."""
 
-    __slots__ = (
-        "output", "fn", "reduce_args", "inputs", "shape_suffix",
-    )
+    __slots__ = ("output", "fn", "operands", "broadcast")
 
-    def __init__(self, output, fn, reduce_args, inputs, shape_suffix):
+    def __init__(self, output, fn, operands, broadcast):
         self.output = output
         self.fn = fn
-        #: (vid, expand0, axis_positions) for reductions, else None.
-        self.reduce_args = reduce_args
-        #: [(vid, expand0, perm, index), ...] for elementwise ops.
-        self.inputs = inputs
-        self.shape_suffix = shape_suffix
+        #: ((vid, perm, index), ...); ``None`` where no transpose or
+        #: indexing is needed.
+        self.operands = operands
+        #: the declared output shape (without the batch dim) when the
+        #: result must be broadcast up to it, else None.
+        self.broadcast = broadcast
+
+
+def _batched(value: ir.Value, batch: bool) -> bool:
+    """Whether ``value`` carries the leading batch dim. In batch mode a
+    value's rank is static: DATA inputs and every produced value have
+    it; MODEL and CONST inputs do not."""
+    return batch and (value.category == ir.DATA or value.producer is not None)
 
 
 class Interpreter:
     """Evaluates a :class:`repro.dfg.ir.Dfg` on NumPy arrays.
 
-    Construction precompiles an execution plan — topological order, op
-    dispatch, and operand-alignment transforms — plus the graph's inputs
-    and gradient names, so the per-call cost of :meth:`run` is the feed
-    checks and the NumPy arithmetic itself. The per-node reference path
-    it is cross-validated against bit-for-bit lives in the tests.
+    Construction precompiles an execution plan per batch mode —
+    topological order, op dispatch, and each operand's view — plus the
+    graph's inputs and output lists, so the per-call cost of :meth:`run`
+    is the feed checks and the NumPy arithmetic itself. The per-node
+    reference path it is cross-validated against bit-for-bit lives in
+    the tests.
+
+    A ``mul`` whose product only feeds a ``reduce_sum`` becomes one
+    ``np.einsum`` step when that keeps the float order (see
+    :meth:`_fusable`): the product is never materialised.
     """
 
     def __init__(self, dfg: ir.Dfg):
         dfg.validate()
         self._dfg = dfg
         topo = dfg.topo_order()
+        uses = Counter(vid for node in topo for vid in node.inputs)
         self._plans = {
-            False: [self._compile_step(n, batch=False) for n in topo],
-            True: [self._compile_step(n, batch=True) for n in topo],
+            batch: self._compile(topo, batch, uses) for batch in (False, True)
         }
-        #: (value, declared shape) of every unproduced value, in vid order.
+        #: (value, declared shape) of every fed input, in vid order.
         self._inputs = [
             (value, dfg.shape(value))
             for value in dfg.values.values()
-            if value.producer is None
+            if value.producer is None and value.category != ir.CONST
         ]
-        self._gradient_names = {v.name for v in dfg.gradient_outputs()}
+        self._consts = {
+            value.vid: np.float64(value.const_value)
+            for value in dfg.values.values()
+            if value.producer is None and value.category == ir.CONST
+        }
+        gradient_names = {v.name for v in dfg.gradient_outputs()}
+        self._outputs = tuple(dfg.outputs.items())
+        self._gradient_outputs = tuple(
+            (name, vid)
+            for name, vid in self._outputs
+            if name in gradient_names
+        )
 
     @property
     def dfg(self) -> ir.Dfg:
@@ -93,113 +119,200 @@ class Interpreter:
             name -> array for every named output (gradients and assigned
             model variables). Batch mode keeps the leading batch dim.
         """
-        env: Dict[int, np.ndarray] = {}
-        batch_size = self._bind_inputs(feeds, env, batch)
-        prefix = (batch_size,) if batch else ()
-        for step in self._plans[batch]:
-            if step.reduce_args is not None:
-                vid, expand0, positions = step.reduce_args
-                arr = env[vid]
-                if expand0:
-                    arr = np.expand_dims(arr, 0)
-                result = step.fn(arr, axis=positions)
-            else:
-                aligned = []
-                for vid, expand0, perm, index in step.inputs:
-                    arr = env[vid]
-                    if expand0:
-                        arr = np.expand_dims(arr, 0)
-                    if perm is not None:
-                        arr = np.transpose(arr, perm)[index]
-                    aligned.append(arr)
-                result = step.fn(*aligned)
-            shape = prefix + step.shape_suffix
-            if np.shape(result) != shape:
-                result = np.broadcast_to(result, shape)
-            env[step.output] = result
-        return self._collect_outputs(env)
-
-    def _collect_outputs(
-        self, env: Dict[int, np.ndarray]
-    ) -> Dict[str, np.ndarray]:
-        results: Dict[str, np.ndarray] = {}
-        for name, vid in self._dfg.outputs.items():
-            # Materialise broadcast views; np.array keeps 0-d scalars 0-d
-            # (np.ascontiguousarray would promote them to shape (1,)).
-            results[name] = np.array(env[vid], dtype=np.float64)
-        return results
-
-    def _compile_step(self, node: ir.Node, batch: bool) -> _Step:
-        """Resolve op dispatch and operand alignment for one node.
-
-        In batch mode a value's rank is static: DATA inputs and every
-        produced value carry the leading batch dim; MODEL and CONST
-        operands do not and get expanded.
-        """
-        info = op_info(node.op)
-        out_value = self._dfg.values[node.output]
-        shape_suffix = self._dfg.shape(out_value)
-        offset = 1 if batch else 0
-
-        def has_batch(value: ir.Value) -> bool:
-            return batch and (
-                value.category == ir.DATA or value.producer is not None
-            )
-
-        if info.reduce:
-            in_value = self._dfg.values[node.inputs[0]]
-            positions = tuple(
-                offset + in_value.axes.index(a) for a in node.reduce_axes
-            )
-            reduce_args = (
-                in_value.vid, batch and not has_batch(in_value), positions
-            )
-            return _Step(
-                node.output, info.numpy_fn, reduce_args, None, shape_suffix
-            )
-        inputs = []
-        out_axes = out_value.axes
-        for vid in node.inputs:
-            value = self._dfg.values[vid]
-            expand0 = batch and not has_batch(value)
-            in_axes = value.axes
-            if in_axes == out_axes:
-                perm, index = None, None
-            else:
-                present = [a for a in out_axes if a in in_axes]
-                perm = tuple(
-                    list(range(offset))
-                    + [offset + in_axes.index(a) for a in present]
-                )
-                index = tuple(
-                    [slice(None)] * offset
-                    + [slice(None) if a in in_axes else None for a in out_axes]
-                )
-            inputs.append((vid, expand0, perm, index))
-        return _Step(node.output, info.numpy_fn, None, inputs, shape_suffix)
+        return self._collect(self._evaluate(feeds, batch), self._outputs)
 
     def gradients(
         self, feeds: Mapping[str, np.ndarray], batch: bool = False
     ) -> Dict[str, np.ndarray]:
         """Like :meth:`run` but restricted to gradient outputs."""
-        out = self.run(feeds, batch=batch)
-        return {k: v for k, v in out.items() if k in self._gradient_names}
+        return self._collect(
+            self._evaluate(feeds, batch), self._gradient_outputs
+        )
+
+    def _evaluate(
+        self, feeds: Mapping[str, np.ndarray], batch: bool
+    ) -> Dict[int, np.ndarray]:
+        env: Dict[int, np.ndarray] = {}
+        batch_size = self._bind_inputs(feeds, env, batch)
+        prefix = (batch_size,) if batch else ()
+        for step in self._plans[batch]:
+            views = []
+            for vid, perm, index in step.operands:
+                arr = env[vid]
+                if perm is not None:
+                    arr = arr.transpose(perm)
+                if index is not None:
+                    arr = arr[index]
+                views.append(arr)
+            result = step.fn(*views)
+            if step.broadcast is not None:
+                result = np.broadcast_to(result, prefix + step.broadcast)
+            env[step.output] = result
+        return env
+
+    @staticmethod
+    def _collect(
+        env: Dict[int, np.ndarray], outputs: Tuple[Tuple[str, int], ...]
+    ) -> Dict[str, np.ndarray]:
+        # Materialise broadcast views; np.array keeps 0-d scalars 0-d
+        # (np.ascontiguousarray would promote them to shape (1,)).
+        return {
+            name: np.array(env[vid], dtype=np.float64) for name, vid in outputs
+        }
+
+    # -- compilation -------------------------------------------------------
+    def _compile(
+        self, topo: List[ir.Node], batch: bool, uses: Counter
+    ) -> List[_Step]:
+        """One step per node, except that a fusable ``mul`` is folded
+        into the ``reduce_sum`` consuming it."""
+        steps: Dict[int, _Step] = {}
+        for node in topo:
+            mul = self._fusable(node, steps, batch, uses)
+            if mul is None:
+                steps[node.output] = self._compile_step(node, batch)
+            else:
+                del steps[mul.output]
+                steps[node.output] = self._einsum_step(mul, node, batch)
+        return list(steps.values())
+
+    def _compile_step(self, node: ir.Node, batch: bool) -> _Step:
+        """Resolve op dispatch and operand views for one node.
+
+        Operands without the batch dim are left to broadcasting, so only
+        batched operands count the leading dim in axis positions.
+        """
+        info = op_info(node.op)
+        out_value = self._dfg.values[node.output]
+        in_values = [self._dfg.values[vid] for vid in node.inputs]
+        if info.reduce:
+            (in_value,) = in_values
+            lead = 1 if _batched(in_value, batch) else 0
+            positions = tuple(
+                lead + in_value.axes.index(a) for a in node.reduce_axes
+            )
+            fn = functools.partial(info.numpy_fn, axis=positions)
+            operands = ((in_value.vid, None, None),)
+        else:
+            fn = info.numpy_fn
+            operands = tuple(
+                self._view(value, out_value.axes, batch) for value in in_values
+            )
+        # A result missing an output axis, or the batch dim, that no
+        # operand carries is broadcast up to the declared shape.
+        present = {a for value in in_values for a in value.axes}
+        batched = any(_batched(value, batch) for value in in_values)
+        if set(out_value.axes) <= present and batched == batch:
+            return _Step(node.output, fn, operands, None)
+        return _Step(node.output, fn, operands, self._dfg.shape(out_value))
+
+    def _view(
+        self, value: ir.Value, out_axes: Tuple[str, ...], batch: bool
+    ) -> Tuple[int, Optional[tuple], Optional[tuple]]:
+        """``(vid, perm, index)`` that lines ``value`` up with
+        ``out_axes`` for broadcasting: transpose its axes into output
+        order, then insert a new axis for each output axis it lacks."""
+        in_axes = value.axes
+        missing = [a for a in in_axes if a not in out_axes]
+        if missing:
+            raise InterpreterError(
+                f"operand {value.name!r} has axes {missing} that its "
+                f"consumer's output {out_axes} lacks"
+            )
+        lead = 1 if _batched(value, batch) else 0
+        perm = tuple(range(lead)) + tuple(
+            lead + in_axes.index(a) for a in out_axes if a in in_axes
+        )
+        index = [slice(None)] * lead + [
+            slice(None) if a in in_axes else None for a in out_axes
+        ]
+        if not lead:
+            # Broadcasting supplies missing leading axes.
+            while index and index[0] is None:
+                index.pop(0)
+        return (
+            value.vid,
+            None if perm == tuple(range(len(perm))) else perm,
+            None if None not in index else tuple(index),
+        )
+
+    def _fusable(
+        self,
+        node: ir.Node,
+        steps: Dict[int, _Step],
+        batch: bool,
+        uses: Counter,
+    ) -> Optional[ir.Node]:
+        """The ``mul`` node to fold into ``node``, or None.
+
+        NumPy's ``add.reduce`` over a non-innermost axis of a C-ordered
+        array and ``einsum`` both start each output from +0.0 and add
+        the products in axis order, one at a time, so the fused result
+        is bit-identical. Over the innermost axis (or one followed only
+        by extent-1 axes) NumPy sums pairwise and ``einsum`` does not;
+        over an axis only one operand has, ``einsum`` sums that operand
+        before multiplying. Those stay unfused, as do multi-axis
+        reductions and products that are transposed, need a broadcast,
+        are a named output, or have another consumer.
+        """
+        if node.op != "reduce_sum" or len(node.reduce_axes) != 1:
+            return None
+        product = self._dfg.values[node.inputs[0]]
+        if product.producer is None:
+            return None
+        mul = self._dfg.nodes[product.producer]
+        if (
+            mul.op != "mul"
+            or uses[product.vid] != 1
+            or product.vid in self._dfg.outputs.values()
+        ):
+            return None
+        step = steps[product.vid]
+        if step.broadcast is not None or any(
+            perm is not None for _, perm, _ in step.operands
+        ):
+            return None
+        reduced = node.reduce_axes[0]
+        operands = [self._dfg.values[vid] for vid in mul.inputs]
+        if any(reduced not in value.axes for value in operands):
+            return None
+        trailing = product.axes[product.axes.index(reduced) + 1:]
+        if math.prod(self._dfg.extents[a] for a in trailing) <= 1:
+            return None
+        return mul
+
+    def _einsum_step(self, mul: ir.Node, node: ir.Node, batch: bool) -> _Step:
+        """``reduce_sum(mul(a, b))`` as one ``np.einsum`` contraction."""
+        product = self._dfg.values[mul.output]
+        # None stands for the batch axis.
+        letters = dict(zip((None,) + product.axes, string.ascii_letters))
+
+        def term(value: ir.Value) -> str:
+            lead = (None,) if _batched(value, batch) else ()
+            return "".join(letters[a] for a in lead + value.axes)
+
+        inputs = ",".join(term(self._dfg.values[vid]) for vid in mul.inputs)
+        subscripts = f"{inputs}->{term(self._dfg.values[node.output])}"
+        return _Step(
+            node.output,
+            functools.partial(np.einsum, subscripts),
+            tuple((vid, None, None) for vid in mul.inputs),
+            None,
+        )
 
     # -- internals ---------------------------------------------------------
     def _bind_inputs(
         self, feeds: Mapping[str, np.ndarray], env: Dict[int, np.ndarray],
         batch: bool,
     ) -> Optional[int]:
+        env.update(self._consts)
         batch_size: Optional[int] = None
         for value, expect in self._inputs:
-            if value.category == ir.CONST:
-                env[value.vid] = np.float64(value.const_value)
-                continue
             if value.name not in feeds:
                 raise InterpreterError(f"missing feed for input {value.name!r}")
             arr = np.asarray(feeds[value.name], dtype=np.float64)
             if batch and value.category == ir.DATA:
-                if arr.shape[1:] != expect:
+                if arr.ndim == 0 or arr.shape[1:] != expect:
                     raise InterpreterError(
                         f"feed {value.name!r} has shape {arr.shape}, expected "
                         f"(batch,) + {expect}"

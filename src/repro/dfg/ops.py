@@ -77,11 +77,13 @@ _register(OpInfo("sqrt", 1, lambda a: np.sqrt(np.maximum(a, 0.0)), cycles=2, non
 # Three-input select implements the DSL ternary.
 _register(OpInfo("select", 3, _select))
 
-# Reductions over named axes (executed on PEs + tree-bus ALUs).
-_register(OpInfo("reduce_sum", 1, np.sum, reduce=True))
-_register(OpInfo("reduce_prod", 1, np.prod, reduce=True))
-_register(OpInfo("reduce_min", 1, np.min, reduce=True))
-_register(OpInfo("reduce_max", 1, np.max, reduce=True))
+# Reductions over named axes (executed on PEs + tree-bus ALUs). The
+# ufunc reducers are what np.sum/np.prod/np.min/np.max call, minus the
+# Python wrapper.
+_register(OpInfo("reduce_sum", 1, np.add.reduce, reduce=True))
+_register(OpInfo("reduce_prod", 1, np.multiply.reduce, reduce=True))
+_register(OpInfo("reduce_min", 1, np.minimum.reduce, reduce=True))
+_register(OpInfo("reduce_max", 1, np.maximum.reduce, reduce=True))
 
 #: Map from DSL reduce keyword to DFG op name. ``norm`` is sum-of-squares.
 REDUCE_OPS = {"sum": "reduce_sum", "pi": "reduce_prod", "norm": "reduce_sum"}

@@ -271,8 +271,14 @@ class DistributedTrainer:
             if len(shard) == 0:
                 continue
             shard_feeds = {k: v[shard] for k, v in feeds.items()}
-            grads = self._interp.gradients({**shard_feeds, **model}, batch=True)
-            partials.append({k: v.mean(axis=0) for k, v in grads.items()})
+            shard_feeds.update(model)
+            grads = self._interp.gradients(shard_feeds, batch=True)
+            # The ufunc and division v.mean(axis=0) runs, minus its
+            # Python wrapper.
+            n = len(shard)
+            partials.append(
+                {k: np.add.reduce(v, axis=0) / n for k, v in grads.items()}
+            )
         for target, source in spec.pairs:
             stack = np.stack([p[source] for p in partials])
             agg = stack.mean(axis=0) if spec.kind == "mean" else stack.sum(axis=0)
@@ -307,7 +313,12 @@ class DistributedTrainer:
 
 
 def _sample_count(feeds: Feeds) -> int:
-    counts = {np.asarray(v).shape[0] for v in feeds.values()}
+    for name, value in feeds.items():
+        if np.ndim(value) == 0:
+            raise ValueError(
+                f"feed {name!r} is 0-d; every feed needs a leading sample axis"
+            )
+    counts = {np.shape(v)[0] for v in feeds.values()}
     if len(counts) != 1:
         raise ValueError("all feeds must share one leading sample axis")
     return counts.pop()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.dfg import Interpreter, InterpreterError, translate
 from repro.dsl import parse
+from repro.ml import BENCHMARKS
 
 LINREG = """
 model_input x[n];
@@ -85,6 +86,36 @@ class TestLinearRegression:
         out = Interpreter(t.dfg).run({"x": x, "y": y, "w": w}, batch=True)
         expected = (x @ w - y)[:, None] * x
         assert out["g"].shape == (b, n)
+        np.testing.assert_allclose(out["g"], expected, rtol=1e-12)
+
+
+class TestModelOnlyTerms:
+    """Values computed from MODEL inputs alone carry no batch dim; in
+    batch mode the interpreter broadcasts them to the batch."""
+
+    RIDGE = """
+    model_input x[n];
+    model_output y;
+    model w[n];
+    gradient g[n];
+    iterator i[0:n];
+    s = sum[i](w[i] * x[i]);
+    r = sum[i](w[i] * w[i]);
+    g[i] = (s - y) * x[i] + r * w[i];
+    """
+
+    def test_batch_matches_per_sample(self, rng):
+        n, b = 5, 4
+        interp = Interpreter(translate(parse(self.RIDGE), {"n": n}).dfg)
+        x = rng.normal(size=(b, n))
+        y = rng.normal(size=(b,))
+        w = rng.normal(size=n)
+        out = interp.run({"x": x, "y": y, "w": w}, batch=True)
+        assert out["g"].shape == (b, n)
+        for k in range(b):
+            one = interp.run({"x": x[k], "y": y[k], "w": w})
+            np.testing.assert_array_equal(out["g"][k], one["g"])
+        expected = (x @ w - y)[:, None] * x + (w @ w) * w
         np.testing.assert_allclose(out["g"], expected, rtol=1e-12)
 
 
@@ -245,3 +276,33 @@ class TestErrors:
                 {"x": np.ones((4, 3)), "y": np.ones(5), "w": np.ones(3)},
                 batch=True,
             )
+
+    def test_zero_dim_batched_data_feed(self):
+        t = translate(parse(LINREG), {"n": 3})
+        with pytest.raises(InterpreterError, match="feed 'y' has shape"):
+            Interpreter(t.dfg).run(
+                {"x": np.ones((4, 3)), "y": np.float64(0), "w": np.ones(3)},
+                batch=True,
+            )
+
+
+#: (nodes, plan steps) of the benchmarks whose plans fuse: each
+#: ``mul -> reduce_sum`` pair reducing a non-innermost axis becomes one
+#: einsum step. Every other benchmark has one step per node.
+FUSED = {
+    "mnist": (19, 17),
+    "acoustic": (19, 17),
+    "movielens": (11, 9),
+    "netflix": (11, 9),
+}
+
+
+class TestFusedPlans:
+    @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+    def test_fused_step_counts(self, bench):
+        for scaled in (False, True):
+            interp = Interpreter(bench.translate(scaled=scaled).dfg)
+            nodes = len(interp.dfg.nodes)
+            expect = FUSED.get(bench.name, (nodes, nodes))
+            for batch in (False, True):
+                assert (nodes, len(interp._plans[batch])) == expect

@@ -5,21 +5,24 @@ Three invariants the whole PR rests on:
 * memoising is invisible — a memoised plan equals the uncached one;
 * vectorizing is invisible — the closed-form MIMD batch model equals the
   scalar reference cycle-for-cycle;
-* the interpreter's precompiled execution plans equal the dynamic
-  reference path bit-for-bit.
+* the interpreter's precompiled execution plans, including the einsum
+  steps that fuse ``mul -> reduce_sum``, equal the dynamic reference
+  path bit-for-bit.
 
 Both references live only here: ``scalar_run_batch`` steps the
 round-robin memory interface one sample at a time, and
 ``reference_run`` re-derives every node's op dispatch and operand
-alignment on each call.
+alignment on each call, materialising every product it reduces.
 """
 
 import math
 from typing import Optional, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dfg import Interpreter, InterpreterError, ir, op_info
 from repro.hw.accelerator import MimdBatchResult, MimdTimingModel
@@ -28,6 +31,23 @@ from repro.ml.benchmarks import benchmark
 from repro.planner import Planner
 
 SMALL_BENCHES = ("stock", "tumor", "face")
+#: mnist and movielens have fusable ``mul -> reduce_sum`` pairs.
+INTERPRETER_BENCHES = SMALL_BENCHES + ("mnist", "movielens")
+
+#: Signed zeros, subnormals, infinities, and finite magnitudes from
+#: 1e-300 to 1e300: the values the fused contraction must reproduce bit
+#: for bit.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-320]
+    ),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.99),
+        st.integers(-300, 299),
+    ),
+)
 
 
 def scalar_run_batch(model: MimdTimingModel, samples: int) -> MimdBatchResult:
@@ -63,7 +83,7 @@ def reference_run(interp: Interpreter, feeds, batch: bool = False):
     batch_size = interp._bind_inputs(feeds, env, batch)
     for node in interp.dfg.topo_order():
         env[node.output] = _execute(interp.dfg, node, env, batch, batch_size)
-    return interp._collect_outputs(env)
+    return interp._collect(env, interp._outputs)
 
 
 def _execute(
@@ -174,9 +194,151 @@ class TestVectorizedMimdModel:
         assert fast == slow
 
 
+def mul_reduce_dfg(
+    extents, a_axes, b_axes, product_axes, reduce_axes,
+    categories=(ir.DATA, ir.MODEL),
+):
+    """``s = reduce_sum(a * b)`` over ``reduce_axes``; returns the graph
+    and the product value."""
+    dfg = ir.Dfg(extents)
+    a = dfg.add_value("a", categories[0], a_axes)
+    b = dfg.add_value("b", categories[1], b_axes)
+    product = dfg.add_node("mul", [a, b], "p", product_axes)
+    out_axes = tuple(x for x in product_axes if x not in reduce_axes)
+    s = dfg.add_node(
+        "reduce_sum", [product], "s", out_axes, reduce_axes=reduce_axes
+    )
+    dfg.outputs["s"] = s.vid
+    return dfg, product
+
+
+@st.composite
+def fusable_cases(draw):
+    """A ``mul -> reduce_sum`` pair the compiler must fuse: operands
+    whose axes follow the product's order, one reduced axis that both
+    operands have, and a trailing axis of extent >= 2 after it."""
+    axes = tuple("ijkl"[: draw(st.integers(2, 4))])
+    extents = {a: draw(st.integers(1, 5)) for a in axes[:-1]}
+    extents[axes[-1]] = draw(st.integers(2, 5))
+    reduced = draw(st.sampled_from(axes[:-1]))
+    owners = [
+        "ab" if x == reduced else draw(st.sampled_from(("a", "b", "ab")))
+        for x in axes
+    ]
+    a_axes = tuple(x for x, o in zip(axes, owners) if "a" in o)
+    b_axes = tuple(x for x, o in zip(axes, owners) if "b" in o)
+    categories = draw(
+        st.sampled_from(
+            [(ir.DATA, ir.MODEL), (ir.MODEL, ir.DATA), (ir.DATA, ir.DATA)]
+        )
+    )
+    dfg, _ = mul_reduce_dfg(
+        extents, a_axes, b_axes, axes, (reduced,), categories
+    )
+    return dfg, draw(st.booleans()), draw(st.integers(1, 4))
+
+
+def _draw_feeds(data, dfg, batch, batch_size):
+    feeds = {}
+    for value in dfg.values.values():
+        if value.producer is None:
+            shape = dfg.shape(value)
+            if batch and value.category == ir.DATA:
+                shape = (batch_size,) + shape
+            feeds[value.name] = data.draw(
+                arrays(np.float64, shape, elements=EDGE_FLOATS)
+            )
+    return feeds
+
+
+class TestFusedContraction:
+    @given(case=fusable_cases(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fused_matches_unfused_bit_for_bit(self, case, data):
+        dfg, batch, batch_size = case
+        interp = Interpreter(dfg)
+        assert len(interp._plans[batch]) == 1
+        feeds = _draw_feeds(data, dfg, batch, batch_size)
+        # Overflow and inf * 0 are expected here; only the bits matter.
+        with np.errstate(all="ignore"):
+            fused = interp.run(feeds, batch=batch)["s"]
+            unfused = reference_run(interp, feeds, batch=batch)["s"]
+        assert fused.shape == unfused.shape
+        assert fused.tobytes() == unfused.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "innermost axis",
+            "innermost by extent",
+            "one operand's axis",
+            "two axes",
+            "two consumers",
+            "named output",
+            "transposed operand",
+        ],
+    )
+    def test_left_unfused(self, kind):
+        extents = {"i": 3, "j": 4, "k": 2}
+        a_axes, product_axes, reduced = ("i", "j"), ("i", "j"), ("i",)
+        if kind == "innermost axis":
+            reduced = ("j",)
+        elif kind == "innermost by extent":
+            extents["j"] = 1
+        elif kind == "one operand's axis":
+            reduced = ("j",)
+            a_axes, product_axes = ("i", "j", "k"), ("i", "j", "k")
+        elif kind == "two axes":
+            a_axes = product_axes = ("i", "j", "k")
+            reduced = ("i", "j")
+        elif kind == "transposed operand":
+            a_axes = ("j", "i")
+        dfg, product = mul_reduce_dfg(
+            extents, a_axes, ("i",), product_axes, reduced
+        )
+        if kind == "two consumers":
+            copy = dfg.add_node("identity", [product], "c", product.axes)
+            dfg.outputs["c"] = copy.vid
+        elif kind == "named output":
+            dfg.outputs["p"] = product.vid
+        interp = Interpreter(dfg)
+        rng = np.random.default_rng(3)
+        for batch in (False, True):
+            assert len(interp._plans[batch]) == len(dfg.nodes)
+            prefix = (2,) if batch else ()
+            feeds = {
+                "a": rng.normal(size=prefix + dfg.shape(dfg.values[0])),
+                "b": rng.normal(size=dfg.shape(dfg.values[1])),
+            }
+            fast = interp.run(feeds, batch=batch)
+            slow = reference_run(interp, feeds, batch=batch)
+            for name in fast:
+                assert fast[name].tobytes() == slow[name].tobytes()
+
+
+    def test_unbatched_product_left_unfused_in_batch_mode(self):
+        # Both factors are MODEL inputs: in batch mode the product has no
+        # batch dim and is broadcast, so the pair stays two steps.
+        dfg, _ = mul_reduce_dfg(
+            {"i": 3, "j": 4}, ("i", "j"), ("i",), ("i", "j"), ("i",),
+            categories=(ir.MODEL, ir.MODEL),
+        )
+        dfg.add_value("x", ir.DATA, ())
+        interp = Interpreter(dfg)
+        assert len(interp._plans[False]) == 1
+        assert len(interp._plans[True]) == 2
+        rng = np.random.default_rng(5)
+        feeds = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=3)}
+        feeds["x"] = np.zeros(2)
+        fast = interp.run(feeds, batch=True)["s"]
+        slow = reference_run(interp, feeds, batch=True)["s"]
+        assert fast.shape == (2, 4)
+        assert fast.tobytes() == slow.tobytes()
+
+
 class TestInterpreterPlans:
     @given(
-        name=st.sampled_from(SMALL_BENCHES),
+        name=st.sampled_from(INTERPRETER_BENCHES),
         seed=st.integers(0, 2**32 - 1),
         batch=st.integers(1, 8),
     )

@@ -169,6 +169,12 @@ class TestMechanics:
         with pytest.raises(ValueError):
             trainer.train({"x": np.ones((10, 8)), "y": np.ones(9)})
 
+    def test_zero_dim_feed_rejected(self):
+        t = translate(parse(LINREG), {"n": 8})
+        trainer = DistributedTrainer(t, nodes=1, threads_per_node=1)
+        with pytest.raises(ValueError, match="'y' is 0-d"):
+            trainer.train({"x": np.ones((10, 8)), "y": np.float64(1.0)})
+
     def test_unknown_mode_rejected(self):
         t = translate(parse(LINREG), {"n": 8})
         trainer = DistributedTrainer(t, nodes=1, threads_per_node=1)

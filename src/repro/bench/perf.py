@@ -210,16 +210,16 @@ def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
 def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
     """The quorum-study measurement leg: a fraction x deadline grid on a
     16-node straggler cluster, evaluated twice — full event-driven
-    simulation (replay kill switch thrown) and the format-2 quorum
-    replay path — and compared for bit-identity on every
+    simulation (replay kill switch thrown) and the quorum replay path —
+    and compared for bit-identity on every
     :class:`IterationTiming` field.
 
     This is the workload the replay engine was extended for: the grid
-    shares one recorded schedule, so the replay leg pays one recording
-    and re-times every (fraction, deadline) point on the booked arrival
-    arrays. Raises :class:`AssertionError` if any point diverges, or if
-    the replay leg never recorded a trace (a silently-disabled replayer
-    would vacuously pass).
+    shares one schedule trace, built once from the topology, and the
+    replay leg re-times every (fraction, deadline) point on the booked
+    arrival arrays. Raises :class:`AssertionError` if any point
+    diverges, or if the replay leg never built a trace (a
+    silently-disabled replayer would vacuously pass).
     """
     from ..runtime import ClusterSimulator, ClusterSpec, QuorumConfig
     from ..runtime import schedule
@@ -255,7 +255,7 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
 
     if not schedule.TRACES:
         raise AssertionError(
-            "quorum sweep recorded no schedule trace; the "
+            "quorum sweep built no schedule trace; the "
             "replayer never engaged"
         )
     for rule, event, replayed in zip(grid, event_rows, replay_rows):
@@ -282,8 +282,8 @@ def run_replay_smoke(
 
     Regenerates twice — once with the schedule replayer disabled (pure
     event-driven simulation) and once with it on, from an empty schedule
-    table — and also checks that the replay run actually recorded
-    schedule traces (a silently-disabled replayer would vacuously pass).
+    table — and also checks that the replay run actually built schedule
+    traces (a silently-disabled replayer would vacuously pass).
     Returns a list of problems; empty means the smoke passed.
     """
     from ..bench import figures
@@ -300,7 +300,7 @@ def run_replay_smoke(
         )
     if not schedule.TRACES:
         problems.append(
-            "replay-on run recorded no schedule traces; the "
+            "replay-on run built no schedule traces; the "
             "replayer never engaged"
         )
     return problems

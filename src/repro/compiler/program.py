@@ -8,8 +8,8 @@ the accelerator replicates it across threads via the Thread Index Table
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from ..dfg import ir
 from ..dfg.scalarize import ScalarExpansion, scalarize
@@ -41,6 +41,15 @@ class CompiledProgram:
         """Operand reads that cross PEs — Algorithm 1's objective."""
         return len(communication_edges(self.expansion.dfg, self.mapping))
 
+    @functools.cached_property
+    def microcode(self) -> tuple:
+        """The program's microcode stream, encoded once and shared by
+        every design built from it (a tuple, so no design can alter
+        another's)."""
+        from ..circuit.microcode import encode_microcode
+
+        return tuple(encode_microcode(self))
+
     def verify(self, deep: bool = False):
         """Re-check every static invariant of the compiled artifact.
 
@@ -60,8 +69,6 @@ def compile_thread(
     rows: int,
     columns: int,
     include_stream: bool = True,
-    max_nodes: int = 50_000,
-    expansion: Optional[ScalarExpansion] = None,
 ) -> CompiledProgram:
     """Compile a macro DFG for one worker thread of ``rows x columns`` PEs.
 
@@ -70,8 +77,7 @@ def compile_thread(
     graphs (tests, estimator validation, RTL generation); large production
     graphs use the macro-level estimator directly.
     """
-    if expansion is None:
-        expansion = scalarize(dfg, max_nodes=max_nodes)
+    expansion = scalarize(dfg)
     grid = PeGrid(rows=rows, columns=columns)
     mapping = map_graph(expansion, grid)
     schedule = schedule_graph(expansion.dfg, mapping, include_stream)

@@ -84,13 +84,7 @@ class CosmicStack:
             self._translation.dfg, minibatch, self.density
         )
 
-    def compile(
-        self,
-        rows: int,
-        columns: int,
-        max_nodes: int = 50_000,
-        optimize_graph: bool = True,
-    ) -> CompiledProgram:
+    def compile(self, rows: int, columns: int) -> CompiledProgram:
         """Compilation layer on the *functional-scale* graph.
 
         Runs the fold/CSE/DCE pipeline first (semantics-preserving), then
@@ -101,12 +95,8 @@ class CosmicStack:
         """
         from ..dfg.optimize import optimize
 
-        dfg = self._functional.dfg
-        if optimize_graph:
-            dfg, _ = optimize(dfg)
-        return compile_thread(
-            dfg, rows=rows, columns=columns, max_nodes=max_nodes
-        )
+        dfg, _ = optimize(self._functional.dfg)
+        return compile_thread(dfg, rows=rows, columns=columns)
 
     def rtl(
         self, rows: int = 2, columns: int = 4, target: str = "fpga"

@@ -45,10 +45,10 @@ from .recovery import (
 )
 from .schedule import (
     ScheduleTrace,
-    record_schedule,
     replay_disabled,
     replay_enabled,
     replay_iteration,
+    schedule_trace,
 )
 from .threads import CircularBuffer, PoolConfig, SigmaPipeline, WorkerPool
 from .trainer import DistributedTrainer, TrainingResult
@@ -94,10 +94,10 @@ __all__ = [
     "ROLE_SIGMA",
     "Resource",
     "ScheduleTrace",
-    "record_schedule",
     "replay_disabled",
     "replay_enabled",
     "replay_iteration",
+    "schedule_trace",
     "SigmaPipeline",
     "Topology",
     "TrainingResult",

@@ -176,9 +176,9 @@ class ClusterSimulator:
         on the slowest partial; the timing's ``dropped`` field lists the
         node ids whose partials missed the window.
 
-        A healthy iteration with replay on re-times the cluster's recorded
-        schedule (:mod:`repro.runtime.schedule`): the trace is recorded
-        once per (roles, groups, update size) in
+        A healthy iteration with replay on re-times the cluster's schedule
+        (:mod:`repro.runtime.schedule`): the trace is derived from the
+        topology once per (roles, groups, update size) in
         :data:`~repro.runtime.schedule.TRACES`, and each replayed timing
         is memoised beside it by (spec, quorum rule, per-node compute
         times). The compute model is still invoked once per node per call
@@ -200,11 +200,14 @@ class ClusterSimulator:
             return self._iteration_uncached(quorum, compute_times)
         key = (tuple(topo.roles), topo.groups, self.update_bytes)
         if key not in schedule.TRACES:
-            schedule.TRACES[key] = (schedule.record_schedule(self), {})
+            schedule.TRACES[key] = (
+                schedule.schedule_trace(topo, self.update_bytes),
+                {},
+            )
         trace, timings = schedule.TRACES[key]
         if trace.roles != key[0] or trace.update_bytes != self.update_bytes:
             raise RuntimeError(
-                "schedule table returned a trace recorded for a different "
+                "schedule table returned a trace built for a different "
                 "cluster; the table key is missing an input"
             )
         memo = (self.spec, quorum, tuple(compute_times))
@@ -225,12 +228,10 @@ class ClusterSimulator:
         self,
         quorum: Optional[QuorumConfig],
         compute_times: List[float],
-        recorder=None,
     ) -> IterationTiming:
         spec = self.spec
         topo = self.topology
         network = Network(EventLoop(), spec.network)
-        network.recorder = recorder
 
         compute_done: Dict[int, float] = {}
         for role, seconds in zip(topo.roles, compute_times):

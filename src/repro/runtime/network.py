@@ -96,9 +96,6 @@ class Network:
         self.messages_sent = 0
         self.retries = 0
         self.messages_failed = 0
-        #: Optional ScheduleRecorder capturing the event schedule — phase
-        #: boundaries (use_loop) and every send — for schedule replay.
-        self.recorder = None
 
     def nic(self, node_id: int) -> Nic:
         if node_id not in self._nics:
@@ -113,8 +110,6 @@ class Network:
         previous phase's stragglers (e.g. a quorum window that closed
         while a dropped partial was still in flight)."""
         self._loop = loop
-        if self.recorder is not None:
-            self.recorder.on_phase()
 
     def send(
         self,
@@ -140,13 +135,6 @@ class Network:
         dst_nic = self.nic(dst)
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        # Per-contributor arrival metadata for the schedule recorder: the
-        # chunk arrival instants and the TX chain that produced them, in
-        # booking order. Collected only while recording — the lists cost
-        # an append per chunk on the hot event path otherwise.
-        recording = self.recorder is not None
-        chunk_arrivals = [] if recording else None
-        chunk_tx_starts = [] if recording else None
 
         cursor = start + cfg.per_message_overhead_s
         remaining = nbytes
@@ -161,21 +149,8 @@ class Network:
             arrival = rx_start + wire
             cursor = tx_start + wire  # next chunk queues behind this one
             last_arrival = max(last_arrival, arrival)
-            if recording:
-                chunk_tx_starts.append(tx_start)
-                chunk_arrivals.append(arrival)
             if on_chunk is not None:
                 self._loop.at(arrival, _bind_chunk(on_chunk, arrival, chunk))
-        if recording:
-            self.recorder.on_send(
-                src,
-                dst,
-                nbytes,
-                start,
-                len(chunk_arrivals),
-                arrivals=chunk_arrivals,
-                tx_starts=chunk_tx_starts,
-            )
         if on_done is not None:
             self._loop.at(last_arrival, _bind_done(on_done, last_arrival))
         return last_arrival
@@ -206,8 +181,6 @@ class Network:
                 return self.send(src, dst, nbytes, cursor, on_chunk, on_done)
             cursor += attempt_timeout
             self.retries += 1
-            if self.recorder is not None:
-                self.recorder.on_retry(src, dst)
         self.messages_failed += 1
         return None
 

@@ -1,19 +1,17 @@
-"""Schedule-replay engine: record one iteration's event schedule, replay it.
+"""Schedule-replay engine: derive one iteration's schedule, replay it.
 
 The communication schedule of a healthy CoSMIC iteration is *static per
 topology*: which node sends to which, in which phase, with what payload is
 fixed by the Sigma/Delta hierarchy and the model size — only the *times*
 move when compute speed, mini-batch size, or link parameters change. Like
-SwitchML's in-network aggregation schedule, that makes the schedule worth
-recording once and re-timing many times.
+SwitchML's static in-network aggregation schedule, that makes the
+schedule a pure function of the topology, re-timed many times.
 
 This module implements that split:
 
-* :class:`ScheduleRecorder` instruments :meth:`Network.send` (and, through
-  it, ``send_reliable``) plus the event-loop phase boundaries of one full
-  event-driven iteration, producing a canonical :class:`ScheduleTrace` —
-  the send orderings, payload sizes, NIC-serialisation structure, and
-  reduction joins of the gather/reduce/broadcast phases.
+* :func:`schedule_trace` lists the sends of the gather/reduce/broadcast
+  phases straight from the Director's hierarchy, producing a canonical
+  :class:`ScheduleTrace`; no simulation runs to build it.
 * :func:`replay_iteration` re-times a trace under new per-node compute
   times and :class:`NetworkConfig` parameters. NIC bookings are evaluated
   with NumPy over the chunk arrays (``np.add.accumulate`` is a strictly
@@ -24,29 +22,29 @@ This module implements that split:
   (``vectorized=False``) is kept as a cross-validated reference.
 
 Traces live in :data:`TRACES`, one entry per (roles, groups, model size)
-beside the iteration timings replayed from it, so a figure sweep records
-each topology once and replays every other (minibatch, NetworkConfig)
+beside the iteration timings replayed from it, so a figure sweep builds
+each topology's trace once and replays every (minibatch, NetworkConfig)
 point.
 
-Since format 2, traces additionally carry **per-sender arrival
-annotations** (:class:`ArrivalPoint`): for each Sigma/master aggregation
-point, the ordered per-contributor arrival events and the TX chains that
-fed them during the recording. These let :func:`replay_iteration`
-evaluate a :class:`~repro.runtime.cluster.QuorumConfig` window closure —
-K-th arrival vs. ``deadline_s`` past the first — directly on the booked
+Each trace names, per Sigma/master aggregation point, the contributor
+set that feeds it (:class:`ArrivalPoint`). That is what lets
+:func:`replay_iteration` evaluate a
+:class:`~repro.runtime.cluster.QuorumConfig` window closure — K-th
+arrival vs. ``deadline_s`` past the first — directly on the booked
 arrival arrays, then re-book only the downstream sends whose payload set
 changed (the withheld-send pass), instead of re-running the event loop
-from scratch. Quorum iterations therefore replay too; the probe/withhold
-structure of the event-driven simulator is reproduced exactly.
+from scratch. The window sorts contributions by (finish time, node id),
+so the order of a contributor set never reaches a result.
 
 Replay is *never* used when the schedule could differ from the healthy
-recording: a :class:`~repro.runtime.faults.FaultTimeline` (or any fault
+one: a :class:`~repro.runtime.faults.FaultTimeline` (or any fault
 context on the simulator) forces the full event-driven simulation, and
 ``REPRO_SCHEDULE_REPLAY=0`` disables replay globally. The differential
 property suites (``tests/properties/test_schedule_replay.py`` and
 ``tests/properties/test_quorum_replay.py``) assert replay is
 bit-identical to re-simulation across hypothesis-generated clusters,
-quorum rules, and straggler profiles.
+quorum rules, and straggler profiles, and that :func:`schedule_trace`
+lists exactly the sends the event-driven simulation issues.
 """
 
 from __future__ import annotations
@@ -64,12 +62,9 @@ from .threads import SigmaPipeline
 
 #: Bumped whenever the simulator's send structure or the replay arithmetic
 #: changes; :func:`replay_iteration` refuses a trace of another format.
-#: Format 2 added the per-sender arrival annotations
-#: (:class:`ArrivalPoint`) that quorum-window replay reads.
-SCHEDULE_FORMAT = 2
-
-#: Phase indices the recorder distinguishes (gather, reduce, broadcast).
-_PHASES = 3
+#: Format 3 derives the trace from the topology and keeps only each
+#: aggregation point's contributor set.
+SCHEDULE_FORMAT = 3
 
 
 #: Accepted spellings of ``REPRO_SCHEDULE_REPLAY``.
@@ -115,85 +110,24 @@ def replay_disabled():
 
 
 # ---------------------------------------------------------------------------
-# Recording
+# Traces
 # ---------------------------------------------------------------------------
 
 
-class ScheduleRecorder:
-    """Captures the canonical event schedule of one healthy iteration.
-
-    The cluster simulator binds a fresh event loop per phase
-    (:meth:`Network.use_loop`), which the recorder uses as the phase
-    marker; every :meth:`Network.send` then logs ``(src, dst, nbytes)``
-    in issue order, plus the NIC chunk bookings it implies.
-    """
-
-    def __init__(self):
-        self._phase = 0
-        self.sends: List[List[Tuple[int, int, int]]] = [
-            [] for _ in range(_PHASES)
-        ]
-        #: Per-phase ``(src, dst, arrivals, tx_starts)`` records carrying
-        #: the recorded chunk arrival instants and the TX chain that fed
-        #: them — the raw material of the ArrivalPoint annotations.
-        self.arrivals: List[List[Tuple[int, int, tuple, tuple]]] = [
-            [] for _ in range(_PHASES)
-        ]
-        self.chunk_bookings = 0
-        self.retries = 0
-
-    def on_phase(self):
-        self._phase += 1
-        if self._phase > _PHASES:
-            raise RuntimeError(
-                f"iteration ran more than {_PHASES} network phases; the "
-                "schedule format cannot describe it (bump SCHEDULE_FORMAT)"
-            )
-
-    def on_send(self, src: int, dst: int, nbytes: int, start: float,
-                chunks: int, arrivals=None, tx_starts=None):
-        if self._phase == 0:
-            raise RuntimeError(
-                "Network.send before the first phase loop was bound; "
-                "recording only understands the phased iteration flow"
-            )
-        self.sends[self._phase - 1].append((src, dst, nbytes))
-        self.arrivals[self._phase - 1].append(
-            (src, dst, tuple(arrivals or ()), tuple(tx_starts or ()))
-        )
-        self.chunk_bookings += chunks
-
-    def on_retry(self, src: int, dst: int):
-        # send_reliable retries change delivery times, not the schedule
-        # structure, but a recorded retry means the run was not healthy.
-        self.retries += 1
-
-
-#: ArrivalPoint phase markers (indices into the recorder's phase list).
+#: ArrivalPoint phase markers.
 GATHER_PHASE = 0
 REDUCE_PHASE = 1
 
 
 @dataclass(frozen=True)
 class ArrivalPoint:
-    """Per-aggregation-point arrival annotation (format 2).
-
-    One record per Sigma (gather phase) and one for the master (reduce
-    phase): the contributors that feed it, ordered by their recorded
-    completion instant, plus the recorded chunk arrival events and the
-    TX-chain start instants that produced them. The ``senders`` tuple is
-    what quorum replay reads — it names the contributor set whose booked
-    arrival array each window closure is evaluated over; the
-    ``recorded_*`` arrays are provenance (they pin the recording the
-    annotations came from).
-    """
+    """One Sigma (gather phase) or the master (reduce phase), with the
+    contributors whose partials it aggregates — the set each quorum
+    window closure is evaluated over."""
 
     node_id: int  # the receiving Sigma (or master Sigma)
     phase: int  # GATHER_PHASE or REDUCE_PHASE
     senders: Tuple[int, ...]
-    chunk_counts: Tuple[int, ...]
-    recorded_arrivals: Tuple[Tuple[float, ...], ...]
-    recorded_tx_starts: Tuple[Tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -201,14 +135,12 @@ class ScheduleTrace:
     """The event schedule of one healthy iteration.
 
     ``gather_sends`` / ``reduce_sends`` / ``broadcast_sends`` hold
-    ``(src, dst, nbytes)`` in the order the simulator issued them; the
-    replayer re-sorts the gather/reduce phases by their re-timed start
-    instants (the same ordering rule the simulator applies) and replays
-    the broadcast in recorded order (its ordering is structural).
-    ``arrival_points`` annotates each Sigma/master aggregation point with
-    its ordered contributors and the recorded arrival/TX events — the
-    structure quorum-window replay evaluates. The ``recorded_*`` fields
-    are provenance.
+    ``(src, dst, nbytes)``. The replayer re-sorts the gather/reduce
+    phases by their re-timed start instants (the same ordering rule the
+    simulator applies) and replays the broadcast in listed order (its
+    ordering is structural). ``arrival_points`` names each Sigma/master
+    aggregation point with a contributor set — the structure
+    quorum-window replay evaluates.
     """
 
     format_version: int
@@ -220,9 +152,6 @@ class ScheduleTrace:
     reduce_sends: Tuple[Tuple[int, int, int], ...]
     broadcast_sends: Tuple[Tuple[int, int, int], ...]
     arrival_points: Tuple[ArrivalPoint, ...]
-    recorded_chunk_bookings: int
-    recorded_chunk_bytes: int
-    recorded_total_s: float
 
     @property
     def wire_messages(self) -> int:
@@ -250,64 +179,57 @@ class ScheduleTrace:
 TRACES: Dict[tuple, Tuple[ScheduleTrace, Dict[tuple, object]]] = {}
 
 
-def _arrival_points(recorder: ScheduleRecorder) -> Tuple[ArrivalPoint, ...]:
-    """Fold the recorder's per-send arrival logs into one annotation per
-    aggregation point, contributors ordered by recorded completion.
+def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
+    """List one healthy iteration's sends straight from the hierarchy.
 
-    The completion instant of a contributor is its last chunk's arrival
-    — the same quantity the quorum window is judged against — so the
-    recorded ``senders`` order previews the window's arrival order under
-    the canonical (zero-compute) recording.
+    The Director fixes the Sigma/Delta roles, so the sends follow from
+    the topology alone, in the order the event-driven simulation issues
+    them:
+
+    * gather: each Delta to its Sigma;
+    * reduce: each non-master Sigma to the master;
+    * broadcast: for each Sigma in topology order, master to that Sigma,
+      then that Sigma to each of its Deltas.
+
+    A Sigma with no Deltas has no gather point, and a single-group
+    cluster has no reduce point.
     """
-    points = []
-    for phase in (GATHER_PHASE, REDUCE_PHASE):
-        by_dst: Dict[int, list] = {}
-        for src, dst, arrivals, tx_starts in recorder.arrivals[phase]:
-            by_dst.setdefault(dst, []).append((src, arrivals, tx_starts))
-        for dst in sorted(by_dst):
-            feeds = sorted(
-                by_dst[dst],
-                key=lambda f: (f[1][-1] if f[1] else 0.0, f[0]),
-            )
-            points.append(
-                ArrivalPoint(
-                    node_id=dst,
-                    phase=phase,
-                    senders=tuple(src for src, _, _ in feeds),
-                    chunk_counts=tuple(len(a) for _, a, _ in feeds),
-                    recorded_arrivals=tuple(a for _, a, _ in feeds),
-                    recorded_tx_starts=tuple(t for _, _, t in feeds),
-                )
-            )
-    return tuple(points)
-
-
-def record_schedule(simulator) -> ScheduleTrace:
-    """Run one instrumented event-driven iteration and build its trace.
-
-    The recording runs with zero compute times: the schedule structure is
-    independent of compute speed, and zero keeps the canonical trace
-    independent of whichever sweep point happened to record it.
-    """
-    recorder = ScheduleRecorder()
-    topo = simulator.topology
-    compute_times = [0.0] * topo.nodes
-    timing = simulator._iteration_uncached(
-        None, compute_times, recorder=recorder
+    master_id = topology.master.node_id
+    sigma_ids = [s.node_id for s in topology.sigmas()]
+    deltas = {
+        sigma: tuple(d.node_id for d in topology.deltas_of(sigma))
+        for sigma in sigma_ids
+    }
+    gather = tuple(
+        (delta, sigma, update_bytes)
+        for sigma in sigma_ids
+        for delta in deltas[sigma]
     )
+    reducers = tuple(s for s in sigma_ids if s != master_id)
+    broadcast = []
+    for sigma in sigma_ids:
+        if sigma != master_id:
+            broadcast.append((master_id, sigma, update_bytes))
+        broadcast.extend(
+            (sigma, delta, update_bytes) for delta in deltas[sigma]
+        )
+    points = tuple(
+        ArrivalPoint(sigma, GATHER_PHASE, deltas[sigma])
+        for sigma in sorted(sigma_ids)
+        if deltas[sigma]
+    )
+    if reducers:
+        points += (ArrivalPoint(master_id, REDUCE_PHASE, reducers),)
     return ScheduleTrace(
         format_version=SCHEDULE_FORMAT,
-        nodes=topo.nodes,
-        groups=topo.groups,
-        roles=tuple(topo.roles),
-        update_bytes=simulator.update_bytes,
-        gather_sends=tuple(recorder.sends[0]),
-        reduce_sends=tuple(recorder.sends[1]),
-        broadcast_sends=tuple(recorder.sends[2]),
-        arrival_points=_arrival_points(recorder),
-        recorded_chunk_bookings=recorder.chunk_bookings,
-        recorded_chunk_bytes=simulator.spec.network.chunk_bytes,
-        recorded_total_s=timing.total_s,
+        nodes=topology.nodes,
+        groups=topology.groups,
+        roles=tuple(topology.roles),
+        update_bytes=update_bytes,
+        gather_sends=gather,
+        reduce_sends=tuple((s, master_id, update_bytes) for s in reducers),
+        broadcast_sends=tuple(broadcast),
+        arrival_points=points,
     )
 
 
@@ -485,13 +407,13 @@ def replay_iteration(
     vectorized: bool = True,
     quorum=None,
 ):
-    """Re-time a recorded schedule under new compute times and network
+    """Re-time a schedule trace under new compute times and network
     parameters; returns an :class:`IterationTiming` bit-identical to the
     full event-driven simulation of the same inputs.
 
     With a :class:`~repro.runtime.cluster.QuorumConfig`, each window
     closure is evaluated directly on the booked arrival arrays — the
-    gather/reduce phase is booked once with every recorded send (the
+    gather/reduce phase is booked once with every listed send (the
     probe), the window rule splits contributors at the later of the K-th
     arrival and ``deadline_s`` past the first, and only when some partial
     missed the window is the phase re-booked with those sends withheld
@@ -508,7 +430,8 @@ def replay_iteration(
     if trace.format_version != SCHEDULE_FORMAT:
         raise RuntimeError(
             f"schedule trace format {trace.format_version} does not match "
-            f"this replayer ({SCHEDULE_FORMAT}); re-record the schedule"
+            f"this replayer ({SCHEDULE_FORMAT}); re-record the schedule "
+            "with schedule_trace()"
         )
     topo = trace.topology()
     if len(compute_times) != topo.nodes:
@@ -527,7 +450,7 @@ def replay_iteration(
     }
     first_send = min(compute_done.values())
 
-    # Contributor sets per aggregation point, from the trace annotations.
+    # Contributor sets per aggregation point, from the trace.
     feeders_of = {
         p.node_id: p.senders for p in trace.points_for(GATHER_PHASE)
     }
@@ -630,7 +553,7 @@ def replay_iteration(
         r.node_id for r in topo.roles if r.node_id not in contributors
     )
 
-    # Phase 4: hierarchical broadcast, in the recorded (structural) order.
+    # Phase 4: hierarchical broadcast, in the listed (structural) order.
     book = _book_send_vectorized if vectorized else _book_send_scalar
     plans: Dict[int, tuple] = {}
     sigma_ids = {s.node_id for s in sigmas}

@@ -23,9 +23,9 @@ from repro.runtime import (
     IterationTiming,
     NetworkConfig,
     QuorumConfig,
-    record_schedule,
     replay_disabled,
     replay_iteration,
+    schedule_trace,
 )
 from repro.runtime import schedule
 
@@ -100,7 +100,7 @@ class TestQuorumReplayDifferential:
     def test_replay_bit_identical_to_event_driven(self, cluster, rule):
         sim, compute = cluster
         event = sim._iteration_uncached(rule, list(compute))
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         vectorized = replay_iteration(
             trace, sim.spec, list(compute), vectorized=True, quorum=rule
         )
@@ -136,7 +136,7 @@ class TestQuorumWindowEdges:
         """K=N closes the window at the last arrival regardless of the
         deadline — bit-identical to no quorum at all, nobody dropped."""
         sim, compute = straggler_sim()
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         barrier = replay_iteration(trace, sim.spec, list(compute))
         for deadline in (1e-6, 10.0):
             rule = QuorumConfig(fraction=1.0, deadline_s=deadline)
@@ -154,7 +154,7 @@ class TestQuorumWindowEdges:
         sim, compute = straggler_sim(slow=(1, 2, 3, 5, 6, 7), factor=100.0)
         rule = QuorumConfig(fraction=0.2, deadline_s=1e-4)
         event = sim._iteration_uncached(rule, list(compute))
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         replayed = replay_iteration(
             trace, sim.spec, list(compute), quorum=rule
         )
@@ -194,7 +194,7 @@ class TestQuorumWindowEdges:
         gaps = [t - times[0] for t in times[1:] if t > times[0]]
         assert gaps, "degenerate capture: every contribution tied"
 
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         for gap in gaps:
             rule = QuorumConfig(fraction=0.01, deadline_s=gap)
             event = sim._iteration_uncached(rule, list(compute))

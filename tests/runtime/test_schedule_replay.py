@@ -1,4 +1,4 @@
-"""Schedule recording, the trace table, and the replay gating rules."""
+"""Schedule traces, the trace table, and the replay gating rules."""
 
 import dataclasses
 
@@ -8,10 +8,10 @@ from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     QuorumConfig,
-    record_schedule,
     replay_disabled,
     replay_enabled,
     replay_iteration,
+    schedule_trace,
 )
 from repro.runtime import schedule
 from repro.runtime.schedule import (
@@ -19,7 +19,6 @@ from repro.runtime.schedule import (
     REDUCE_PHASE,
     SCHEDULE_FORMAT,
     EnvError,
-    ScheduleRecorder,
 )
 
 
@@ -45,7 +44,7 @@ def make_sim(nodes=8, groups=2, update_bytes=100_000, compute=1e-3):
 class TestRecording:
     def test_trace_structure_matches_topology(self):
         sim = make_sim(nodes=9, groups=3, update_bytes=12_345)
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         topo = sim.topology
         deltas = topo.nodes - len(topo.sigmas())
         assert trace.format_version == SCHEDULE_FORMAT
@@ -68,13 +67,14 @@ class TestRecording:
         assert trace.topology().roles == list(topo.roles)
 
     def test_single_node_trace_is_empty(self):
-        trace = record_schedule(make_sim(nodes=1, groups=1))
+        sim = make_sim(nodes=1, groups=1)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         assert trace.wire_messages == 0
         assert trace.arrival_points == ()
 
     def test_arrival_points_cover_every_aggregation_point(self):
         sim = make_sim(nodes=9, groups=3, update_bytes=200_000)
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         topo = sim.topology
         gather = trace.points_for(GATHER_PHASE)
         reduce_ = trace.points_for(REDUCE_PHASE)
@@ -101,39 +101,6 @@ class TestRecording:
             }
             assert set(point.senders) == expected
 
-    def test_arrival_point_chunks_match_recorded_bookings(self):
-        import math
-
-        sim = make_sim(nodes=6, groups=2, update_bytes=200_000)
-        trace = record_schedule(sim)
-        chunk_bytes = sim.spec.network.chunk_bytes
-        for point in trace.arrival_points:
-            for src, count, arrivals, tx_starts in zip(
-                point.senders,
-                point.chunk_counts,
-                point.recorded_arrivals,
-                point.recorded_tx_starts,
-            ):
-                nbytes = next(
-                    nb
-                    for s, d, nb in (
-                        trace.gather_sends + trace.reduce_sends
-                    )
-                    if s == src and d == point.node_id
-                )
-                assert count == math.ceil(nbytes / chunk_bytes)
-                assert len(arrivals) == count
-                assert len(tx_starts) == count
-                assert list(arrivals) == sorted(arrivals)
-                # every chunk lands after its TX chain started
-                assert all(a > t for a, t in zip(arrivals, tx_starts))
-
-    def test_arrival_point_senders_ordered_by_completion(self):
-        trace = record_schedule(make_sim(nodes=8, groups=2))
-        for point in trace.arrival_points:
-            finals = [a[-1] for a in point.recorded_arrivals]
-            assert finals == sorted(finals)
-
     def test_cache_key_tracks_schedule_inputs(self):
         """Groups and update size each get their own table entry."""
         make_sim(nodes=8, groups=2).iteration(8_000)
@@ -141,29 +108,16 @@ class TestRecording:
         make_sim(nodes=8, groups=2, update_bytes=200_000).iteration(8_000)
         assert len(schedule.TRACES) == 3
 
-    def test_recorder_rejects_send_before_phase(self):
-        recorder = ScheduleRecorder()
-        with pytest.raises(RuntimeError, match="before the first phase"):
-            recorder.on_send(0, 1, 100, 0.0, 1)
-
-    def test_recorder_rejects_extra_phases(self):
-        recorder = ScheduleRecorder()
-        for _ in range(3):
-            recorder.on_phase()
-        with pytest.raises(RuntimeError, match="more than 3"):
-            recorder.on_phase()
-
-
 class TestTraceCaching:
     def test_trace_recorded_once_across_minibatches(self, monkeypatch):
         import repro.runtime.schedule as schedule_mod
 
         recordings = []
-        real = schedule_mod.record_schedule
+        real = schedule_mod.schedule_trace
         monkeypatch.setattr(
             schedule_mod,
-            "record_schedule",
-            lambda sim: recordings.append(1) or real(sim),
+            "schedule_trace",
+            lambda *a: recordings.append(1) or real(*a),
         )
         sim = make_sim()
         sim.iteration(8_000)
@@ -174,7 +128,7 @@ class TestTraceCaching:
 
     def test_mismatched_cached_trace_is_rejected(self):
         sim = make_sim(update_bytes=100_000)
-        wrong = record_schedule(make_sim(update_bytes=999))
+        wrong = schedule_trace(sim.topology, 999)
         schedule.TRACES[table_key(sim)] = (wrong, {})
         with pytest.raises(RuntimeError, match="different cluster"):
             sim.iteration(8_000)
@@ -293,14 +247,14 @@ class TestReplayGating:
 class TestReplayValidation:
     def test_format_version_mismatch_rejected(self):
         sim = make_sim()
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         stale = dataclasses.replace(trace, format_version=SCHEDULE_FORMAT + 1)
         with pytest.raises(RuntimeError, match="re-record"):
             replay_iteration(stale, sim.spec, [1e-3] * 8)
 
     def test_compute_times_length_checked(self):
         sim = make_sim(nodes=4, groups=2)
-        trace = record_schedule(sim)
+        trace = schedule_trace(sim.topology, sim.update_bytes)
         with pytest.raises(ValueError, match="compute times"):
             replay_iteration(trace, sim.spec, [1e-3] * 3)
 

@@ -13,9 +13,7 @@ Commands:
   scenario with the fault-tolerant runtime and report recovery cost
   against the healthy run.
 * ``perf [--quick] [--update-baseline]`` — time the toolchain stages and
-  a figure regeneration with schedule replay off and on, and gate against
-  the committed ``BENCH_perf.json`` baseline. ``--replay-smoke`` runs only
-  the schedule-replay identity probe (Figure 7 rows with replay off vs on).
+  gate against the committed ``BENCH_perf.json`` baseline.
 """
 
 from __future__ import annotations
@@ -114,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="flag stages slower than TOLERANCE x baseline (default 2.0)",
-    )
-    perf.add_argument(
-        "--replay-smoke",
-        action="store_true",
-        help="only assert Figure 7 rows identical with schedule replay "
-        "off vs on (the CI replay gate)",
     )
     return parser
 
@@ -395,20 +387,8 @@ def _cmd_perf(args) -> int:
         load_report,
         render_report,
         run_perf,
-        run_replay_smoke,
         write_report,
     )
-
-    if args.replay_smoke:
-        problems = run_replay_smoke()
-        if problems:
-            print("REPLAY SMOKE FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("replay smoke passed: Figure 7 rows identical with "
-              "schedule replay off vs on")
-        return 0
 
     report = run_perf(names=args.benches, quick=args.quick)
     print(render_report(report))

@@ -33,8 +33,7 @@ from .director import (
     rebuild_topology,
     rehierarchy_seconds,
 )
-from .events import EventLoop, Resource
-from .network import Network, NetworkConfig, Nic, RetryPolicy
+from .network import NetworkConfig, RetryPolicy
 from .recovery import (
     SCENARIOS,
     ChaosResult,
@@ -45,8 +44,6 @@ from .recovery import (
 )
 from .schedule import (
     ScheduleTrace,
-    replay_disabled,
-    replay_enabled,
     replay_iteration,
     schedule_trace,
 )
@@ -80,22 +77,16 @@ __all__ = [
     "ClusterSimulator",
     "ClusterSpec",
     "DistributedTrainer",
-    "EventLoop",
     "FaultSpec",
     "apply_faults",
     "IterationTiming",
-    "Network",
     "NetworkConfig",
-    "Nic",
     "NodeRole",
     "PoolConfig",
     "ROLE_DELTA",
     "ROLE_MASTER_SIGMA",
     "ROLE_SIGMA",
-    "Resource",
     "ScheduleTrace",
-    "replay_disabled",
-    "replay_enabled",
     "replay_iteration",
     "schedule_trace",
     "SigmaPipeline",

@@ -1,8 +1,10 @@
 """A minimal discrete-event simulation engine for the runtime layer.
 
-The CoSMIC system software is simulated, not analytically approximated:
-NIC serialisation, thread-pool contention and circular-buffer backpressure
-all emerge from events interleaving on this loop.
+Cluster iterations are timed by schedule replay
+(:mod:`repro.runtime.schedule`). This loop drives the event-driven
+reference that replay is checked against
+(``tests/runtime/event_reference.py``), in which NIC serialisation and
+chunk delivery emerge from events interleaving.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ detection, Sigma failover, and checkpoint-based recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import math
@@ -359,10 +359,11 @@ def apply_faults(simulator, faults: Optional[FaultSpec]):
     Stragglers wrap the compute model; link degradation scales the wire
     bandwidth of the cluster's network config (conservatively applying
     the worst degraded node to the shared aggregation paths, since the
-    Sigma's receive schedule serialises on the slowest sender).
+    Sigma's receive schedule serialises on the slowest sender). The clone
+    replays like any simulator: its degraded spec and straggler compute
+    times are part of the iteration memo key.
     """
-    from .cluster import ClusterSimulator, ClusterSpec
-    from .network import NetworkConfig
+    from .cluster import ClusterSimulator
 
     if faults is None:
         return simulator
@@ -378,24 +379,14 @@ def apply_faults(simulator, faults: Optional[FaultSpec]):
         ),
         default=0.0,
     )
-    network = NetworkConfig(
+    network = replace(
+        spec.network,
         bandwidth_bps=spec.network.bandwidth_bps / worst_link,
         latency_s=spec.network.latency_s + worst_retry,
-        per_message_overhead_s=spec.network.per_message_overhead_s,
-        per_chunk_overhead_s=spec.network.per_chunk_overhead_s,
-        chunk_bytes=spec.network.chunk_bytes,
-    )
-    new_spec = ClusterSpec(
-        nodes=spec.nodes,
-        groups=spec.groups,
-        network=network,
-        pools=spec.pools,
-        management_overhead_s=spec.management_overhead_s,
     )
     return ClusterSimulator(
-        new_spec,
+        replace(spec, network=network),
         faulty_compute(simulator._compute_seconds, faults),
         simulator.update_bytes,
         topology=simulator.topology,
-        faults=faults,
     )

@@ -86,7 +86,13 @@ class Nic:
 
 
 class Network:
-    """Chunked point-to-point transfers over per-node NICs."""
+    """Chunked point-to-point transfers over per-node NICs, dispatched on
+    an event loop.
+
+    Cluster iterations book their NICs by schedule replay
+    (:mod:`repro.runtime.schedule`); this model is what the event-driven
+    reference in ``tests/runtime/event_reference.py`` simulates with.
+    """
 
     def __init__(self, loop: EventLoop, config: NetworkConfig = NetworkConfig()):
         self._loop = loop
@@ -94,8 +100,6 @@ class Network:
         self._nics: Dict[int, Nic] = {}
         self.bytes_sent = 0
         self.messages_sent = 0
-        self.retries = 0
-        self.messages_failed = 0
 
     def nic(self, node_id: int) -> Nic:
         if node_id not in self._nics:
@@ -118,13 +122,11 @@ class Network:
         nbytes: int,
         start: float,
         on_chunk: Optional[Callable[[float, int], None]] = None,
-        on_done: Optional[Callable[[float], None]] = None,
     ) -> float:
         """Simulate one logical message; returns the delivery-complete time.
 
         ``on_chunk(time, bytes)`` fires as each chunk lands in the
-        receiver's socket buffer; ``on_done(time)`` fires once after the
-        last chunk.
+        receiver's socket buffer.
         """
         if src == dst:
             raise ValueError("loopback transfers are free; do not model them")
@@ -151,43 +153,9 @@ class Network:
             last_arrival = max(last_arrival, arrival)
             if on_chunk is not None:
                 self._loop.at(arrival, _bind_chunk(on_chunk, arrival, chunk))
-        if on_done is not None:
-            self._loop.at(last_arrival, _bind_done(on_done, last_arrival))
         return last_arrival
-
-    def send_reliable(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        start: float,
-        reachable: Callable[[float], bool],
-        policy: RetryPolicy = RetryPolicy(),
-        on_chunk: Optional[Callable[[float, int], None]] = None,
-        on_done: Optional[Callable[[float], None]] = None,
-    ) -> Optional[float]:
-        """``send`` with per-message timeout and exponential backoff.
-
-        ``reachable(time)`` answers whether ``dst`` acknowledges at that
-        instant (crashed/partitioned peers do not). Each failed attempt
-        burns its timeout before the next try; after exhausting the retry
-        budget the message is abandoned and ``None`` is returned — the
-        total time burned is ``policy.give_up_after_s()``, which the
-        recovery layer accounts against the failover clock.
-        """
-        cursor = start
-        for attempt_timeout in policy.attempt_timeouts():
-            if reachable(cursor):
-                return self.send(src, dst, nbytes, cursor, on_chunk, on_done)
-            cursor += attempt_timeout
-            self.retries += 1
-        self.messages_failed += 1
-        return None
 
 
 def _bind_chunk(fn: Callable[[float, int], None], time: float, size: int):
     return lambda: fn(time, size)
 
-
-def _bind_done(fn: Callable[[float], None], time: float):
-    return lambda: fn(time)

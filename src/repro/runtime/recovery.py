@@ -214,14 +214,8 @@ def chaos_train(
     def timing_for(topology: Topology):
         key = tuple(sorted(topology.roles, key=lambda r: r.node_id))
         if key not in timing_cache:
-            # The timeline is this run's fault context: it keeps the
-            # chaos iterations out of the healthy schedule table.
             sim = ClusterSimulator(
-                spec,
-                compute_seconds,
-                update_bytes,
-                topology=topology,
-                faults=timeline if timeline else None,
+                spec, compute_seconds, update_bytes, topology=topology
             )
             timing_cache[key] = sim.iteration(
                 global_batch, quorum=config.quorum

@@ -1,6 +1,6 @@
 """Schedule-replay engine: derive one iteration's schedule, replay it.
 
-The communication schedule of a healthy CoSMIC iteration is *static per
+The communication schedule of a CoSMIC iteration is *static per
 topology*: which node sends to which, in which phase, with what payload is
 fixed by the Sigma/Delta hierarchy and the model size — only the *times*
 move when compute speed, mini-batch size, or link parameters change. Like
@@ -16,10 +16,9 @@ This module implements that split:
   times and :class:`NetworkConfig` parameters. NIC bookings are evaluated
   with NumPy over the chunk arrays (``np.add.accumulate`` is a strictly
   sequential left-to-right reduction, so every float lands bit-identical
-  to the scalar event-driven arithmetic); chunk callbacks feed the real
+  to the scalar chunk-by-chunk arithmetic); chunk callbacks feed the real
   :class:`SigmaPipeline` objects in the exact (arrival, insertion) order
-  the event loop would have dispatched them. A pure-scalar mode
-  (``vectorized=False``) is kept as a cross-validated reference.
+  an event loop would dispatch them.
 
 Traces live in :data:`TRACES`, one entry per (roles, groups, model size)
 beside the iteration timings replayed from it, so a figure sweep builds
@@ -32,25 +31,25 @@ set that feeds it (:class:`ArrivalPoint`). That is what lets
 :class:`~repro.runtime.cluster.QuorumConfig` window closure — K-th
 arrival vs. ``deadline_s`` past the first — directly on the booked
 arrival arrays, then re-book only the downstream sends whose payload set
-changed (the withheld-send pass), instead of re-running the event loop
-from scratch. The window sorts contributions by (finish time, node id),
-so the order of a contributor set never reaches a result.
+changed (the withheld-send pass). The window sorts contributions by
+(finish time, node id), so the order of a contributor set never reaches
+a result.
 
-Replay is *never* used when the schedule could differ from the healthy
-one: a :class:`~repro.runtime.faults.FaultTimeline` (or any fault
-context on the simulator) forces the full event-driven simulation, and
-``REPRO_SCHEDULE_REPLAY=0`` disables replay globally. The differential
-property suites (``tests/properties/test_schedule_replay.py`` and
-``tests/properties/test_quorum_replay.py``) assert replay is
-bit-identical to re-simulation across hypothesis-generated clusters,
-quorum rules, and straggler profiles, and that :func:`schedule_trace`
-lists exactly the sends the event-driven simulation issues.
+Replay is the only iteration engine. Faults reach it as inputs it
+already takes: :func:`~repro.runtime.faults.apply_faults` changes the
+network config and the compute model, and a crash or re-hierarchy hands
+the simulator a new topology, which gets its own trace. The
+event-driven simulation lives in the tests
+(``tests/runtime/event_reference.py``) as the reference: the
+differential property suites (``tests/properties/test_schedule_replay.py``
+and ``tests/properties/test_quorum_replay.py``) assert replay is
+bit-identical to it across hypothesis-generated clusters, faults, quorum
+rules and straggler profiles, and that :func:`schedule_trace` lists
+exactly the sends it issues.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -65,48 +64,6 @@ from .threads import SigmaPipeline
 #: Format 3 derives the trace from the topology and keeps only each
 #: aggregation point's contributor set.
 SCHEDULE_FORMAT = 3
-
-
-#: Accepted spellings of ``REPRO_SCHEDULE_REPLAY``.
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off", "")
-
-
-class EnvError(ValueError):
-    """A ``REPRO_*`` variable holds a value that cannot be parsed."""
-
-
-def replay_enabled() -> bool:
-    """Replay kill-switch: ``REPRO_SCHEDULE_REPLAY=0`` (or false/no/off)
-    forces the full event-driven simulation everywhere. Any spelling
-    outside 1/0, true/false, yes/no, on/off raises :class:`EnvError`."""
-    raw = os.environ.get("REPRO_SCHEDULE_REPLAY")
-    if raw is None:
-        return True
-    lowered = raw.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise EnvError(
-        f"REPRO_SCHEDULE_REPLAY={raw!r} is not a boolean; use one of "
-        f"{', '.join(_TRUE)} / {', '.join(f or repr('') for f in _FALSE)}"
-    )
-
-
-@contextmanager
-def replay_disabled():
-    """Temporarily force full event-driven simulation (perf reference
-    paths and the differential harness use this)."""
-    previous = os.environ.get("REPRO_SCHEDULE_REPLAY")
-    os.environ["REPRO_SCHEDULE_REPLAY"] = "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULE_REPLAY", None)
-        else:
-            os.environ["REPRO_SCHEDULE_REPLAY"] = previous
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +89,7 @@ class ArrivalPoint:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """The event schedule of one healthy iteration.
+    """The event schedule of one iteration.
 
     ``gather_sends`` / ``reduce_sends`` / ``broadcast_sends`` hold
     ``(src, dst, nbytes)``. The replayer re-sorts the gather/reduce
@@ -169,18 +126,17 @@ class ScheduleTrace:
         return tuple(p for p in self.arrival_points if p.phase == phase)
 
 
-#: Healthy-run schedules, keyed by everything that shapes one:
+#: Iteration schedules, keyed by everything that shapes one:
 #: ``(roles, groups, update_bytes) -> (trace, timings)``, where ``timings``
 #: memoises each replayed :class:`IterationTiming` by ``(ClusterSpec,
 #: QuorumConfig or None, compute_times)``. Only
-#: :meth:`ClusterSimulator.iteration` reads or writes it, and only for
-#: healthy iterations with replay on; figure sweeps share entries across
-#: the fresh simulators they build.
+#: :meth:`ClusterSimulator.iteration` reads or writes it; figure sweeps
+#: share entries across the fresh simulators they build.
 TRACES: Dict[tuple, Tuple[ScheduleTrace, Dict[tuple, object]]] = {}
 
 
 def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
-    """List one healthy iteration's sends straight from the hierarchy.
+    """List one iteration's sends straight from the hierarchy.
 
     The Director fixes the Sigma/Delta roles, so the sends follow from
     the topology alone, in the order the event-driven simulation issues
@@ -275,7 +231,7 @@ class _NicLedger:
         return copy
 
 
-def _book_send_vectorized(
+def _book_send(
     ledger: _NicLedger,
     cfg: NetworkConfig,
     src: int,
@@ -288,22 +244,26 @@ def _book_send_vectorized(
     The TX chain is a pure left-to-right accumulation (after the first
     chunk the sender's cursor always equals its own free time), evaluated
     with ``np.add.accumulate`` — sequential, hence bit-identical to the
-    event-driven scalar chain. The shared RX recurrence interleaves a max
-    with an add, so it stays a scalar scan.
+    chunk-by-chunk scalar chain. A one-chunk message does the same sums
+    without NumPy. The shared RX recurrence interleaves a max with an
+    add, so it stays a scalar scan.
     """
     sizes, wires, wires_list = plan
-    if len(sizes) == 1:  # nothing to vectorize in a one-chunk message
-        return _book_send_scalar(ledger, cfg, src, dst, start, plan)
     cursor0 = start + cfg.per_message_overhead_s
     tx_free = ledger.tx_free.get(src, 0.0)
     t0 = cursor0 if cursor0 >= tx_free else tx_free
-    tx_starts = np.add.accumulate(np.concatenate(([t0], wires[:-1])))
-    ledger.tx_free[src] = float(tx_starts[-1]) + wires_list[-1]
-    earliest = (tx_starts + wires + cfg.latency_s) - wires
+    if len(sizes) == 1:
+        wire = wires_list[0]
+        ledger.tx_free[src] = t0 + wire
+        earliest = [t0 + wire + cfg.latency_s - wire]
+    else:
+        tx_starts = np.add.accumulate(np.concatenate(([t0], wires[:-1])))
+        ledger.tx_free[src] = float(tx_starts[-1]) + wires_list[-1]
+        earliest = ((tx_starts + wires + cfg.latency_s) - wires).tolist()
     rx_free = ledger.rx_free.get(dst, 0.0)
     rx_busy = ledger.rx_busy.get(dst, 0.0)
     arrivals = []
-    for e, w in zip(earliest.tolist(), wires_list):
+    for e, w in zip(earliest, wires_list):
         s = e if e >= rx_free else rx_free
         rx_free = s + w
         arrivals.append(rx_free)
@@ -313,60 +273,23 @@ def _book_send_vectorized(
     return arrivals, max(cursor0, max(arrivals))
 
 
-def _book_send_scalar(
-    ledger: _NicLedger,
-    cfg: NetworkConfig,
-    src: int,
-    dst: int,
-    start: float,
-    plan,
-):
-    """Pure-Python reference booking, one float at a time — the exact
-    transcription of :meth:`Network.send`'s chunk loop."""
-    sizes = plan[0]
-    cursor = start + cfg.per_message_overhead_s
-    last_arrival = cursor
-    arrivals = []
-    tx_free = ledger.tx_free.get(src, 0.0)
-    rx_free = ledger.rx_free.get(dst, 0.0)
-    rx_busy = ledger.rx_busy.get(dst, 0.0)
-    for chunk in sizes:
-        wire = cfg.wire_seconds(chunk) + cfg.per_chunk_overhead_s
-        tx_start = max(cursor, tx_free)
-        tx_free = tx_start + wire
-        arrival_earliest = tx_start + wire + cfg.latency_s
-        rx_start = max(arrival_earliest - wire, rx_free)
-        rx_free = rx_start + wire
-        rx_busy += wire
-        arrival = rx_start + wire
-        cursor = tx_start + wire
-        last_arrival = max(last_arrival, arrival)
-        arrivals.append(arrival)
-    ledger.tx_free[src] = tx_free
-    ledger.rx_free[dst] = rx_free
-    ledger.rx_busy[dst] = rx_busy
-    return arrivals, last_arrival
-
-
 def _feed_phase(
     ledger: _NicLedger,
     cfg: NetworkConfig,
     sends: Sequence[Tuple[float, int, int, int]],
     pipes: Dict[int, SigmaPipeline],
-    vectorized: bool,
 ):
     """Book every send of one gather/reduce phase, then feed each Sigma
     its chunks in event-loop order.
 
     ``sends`` is ``(start, src, dst, nbytes)`` in issue order. Chunk
     events are globally sorted by ``(arrival, insertion counter)`` —
-    exactly the heap order of :class:`EventLoop` — and each Sigma's
-    chunks, in that order, go to its real :class:`SigmaPipeline` as one
+    exactly the heap order of an event loop — and each Sigma's chunks,
+    in that order, go to its real :class:`SigmaPipeline` as one
     :meth:`~SigmaPipeline.on_chunks` stream (a pipeline's state depends
-    only on its own chunks). Returns each sender's partial-complete time
-    (the :class:`_Feeder` semantics the quorum window judges).
+    only on its own chunks). Returns each sender's partial-complete time:
+    when its last chunk was folded, which the quorum window judges.
     """
-    book = _book_send_vectorized if vectorized else _book_send_scalar
     arrivals: List[float] = []
     sizes: List[int] = []
     senders: List[int] = []
@@ -376,7 +299,9 @@ def _feed_phase(
     for start, src, dst, nbytes in sends:
         if nbytes not in plans:
             plans[nbytes] = _chunk_plan(cfg, nbytes)
-        send_arrivals, _ = book(ledger, cfg, src, dst, start, plans[nbytes])
+        send_arrivals, _ = _book_send(
+            ledger, cfg, src, dst, start, plans[nbytes]
+        )
         arrivals.extend(send_arrivals)
         sizes.extend(plans[nbytes][0])
         senders.extend([src] * len(send_arrivals))
@@ -404,7 +329,6 @@ def replay_iteration(
     trace: ScheduleTrace,
     spec,
     compute_times: Sequence[float],
-    vectorized: bool = True,
     quorum=None,
 ):
     """Re-time a schedule trace under new compute times and network
@@ -421,9 +345,6 @@ def replay_iteration(
     event-driven simulator's probe/withhold passes exactly, so every
     field — ``contributors`` and ``dropped`` included — stays
     bit-identical.
-
-    Fault timelines still change the schedule itself and must
-    re-simulate; the simulator never routes a faulted cluster here.
     """
     from .cluster import IterationTiming, _close_window
 
@@ -474,7 +395,7 @@ def replay_iteration(
                 compute_done[sigma.node_id], ub
             )
         sends = [s for s in gather_all if s[1] not in skip]
-        done = _feed_phase(ledger, cfg, sends, pipes, vectorized)
+        done = _feed_phase(ledger, cfg, sends, pipes)
         return pipes, own, done
 
     def close_groups(own, done, skip):
@@ -521,9 +442,7 @@ def replay_iteration(
         pipe = SigmaPipeline(spec.pools)
         own_m = pipe.fold_local(group_done[master.group], ub)
         sends = [s for s in reduce_all if s[1] not in skip]
-        done = _feed_phase(
-            ledger, cfg, sends, {master.node_id: pipe}, vectorized
-        )
+        done = _feed_phase(ledger, cfg, sends, {master.node_id: pipe})
         return pipe, own_m, done
 
     def close_master(own_m, done, skip):
@@ -554,7 +473,6 @@ def replay_iteration(
     )
 
     # Phase 4: hierarchical broadcast, in the listed (structural) order.
-    book = _book_send_vectorized if vectorized else _book_send_scalar
     plans: Dict[int, tuple] = {}
     sigma_ids = {s.node_id for s in sigmas}
     sigma_recv: Dict[int, float] = {master.node_id: master_done}
@@ -563,7 +481,9 @@ def replay_iteration(
         start = master_done if src == master.node_id else sigma_recv[src]
         if nbytes not in plans:
             plans[nbytes] = _chunk_plan(cfg, nbytes)
-        _, last_arrival = book(ledger, cfg, src, dst, start, plans[nbytes])
+        _, last_arrival = _book_send(
+            ledger, cfg, src, dst, start, plans[nbytes]
+        )
         if src == master.node_id and dst in sigma_ids:
             sigma_recv[dst] = last_arrival
         broadcast_done = max(broadcast_done, last_arrival)

@@ -1,14 +1,15 @@
 """Differential property suite for quorum-window replay (format 2).
 
-The contract: for any healthy cluster and any :class:`QuorumConfig`,
-replaying the recorded :class:`ScheduleTrace` with the quorum rule
-evaluated on the booked arrival arrays is *bit-identical* to the full
-event-driven probe/withhold simulation — every field of
-:class:`IterationTiming`, including ``contributors`` and ``dropped``,
-compared with ``==``, no tolerances. The edge cases the window rule can
-hit are pinned deterministically: drop-none (``fraction=1.0`` degenerates
-to the barrier), drop-all-but-K (a tiny deadline), and a deadline landing
-exactly on an arrival.
+The contract: for any cluster and any :class:`QuorumConfig`, replaying
+the :class:`ScheduleTrace` with the quorum rule evaluated on the booked
+arrival arrays is *bit-identical* to the event-driven probe/withhold
+reference simulation — every field of :class:`IterationTiming`,
+including ``contributors`` and ``dropped``, compared with ``==``, no
+tolerances. The same holds for faulted clusters (stragglers, degraded
+links, re-formed hierarchies), with or without a quorum rule. The edge
+cases the window rule can hit are pinned deterministically: drop-none
+(``fraction=1.0`` degenerates to the barrier), drop-all-but-K (a tiny
+deadline), and a deadline landing exactly on an arrival.
 """
 
 import dataclasses
@@ -16,18 +17,26 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.runtime.cluster as cluster_mod
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
+    FaultSpec,
     IterationTiming,
     NetworkConfig,
     QuorumConfig,
-    replay_disabled,
+    apply_faults,
+    assign_roles,
+    rebuild_topology,
     replay_iteration,
     schedule_trace,
 )
 from repro.runtime import schedule
+from tests.properties.test_schedule_replay import scalar_booking
+from tests.runtime import event_reference
+from tests.runtime.event_reference import (
+    event_driven_iteration,
+    reference_engine,
+)
 
 network_configs = st.builds(
     NetworkConfig,
@@ -73,6 +82,58 @@ def clusters(draw):
     return sim, compute
 
 
+@st.composite
+def faulted_clusters(draw):
+    """A cluster re-formed over a random survivor set, its
+    fault-injected clone, and the compute time the clone charges each
+    survivor.
+
+    The survivors keep their original, non-contiguous node ids; losing
+    the master or a Sigma promotes a survivor, and ``prefer_master`` can
+    promote any survivor to master. Stragglers and link qualities are
+    drawn per node, as :func:`apply_faults` takes them."""
+    nodes = draw(st.integers(min_value=1, max_value=12))
+    groups = draw(st.integers(min_value=1, max_value=nodes))
+    alive = draw(
+        st.sets(
+            st.integers(min_value=0, max_value=nodes - 1),
+            min_size=1,
+            max_size=nodes,
+        )
+    )
+    prefer = draw(st.none() | st.sampled_from(sorted(alive)))
+    topology = rebuild_topology(
+        assign_roles(nodes, groups), alive, prefer_master=prefer
+    )
+    compute = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=0.05),
+            min_size=nodes,
+            max_size=nodes,
+        )
+    )
+    healthy = ClusterSimulator(
+        ClusterSpec(nodes=nodes, groups=groups, network=draw(network_configs)),
+        lambda node_id, samples: compute[node_id],
+        update_bytes=draw(update_sizes),
+        topology=topology,
+    )
+    ids = st.sampled_from(range(nodes))
+    faults = FaultSpec(
+        straggler=draw(
+            st.dictionaries(ids, st.sampled_from([1.0, 1.5, 3.0, 20.0]))
+        ),
+        link_quality=draw(
+            st.dictionaries(ids, st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+        ),
+    )
+    times = [
+        compute[r.node_id] * faults.compute_factor(r.node_id)
+        for r in topology.roles
+    ]
+    return healthy, apply_faults(healthy, faults), times
+
+
 def assert_bit_identical(a: IterationTiming, b: IterationTiming, label: str):
     for f in dataclasses.fields(IterationTiming):
         left, right = getattr(a, f.name), getattr(b, f.name)
@@ -80,6 +141,14 @@ def assert_bit_identical(a: IterationTiming, b: IterationTiming, label: str):
             f"{label}: IterationTiming.{f.name} diverged: "
             f"{left!r} != {right!r}"
         )
+
+
+def reference(sim, compute, rule=None):
+    """The event-driven reference timing of one of ``sim``'s
+    iterations."""
+    return event_driven_iteration(
+        sim.topology, sim.spec, sim.update_bytes, list(compute), rule
+    )
 
 
 def straggler_sim(nodes=8, groups=2, slow=(3, 6), factor=30.0):
@@ -99,14 +168,15 @@ class TestQuorumReplayDifferential:
     @settings(max_examples=25, deadline=None)
     def test_replay_bit_identical_to_event_driven(self, cluster, rule):
         sim, compute = cluster
-        event = sim._iteration_uncached(rule, list(compute))
+        event = reference(sim, compute, rule)
         trace = schedule_trace(sim.topology, sim.update_bytes)
         vectorized = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=True, quorum=rule
+            trace, sim.spec, list(compute), quorum=rule
         )
-        scalar = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=False, quorum=rule
-        )
+        with scalar_booking():
+            scalar = replay_iteration(
+                trace, sim.spec, list(compute), quorum=rule
+            )
         assert_bit_identical(event, vectorized, "event vs vectorized")
         assert_bit_identical(event, scalar, "event vs scalar")
 
@@ -119,16 +189,42 @@ class TestQuorumReplayDifferential:
     def test_public_iteration_agrees_with_replay_off(
         self, cluster, rule, batch
     ):
-        """End-to-end: ``iteration(quorum=...)`` with the replay engine
-        active returns exactly what the full simulation returns with the
-        ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
+        """End-to-end: ``iteration(quorum=...)`` on the replay engine
+        returns exactly what it returns routed through the event-driven
+        reference."""
         sim, _ = cluster
-        with replay_disabled():
+        with reference_engine():
             event = sim.iteration(batch, quorum=rule)
         schedule.TRACES.clear()
         replayed = sim.iteration(batch, quorum=rule)
         schedule.TRACES.clear()
-        assert_bit_identical(event, replayed, "iteration() vs kill switch")
+        assert_bit_identical(event, replayed, "iteration() vs reference")
+
+
+class TestFaultedReplayDifferential:
+    @given(
+        faulted_clusters(),
+        st.none() | quorum_rules,
+        st.integers(min_value=1, max_value=50_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_faulted_iteration_bit_identical_to_event_driven(
+        self, cluster, rule, batch
+    ):
+        """A faulted iteration's schedule is the schedule of its own
+        (topology, spec): stragglers and degraded links change only the
+        compute times and the network config, and a crash arrives as a
+        re-formed topology. So ``iteration()`` on the replay engine must
+        equal the event-driven reference on every field, even after the
+        healthy parent has filled the schedule table for the same
+        topology."""
+        healthy, sim, times = cluster
+        schedule.TRACES.clear()
+        healthy.iteration(batch, quorum=rule)
+        replayed = sim.iteration(batch, quorum=rule)
+        schedule.TRACES.clear()
+        event = reference(sim, times, rule)
+        assert_bit_identical(event, replayed, "faulted iteration()")
 
 
 class TestQuorumWindowEdges:
@@ -140,7 +236,7 @@ class TestQuorumWindowEdges:
         barrier = replay_iteration(trace, sim.spec, list(compute))
         for deadline in (1e-6, 10.0):
             rule = QuorumConfig(fraction=1.0, deadline_s=deadline)
-            event = sim._iteration_uncached(rule, list(compute))
+            event = reference(sim, compute, rule)
             replayed = replay_iteration(
                 trace, sim.spec, list(compute), quorum=rule
             )
@@ -153,7 +249,7 @@ class TestQuorumWindowEdges:
         the straggler gap, only the window openers survive."""
         sim, compute = straggler_sim(slow=(1, 2, 3, 5, 6, 7), factor=100.0)
         rule = QuorumConfig(fraction=0.2, deadline_s=1e-4)
-        event = sim._iteration_uncached(rule, list(compute))
+        event = reference(sim, compute, rule)
         trace = schedule_trace(sim.topology, sim.update_bytes)
         replayed = replay_iteration(
             trace, sim.spec, list(compute), quorum=rule
@@ -172,22 +268,21 @@ class TestQuorumWindowEdges:
         and replay must resolve the tie the same way event-driven does.
 
         The exact arrival times are recovered from a capture run through
-        ``_close_window`` (shared by both engines), then each observed
+        ``_close_window`` (shared by both engines), spied on where the
+        event-driven reference calls it, then each observed
         gap is fed back as ``deadline_s`` so the close lands exactly on
         a later contributor's arrival."""
         sim, compute = straggler_sim(slow=(3,), factor=20.0)
         captured = []
-        real = cluster_mod._close_window
+        real = event_reference._close_window
 
         def spy(contributions, quorum):
             captured.append(list(contributions))
             return real(contributions, quorum)
 
-        monkeypatch.setattr(cluster_mod, "_close_window", spy)
-        sim._iteration_uncached(
-            QuorumConfig(fraction=1.0, deadline_s=10.0), list(compute)
-        )
-        monkeypatch.setattr(cluster_mod, "_close_window", real)
+        monkeypatch.setattr(event_reference, "_close_window", spy)
+        reference(sim, compute, QuorumConfig(fraction=1.0, deadline_s=10.0))
+        monkeypatch.setattr(event_reference, "_close_window", real)
 
         window = max(captured, key=len)
         times = sorted(t for _, t in window)
@@ -197,7 +292,7 @@ class TestQuorumWindowEdges:
         trace = schedule_trace(sim.topology, sim.update_bytes)
         for gap in gaps:
             rule = QuorumConfig(fraction=0.01, deadline_s=gap)
-            event = sim._iteration_uncached(rule, list(compute))
+            event = reference(sim, compute, rule)
             replayed = replay_iteration(
                 trace, sim.spec, list(compute), quorum=rule
             )

@@ -12,11 +12,10 @@ from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     DistributedTrainer,
-    EventLoop,
-    Network,
-    Resource,
     assign_roles,
 )
+from repro.runtime.events import EventLoop, Resource
+from repro.runtime.network import Network
 
 LINREG = """
 model_input x[n];

@@ -1,13 +1,15 @@
 """Differential property suite for the schedule-replay engine.
 
-The contract under test: for any healthy, quorum-less cluster, replaying
-the :class:`ScheduleTrace` built from its topology is *bit-identical* to
-re-running the full event-driven simulation — every float of every
-:class:`IterationTiming` field, compared with ``==``, no tolerances. The
-vectorized (NumPy) replayer and the pure-scalar reference replayer must
-agree with each other the same way. The trace itself must list exactly
-the sends the event-driven simulation issues, as captured by
-:class:`SendLog` around :class:`Network`.
+The contract under test: for any quorum-less cluster, replaying the
+:class:`ScheduleTrace` built from its topology is *bit-identical* to the
+event-driven reference simulation
+(:func:`~tests.runtime.event_reference.event_driven_iteration`) — every
+float of every :class:`IterationTiming` field, compared with ``==``, no
+tolerances. Replay with its NumPy NIC booking (``schedule._book_send``)
+and replay with :func:`scalar_book_send`, the chunk-by-chunk reference
+booking below, must agree with it the same way. The trace itself must
+list exactly the sends the event-driven simulation issues, as captured
+by :class:`SendLog` around :class:`Network`.
 """
 
 import dataclasses
@@ -21,14 +23,17 @@ from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     IterationTiming,
-    Network,
     NetworkConfig,
-    replay_disabled,
     replay_iteration,
     schedule_trace,
 )
 from repro.runtime import schedule
+from repro.runtime.network import Network
 from repro.runtime.schedule import GATHER_PHASE, REDUCE_PHASE
+from tests.runtime.event_reference import (
+    event_driven_iteration,
+    reference_engine,
+)
 
 # Sampled (not continuous) parameters keep every example on a realistic
 # operating point while still crossing the interesting structural
@@ -44,6 +49,47 @@ network_configs = st.builds(
 )
 
 update_sizes = st.sampled_from([7, 4_096, 65_536, 100_000, 333_333])
+
+
+def scalar_book_send(ledger, cfg, src, dst, start, plan):
+    """Reference NIC booking, one float at a time — the exact
+    transcription of :meth:`Network.send`'s chunk loop that
+    ``schedule._book_send`` must match bit for bit."""
+    sizes = plan[0]
+    cursor = start + cfg.per_message_overhead_s
+    last_arrival = cursor
+    arrivals = []
+    tx_free = ledger.tx_free.get(src, 0.0)
+    rx_free = ledger.rx_free.get(dst, 0.0)
+    rx_busy = ledger.rx_busy.get(dst, 0.0)
+    for chunk in sizes:
+        wire = cfg.wire_seconds(chunk) + cfg.per_chunk_overhead_s
+        tx_start = max(cursor, tx_free)
+        tx_free = tx_start + wire
+        arrival_earliest = tx_start + wire + cfg.latency_s
+        rx_start = max(arrival_earliest - wire, rx_free)
+        rx_free = rx_start + wire
+        rx_busy += wire
+        arrival = rx_start + wire
+        cursor = tx_start + wire
+        last_arrival = max(last_arrival, arrival)
+        arrivals.append(arrival)
+    ledger.tx_free[src] = tx_free
+    ledger.rx_free[dst] = rx_free
+    ledger.rx_busy[dst] = rx_busy
+    return arrivals, last_arrival
+
+
+@contextmanager
+def scalar_booking():
+    """Replay with :func:`scalar_book_send` in place of
+    ``schedule._book_send``."""
+    book = schedule._book_send
+    schedule._book_send = scalar_book_send
+    try:
+        yield
+    finally:
+        schedule._book_send = book
 
 
 @st.composite
@@ -73,7 +119,7 @@ class SendLog:
     """Reference for :func:`schedule_trace`: the ``(src, dst, nbytes)``
     sends a real event-driven iteration issues, one list per phase.
 
-    The simulator binds a fresh event loop at each phase boundary
+    The reference binds a fresh event loop at each phase boundary
     (:meth:`Network.use_loop`), which marks the phase; every
     :meth:`Network.send` then lands in the current phase's list.
     """
@@ -138,14 +184,13 @@ class TestReplayDifferential:
     @settings(max_examples=25, deadline=None)
     def test_replay_bit_identical_to_event_driven(self, cluster):
         sim, compute = cluster
-        event = sim._iteration_uncached(None, list(compute))
+        event = event_driven_iteration(
+            sim.topology, sim.spec, sim.update_bytes, list(compute)
+        )
         trace = schedule_trace(sim.topology, sim.update_bytes)
-        vectorized = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=True
-        )
-        scalar = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=False
-        )
+        vectorized = replay_iteration(trace, sim.spec, list(compute))
+        with scalar_booking():
+            scalar = replay_iteration(trace, sim.spec, list(compute))
         assert_bit_identical(event, vectorized, "event vs vectorized")
         assert_bit_identical(event, scalar, "event vs scalar")
 
@@ -158,23 +203,25 @@ class TestReplayDifferential:
         trace = schedule_trace(sim.topology, sim.update_bytes)
         for scale in (0.0, 1.0, 3.5):
             times = [t * scale for t in compute]
-            event = sim._iteration_uncached(None, list(times))
+            event = event_driven_iteration(
+                sim.topology, sim.spec, sim.update_bytes, list(times)
+            )
             replayed = replay_iteration(trace, sim.spec, list(times))
             assert_bit_identical(event, replayed, f"scale={scale}")
 
     @given(clusters(), st.integers(min_value=1, max_value=50_000))
     @settings(max_examples=10, deadline=None)
     def test_public_iteration_agrees_with_replay_off(self, cluster, batch):
-        """End-to-end: ``iteration()`` with the replay engine active
-        returns exactly what the full simulation returns with the
-        ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
+        """End-to-end: ``iteration()`` on the replay engine returns
+        exactly what it returns routed through the event-driven
+        reference."""
         sim, _ = cluster
-        with replay_disabled():
+        with reference_engine():
             event = sim.iteration(batch)
         schedule.TRACES.clear()
         replayed = sim.iteration(batch)
         schedule.TRACES.clear()
-        assert_bit_identical(event, replayed, "iteration() vs kill switch")
+        assert_bit_identical(event, replayed, "iteration() vs reference")
 
 
 class TestTraceMatchesSimulation:
@@ -186,7 +233,9 @@ class TestTraceMatchesSimulation:
         point's contributor set match exactly."""
         sim, compute = cluster
         with SendLog().attached() as log:
-            sim._iteration_uncached(None, list(compute))
+            event_driven_iteration(
+                sim.topology, sim.spec, sim.update_bytes, list(compute)
+            )
         gather, reduce_, broadcast = log.phases
         trace = schedule_trace(sim.topology, sim.update_bytes)
         assert sorted(trace.gather_sends) == sorted(gather)

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.runtime import (
     CircularBuffer,
     PoolConfig,
-    Resource,
     SigmaPipeline,
     WorkerPool,
 )
+from repro.runtime.events import Resource
 
 
 class _RefPool:

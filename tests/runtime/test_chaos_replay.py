@@ -1,7 +1,6 @@
-"""Fault-context gating: a faulted cluster must never read or write the
-schedule table — neither a trace nor a memoised timing — and must never
-go through the schedule replayer, whose traces describe only healthy
-schedules."""
+"""Faulted clusters replay: a fault-injected clone or a chaos run goes
+through the same schedule table and replayer as a healthy cluster, and
+its faults still cost time."""
 
 import numpy as np
 import pytest
@@ -30,109 +29,42 @@ def fresh_table():
     schedule.TRACES.clear()
 
 
-def make_sim(faults=None, nodes=8, groups=2):
+def make_sim(nodes=8, groups=2):
     return ClusterSimulator(
         ClusterSpec(nodes=nodes, groups=groups),
         lambda node_id, samples: 1e-3,
         update_bytes=100_000,
-        faults=faults,
     )
 
 
-def schedule_keys():
-    return list(schedule.TRACES)
+def count_replays(monkeypatch):
+    """Spy on ``replay_iteration``; returns the list its calls append to."""
+    calls = []
+    real = schedule.replay_iteration
+    monkeypatch.setattr(
+        schedule,
+        "replay_iteration",
+        lambda *a, **k: calls.append(1) or real(*a, **k),
+    )
+    return calls
 
 
-class TestFaultContextGating:
-    def test_faulted_sim_bypasses_memo_and_schedule_cache(self):
-        sim = make_sim(faults=FaultSpec(straggler={1: 2.0}))
-        first = sim.iteration(8_000)
-        second = sim.iteration(8_000)
-        assert first == second  # still deterministic, just not memoised
-        assert schedule_keys() == []
-
-    def test_faulted_sim_never_reads_the_table(self, monkeypatch):
-        """Even with a healthy entry for the same cluster in the table,
-        a faulted simulator neither reads nor writes it."""
-        make_sim().iteration(8_000)
-
-        class Untouchable(dict):
-            def _touch(self, *args):
-                pytest.fail("faulted simulator touched the schedule table")
-
-            __getitem__ = __setitem__ = __contains__ = get = _touch
-
-        monkeypatch.setattr(
-            schedule, "TRACES", Untouchable(schedule.TRACES)
-        )
-        make_sim(faults=FaultSpec(straggler={1: 2.0})).iteration(8_000)
-
-    def test_faulted_sim_never_replays(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired for a faulted cluster"),
-        )
-        make_sim(faults=FaultSpec(straggler={1: 2.0})).iteration(8_000)
-
-    def test_cached_healthy_trace_not_replayed_for_faulted_cluster(
-        self, monkeypatch
-    ):
-        """The dangerous ordering: a healthy run populates the schedule
-        table first, then a faulted clone of the *same* topology runs.
-        The faulted run must re-simulate, not re-time the healthy trace."""
-        import repro.runtime.schedule as schedule_mod
-
+class TestFaultedReplay:
+    def test_faulted_clone_replays_slower(self, monkeypatch):
+        """A healthy run fills the schedule table first; a faulted clone
+        of the same topology then re-times that trace under its own
+        spec and compute times, and pays for its faults."""
         healthy = make_sim()
-        healthy.iteration(8_000)
-        assert len(schedule_keys()) == 1  # trace is sitting right there
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("healthy trace replayed for faults"),
-        )
+        fast = healthy.iteration(8_000)
+        assert len(schedule.TRACES) == 1
+        calls = count_replays(monkeypatch)
         faulted = apply_faults(
             healthy, FaultSpec(straggler={1: 3.0}, link_quality={2: 0.5})
         )
         slow = faulted.iteration(8_000)
-        fast = healthy._iteration_uncached(None, [1e-3] * 8)
+        assert calls == [1]
+        assert len(schedule.TRACES) == 1  # one topology, one trace
         assert slow.total_s > fast.total_s
-
-    def test_faulted_quorum_iteration_never_replays(self, monkeypatch):
-        """Quorum iterations replay since format 2 — but only on healthy
-        clusters. A fault context still trumps the quorum replay path."""
-        import repro.runtime.schedule as schedule_mod
-
-        from repro.runtime import QuorumConfig
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail(
-                "replay fired for a faulted quorum iteration"
-            ),
-        )
-        sim = make_sim(faults=FaultSpec(straggler={1: 5.0}))
-        timing = sim.iteration(
-            8_000, quorum=QuorumConfig(fraction=0.5, deadline_s=1e-3)
-        )
-        assert timing.total_s > 0
-        assert schedule_keys() == []
-
-    def test_apply_faults_sets_fault_context(self):
-        spec = FaultSpec(straggler={1: 2.0})
-        faulted = apply_faults(make_sim(), spec)
-        assert faulted.faults is spec
-        assert make_sim().faults is None
-
-    def test_with_topology_preserves_fault_context(self):
-        spec = FaultSpec(straggler={1: 2.0})
-        sim = make_sim(faults=spec)
-        clone = sim.with_topology(sim.topology)
-        assert clone.faults is spec
 
 
 LINREG = """
@@ -158,7 +90,7 @@ class TestChaosTrainInterplay:
             return 2e-3
         # Fixed fault-tolerance clocks (roughly one iteration ~ 5 ms);
         # deriving them from a healthy simulation here would itself go
-        # through the replayer and trip the monkeypatched probes.
+        # through the replayer and count as a replay.
         it_s = 5e-3
         config = FaultToleranceConfig(
             heartbeat=HeartbeatConfig(period_s=it_s / 2, timeout_s=2 * it_s),
@@ -178,22 +110,17 @@ class TestChaosTrainInterplay:
             seed=7,
         )
 
-    def test_faulted_chaos_run_never_replays(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired inside chaos_train"),
-        )
+    def test_faulted_chaos_run_replays(self, monkeypatch):
+        """A crash re-forms the hierarchy; the chaos run replays both the
+        full and the re-formed topology from the schedule table."""
+        calls = count_replays(monkeypatch)
         timeline = FaultTimeline(crashes=(NodeCrash(node_id=3, at_s=0.01),))
         result = self._run(timeline)
         assert result.iterations > 0
-        assert schedule_keys() == []
+        assert len(calls) == len(schedule.TRACES) >= 2
 
     def test_healthy_chaos_run_may_replay(self):
-        """An empty timeline is no fault context; the healthy chaos run
-        goes through the normal memoised/replayed path."""
+        """A healthy chaos run goes through the memoised/replayed path."""
         result = self._run(FaultTimeline())
         assert result.iterations > 0
-        assert len(schedule_keys()) >= 1
+        assert len(schedule.TRACES) >= 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime import EventLoop, Resource
+from repro.runtime.events import EventLoop, Resource
 
 
 class TestEventLoop:

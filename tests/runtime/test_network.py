@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.runtime import EventLoop, Network, NetworkConfig, RetryPolicy
+from repro.runtime import NetworkConfig, RetryPolicy
+from repro.runtime.events import EventLoop
+from repro.runtime.network import Network
 
 
 def make(bandwidth=1e9, chunk=64 * 1024):
@@ -86,13 +88,6 @@ class TestChunking:
         loop.run()
         assert first[0] < done / 4
 
-    def test_on_done_fires_at_completion(self):
-        loop, net = make()
-        done_times = []
-        reported = net.send(0, 1, 256 * 1024, 0.0, on_done=done_times.append)
-        loop.run()
-        assert done_times == [reported]
-
 
 class TestAccounting:
     def test_bytes_and_messages_counted(self):
@@ -135,42 +130,3 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-
-class TestSendReliable:
-    def test_reachable_peer_sends_immediately(self):
-        loop, net = make()
-        plain = net.send(0, 1, 10_000, start=0.0)
-        _, net2 = make()
-        reliable = net2.send_reliable(
-            0, 1, 10_000, start=0.0, reachable=lambda t: True
-        )
-        assert reliable == plain
-        assert net2.retries == 0
-        assert net2.messages_failed == 0
-
-    def test_backoff_until_peer_returns(self):
-        loop, net = make()
-        policy = RetryPolicy(timeout_s=0.1, max_retries=3, backoff=2.0)
-        # Peer comes back at t=0.25: attempts at 0, 0.1, 0.3 succeed on
-        # the third try, after two timeouts (0.1 + 0.2) of backoff.
-        done = net.send_reliable(
-            0, 1, 10_000, start=0.0,
-            reachable=lambda t: t >= 0.25, policy=policy,
-        )
-        assert done is not None
-        assert done > 0.3
-        assert net.retries == 2
-        assert net.messages_failed == 0
-
-    def test_gives_up_on_dead_peer(self):
-        loop, net = make()
-        policy = RetryPolicy(timeout_s=0.1, max_retries=2, backoff=2.0)
-        done = net.send_reliable(
-            0, 1, 10_000, start=0.0,
-            reachable=lambda t: False, policy=policy,
-        )
-        assert done is None
-        assert net.retries == 3  # every attempt burned its timeout
-        assert net.messages_failed == 1
-        assert net.messages_sent == 0  # nothing ever hit the wire

@@ -6,7 +6,7 @@ pipeline's per-chunk method chain (``WorkerPool.dispatch`` over
 loop per chunk stream. The rewrite must not move a single float: any
 change to a dispatch tie, to the buffer's drain order, or to the order
 of the additions shows up here. It covers both simulators (schedule
-replay on, and the event-driven engine under ``replay_disabled()``) over
+replay, and the event-driven reference ``event_driven_iteration``) over
 a node/group/quorum/straggler grid, plus direct pipeline streams through
 a buffer small enough that producers stall. Regenerate the digest only
 for a deliberate change to the pipeline model.
@@ -23,10 +23,10 @@ from repro.runtime import (
     PoolConfig,
     QuorumConfig,
     SigmaPipeline,
-    replay_disabled,
 )
 from repro.runtime import schedule
 from repro.runtime.director import default_groups
+from tests.runtime.event_reference import event_driven_iteration
 
 #: SHA-256 of the canonical text below, recorded at the parent commit.
 PARENT_DIGEST = (
@@ -55,16 +55,18 @@ def _timing_repr(timing):
 
 def _simulator(nodes, groups, spread):
     """A healthy cluster whose node ``n`` computes ``1 + spread * k/nodes``
-    ms, with ``k`` a fixed permutation of the node ids."""
+    ms, with ``k`` a fixed permutation of the node ids; returns it with
+    the per-node compute times."""
     compute = [
         1e-3 * (1.0 + spread * ((7 * n) % nodes) / nodes)
         for n in range(nodes)
     ]
-    return ClusterSimulator(
+    sim = ClusterSimulator(
         ClusterSpec(nodes=nodes, groups=groups),
         lambda node_id, samples: compute[node_id],
         update_bytes=UPDATE_BYTES,
     )
+    return sim, compute
 
 
 def cluster_lines():
@@ -74,12 +76,13 @@ def cluster_lines():
         for groups in (base, min(2 * base, nodes)):
             for quorum in QUORUMS:
                 for spread in SPREADS:
-                    sim = _simulator(nodes, groups, spread)
+                    sim, compute = _simulator(nodes, groups, spread)
                     label = (nodes, groups, quorum, spread)
                     schedule.TRACES.clear()
                     replayed = sim.iteration(1024, quorum=quorum)
-                    with replay_disabled():
-                        event = sim.iteration(1024, quorum=quorum)
+                    event = event_driven_iteration(
+                        sim.topology, sim.spec, UPDATE_BYTES, compute, quorum
+                    )
                     lines.append(repr(label) + " replay")
                     lines.append(_timing_repr(replayed))
                     lines.append(repr(label) + " event")

@@ -1,4 +1,4 @@
-"""Schedule traces, the trace table, and the replay gating rules."""
+"""Schedule traces, the trace table, and the replay engine's routing."""
 
 import dataclasses
 
@@ -8,18 +8,12 @@ from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     QuorumConfig,
-    replay_disabled,
-    replay_enabled,
     replay_iteration,
     schedule_trace,
 )
 from repro.runtime import schedule
-from repro.runtime.schedule import (
-    GATHER_PHASE,
-    REDUCE_PHASE,
-    SCHEDULE_FORMAT,
-    EnvError,
-)
+from repro.runtime.schedule import GATHER_PHASE, REDUCE_PHASE, SCHEDULE_FORMAT
+from tests.runtime.event_reference import reference_engine
 
 
 @pytest.fixture(autouse=True)
@@ -139,7 +133,7 @@ class TestTraceCaching:
         again = sim.iteration(8_000)
         (_, timings), = schedule.TRACES.values()
         assert len(timings) == 1
-        with replay_disabled():
+        with reference_engine():
             event = sim.iteration(8_000)
         assert memoised == again == event
         # Hits hand out private list fields, not the memoised instance's.
@@ -165,18 +159,6 @@ class TestTraceCaching:
 
 
 class TestReplayGating:
-    def test_kill_switch_forces_event_driven(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired with the kill switch"),
-        )
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "0")
-        timing = make_sim().iteration(8_000)
-        assert timing.total_s > 0
-
     def test_quorum_iterations_replay(self, monkeypatch):
         """Since format 2 the quorum gate is lifted: a quorum iteration
         goes through the replayer (and receives the quorum rule)."""
@@ -193,55 +175,6 @@ class TestReplayGating:
         timing = make_sim().iteration(8_000, quorum=rule)
         assert timing.total_s > 0
         assert calls == [rule]
-
-    def test_kill_switch_covers_quorum_iterations(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired with the kill switch"),
-        )
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "0")
-        timing = make_sim().iteration(
-            8_000, quorum=QuorumConfig(fraction=0.5)
-        )
-        assert timing.total_s > 0
-
-    def test_replay_enabled_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULE_REPLAY", raising=False)
-        assert replay_enabled()
-        for off in ("0", "false", "FALSE"):
-            monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", off)
-            assert not replay_enabled()
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
-        assert replay_enabled()
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("False", False), ("no", False), ("off", False),
-        ("", False),
-    ])
-    def test_flag_accepted_spellings(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", raw)
-        assert replay_enabled() is expected
-
-    def test_flag_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "maybe")
-        with pytest.raises(EnvError, match="REPRO_SCHEDULE_REPLAY"):
-            replay_enabled()
-
-    def test_replay_disabled_restores_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
-        with replay_disabled():
-            assert not replay_enabled()
-        assert replay_enabled()
-        monkeypatch.delenv("REPRO_SCHEDULE_REPLAY")
-        with replay_disabled():
-            assert not replay_enabled()
-        import os
-
-        assert "REPRO_SCHEDULE_REPLAY" not in os.environ
 
 
 class TestReplayValidation:
@@ -262,13 +195,13 @@ class TestReplayValidation:
 class TestEndToEnd:
     def test_epoch_seconds_identical_with_and_without_replay(self):
         sim = make_sim(nodes=6, groups=2)
-        with replay_disabled():
+        with reference_engine():
             reference = sim.epoch_seconds(10_000, 128)
         assert sim.epoch_seconds(10_000, 128) == reference
 
     def test_replay_used_on_the_cached_path(self, monkeypatch):
-        """Positive control for the gating tests: on the healthy memoised
-        path the replayer genuinely is the engine that runs."""
+        """Positive control: on the memoised path the replayer genuinely
+        is the engine that runs."""
         import repro.runtime.schedule as schedule_mod
 
         calls = []

@@ -17,6 +17,7 @@ the same PE count but markedly lower throughput on large chips — the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -63,7 +64,6 @@ class TablaModel:
             rows = max(1, pes // columns)
             point = DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
             return planner.evaluate(dfg, point, minibatch, density)
-        best: Optional[AcceleratorPlan] = None
         rows = 1
         options = []
         while rows < self.chip.row_max:
@@ -74,13 +74,16 @@ class TablaModel:
             DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
             for rows in options
         ]
-        for plan in planner.evaluate_points(dfg, points, minibatch, density):
-            if best is None or plan.seconds_for(minibatch) < best.seconds_for(
-                minibatch
-            ):
-                best = plan
-        assert best is not None
-        return best
+        # Each candidate is timed once; the first of equally fast wins.
+        timed = [
+            (plan.seconds_for(minibatch), plan)
+            for plan in planner.evaluate_points(
+                dfg, points, minibatch, density
+            )
+        ]
+        return functools.reduce(
+            lambda best, cand: cand if cand[0] < best[0] else best, timed
+        )[1]
 
     def samples_per_second(
         self,

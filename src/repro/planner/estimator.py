@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..dfg import ir
 from ..dfg.ops import op_info
@@ -62,9 +62,14 @@ class CostParams:
     stream_efficiency: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThreadEstimate:
-    """Per-sample cycle estimate for one worker thread."""
+    """Per-sample cycle estimate for one worker thread.
+
+    Frozen because one estimate is shared by every plan whose thread has
+    the same (PEs, rows) on the same profile; ``per_node`` is read-only
+    by convention.
+    """
 
     work_cycles: float
     comm_cycles: float
@@ -99,9 +104,11 @@ class CostProfile:
 
     Built in one topological walk of the DFG under fixed cost parameters
     and density annotations; :meth:`estimate` then costs any (PEs, rows)
-    point with only the tiling, merge, broadcast and shuffle arithmetic.
-    The DSE builds one profile per plan and evaluates every design point
-    from it.
+    point with only the tiling, merge, broadcast and shuffle arithmetic,
+    once per point: an estimate depends on nothing else, so it is
+    memoised on the profile. The Planner keeps one profile per (graph,
+    cost params) on the graph, so plans on chips that differ only in DSP
+    count, ``max_rows`` or bandwidth share their estimates.
     """
 
     def __init__(
@@ -145,9 +152,20 @@ class CostProfile:
             )
         self.nodes = tuple(nodes)
         self.critical_path = dfg.critical_path_cycles() + params.pipeline_depth
+        self._estimates: Dict[Tuple[int, int], ThreadEstimate] = {}
 
     def estimate(self, n_pe: int, rows: int) -> ThreadEstimate:
         """Cycles for one thread of ``n_pe`` PEs in ``rows`` rows.
+
+        Memoised per point; callers share the returned estimate.
+        """
+        key = (n_pe, rows)
+        if key not in self._estimates:
+            self._estimates[key] = self._estimate(n_pe, rows)
+        return self._estimates[key]
+
+    def _estimate(self, n_pe: int, rows: int) -> ThreadEstimate:
+        """:meth:`estimate` without the memo.
 
         Work, communication and each node's total accumulate in
         topological order, each node's communication as reduction, then

@@ -11,9 +11,12 @@ as the paper reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..dfg import ir
 from ..hw.spec import ChipSpec
@@ -182,13 +185,59 @@ class AcceleratorPlan:
         return ResourceUsage(luts, ffs, bram, dsps)
 
 
+class _GraphSizes(NamedTuple):
+    """The chip-independent sizes the DSE reads of one graph, in words."""
+
+    #: One thread's buffers: model replica, live interims and a
+    #: double-buffered sample (see :meth:`Planner.storage_per_thread`).
+    storage: int
+    model: int
+    gradient: int
+
+
+def _sizes(dfg: ir.Dfg) -> _GraphSizes:
+    """The graph's sizes, computed on first use and kept on the graph."""
+    sizes = dfg.__dict__.get("_sizes")
+    if sizes is None:
+        model = dfg.model_words()
+        sizes = dfg.__dict__["_sizes"] = _GraphSizes(
+            model + dfg.live_interim_words() + 2 * dfg.data_words(),
+            model,
+            dfg.gradient_words(),
+        )
+    return sizes
+
+
+def _stream_words(
+    dfg: ir.Dfg, density: Optional[Mapping[str, float]]
+) -> float:
+    """:func:`effective_data_words`, kept on the graph per density."""
+    memo = dfg.__dict__.setdefault("_stream_words", {})
+    key = tuple(sorted((density or {}).items()))
+    if key not in memo:
+        memo[key] = effective_data_words(dfg, density)
+    return memo[key]
+
+
+def _profile(dfg: ir.Dfg, params: CostParams) -> CostProfile:
+    """The graph's cost profile under ``params``, built on first use and
+    kept on the graph: it reads no chip and no density."""
+    memo = dfg.__dict__.setdefault("_profiles", {})
+    if params not in memo:
+        memo[params] = CostProfile(dfg, params)
+    return memo[params]
+
+
 class Planner:
     """Design-space exploration for one DFG on one chip.
 
-    Every design point of a plan or sweep is costed serially from one
-    :class:`~repro.planner.estimator.CostProfile` of the DFG, so a point
-    costs only its own tiling arithmetic; selection folds over the points
-    in enumeration order.
+    Everything the DSE knows about a graph apart from the chip is a
+    product of the graph and kept on it: the sizes, the stream words per
+    density, and one :class:`~repro.planner.estimator.CostProfile` per
+    cost params, which memoises its per-(PEs, rows) estimates. Planners
+    on the same graph share all of it, so a design point costs only its
+    own roofline arithmetic; selection times each point once and folds
+    over the points in enumeration order.
     """
 
     def __init__(self, chip: ChipSpec, params: CostParams = CostParams()):
@@ -207,12 +256,7 @@ class Planner:
         in place per the local-SGD flow of Eq. 3a), live intermediate
         values, and a double-buffered training sample (prefetch).
         """
-        words = (
-            dfg.model_words()
-            + dfg.live_interim_words()
-            + 2 * dfg.data_words()
-        )
-        return words * self._chip.word_bytes
+        return _sizes(dfg).storage * self._chip.word_bytes
 
     def max_threads(self, dfg: ir.Dfg, minibatch: int) -> int:
         """``t_max = min(#BRAMs*BRAMsize / DFG.storage(), row_max, b)``."""
@@ -300,11 +344,10 @@ class Planner:
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
     ) -> List[AcceleratorPlan]:
-        profile = CostProfile(dfg, self._params)
+        profile = _profile(dfg, self._params)
         if stream_words is None:
-            stream_words = effective_data_words(dfg, density)
-        model_words = dfg.model_words()
-        gradient_words = dfg.gradient_words()
+            stream_words = _stream_words(dfg, density)
+        sizes = _sizes(dfg)
         return [
             AcceleratorPlan(
                 chip=self._chip,
@@ -313,8 +356,8 @@ class Planner:
                     point.pes_per_thread, point.rows_per_thread
                 ),
                 data_words_per_sample=stream_words,
-                model_words=model_words,
-                gradient_words=gradient_words,
+                model_words=sizes.model,
+                gradient_words=sizes.gradient,
                 minibatch=minibatch,
                 storage_per_thread_bytes=storage_bytes,
                 params=self._params,
@@ -356,12 +399,15 @@ class Planner:
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
     ) -> AcceleratorPlan:
-        best: Optional[AcceleratorPlan] = None
-        for plan in self._evaluate_all(dfg, minibatch, density, stream_words):
-            if best is None or _better(plan, best, minibatch):
-                best = plan
-        assert best is not None
-        return best
+        timed = [
+            (plan.seconds_for(minibatch), plan)
+            for plan in self._evaluate_all(
+                dfg, minibatch, density, stream_words
+            )
+        ]
+        return functools.reduce(
+            lambda best, cand: cand if _better(cand, best) else best, timed
+        )[1]
 
     def sweep(
         self,
@@ -372,7 +418,9 @@ class Planner:
     ) -> Dict[str, AcceleratorPlan]:
         """Evaluate every design point (Figure 16's DSE heat map).
 
-        Not memoised: no workload sweeps the same point twice.
+        The sweep itself is not memoised (no workload sweeps the same
+        chip twice), but its points reuse the graph's profile and
+        estimates, so only each plan's roofline arithmetic is new.
         """
         plans = self._evaluate_all(dfg, minibatch, density, stream_words)
         return {plan.design.label(): plan for plan in plans}
@@ -393,13 +441,15 @@ class Planner:
         )
 
 
-def _better(a: AcceleratorPlan, b: AcceleratorPlan, minibatch: int) -> bool:
-    """Faster wins; within 1% the smaller design wins (FPGA only keeps the
-    needed fabric powered, P-ASIC saves area)."""
-    ta = a.seconds_for(minibatch)
-    tb = b.seconds_for(minibatch)
+def _better(
+    a: Tuple[float, AcceleratorPlan], b: Tuple[float, AcceleratorPlan]
+) -> bool:
+    """Of two ``(seconds, plan)`` candidates, faster wins; within 1% the
+    smaller design wins (FPGA only keeps the needed fabric powered,
+    P-ASIC saves area)."""
+    (ta, plan_a), (tb, plan_b) = a, b
     if ta < 0.99 * tb:
         return True
     if tb < 0.99 * ta:
         return False
-    return a.design.total_pes < b.design.total_pes
+    return plan_a.design.total_pes < plan_b.design.total_pes

@@ -5,7 +5,11 @@ import pytest
 from repro.dfg import translate
 from repro.dsl import parse
 from repro.hw import PASIC_F, PASIC_G, XILINX_VU9P
-from repro.planner import DesignPoint, Planner
+from repro.baselines import TABLA_PARAMS
+from repro.bench.figures import figure15
+from repro.ml.benchmarks import benchmark
+from repro.planner import FLAT, CostParams, DesignPoint, Planner
+from repro.planner.estimator import CostProfile
 
 LINREG = """
 model_input x[n];
@@ -43,6 +47,19 @@ def lin(n=8000):
 
 def mlp():
     return translate(parse(MLP), {"n": 784, "h": 784, "c": 10}).dfg
+
+
+def _count_profiles(monkeypatch):
+    """Record the ``(graph, params)`` of every CostProfile built."""
+    built = []
+    init = CostProfile.__init__
+
+    def counting_init(self, dfg, params=CostParams(), density=None):
+        built.append((dfg, params))
+        init(self, dfg, params, density)
+
+    monkeypatch.setattr(CostProfile, "__init__", counting_init)
+    return built
 
 
 class TestChipDerivation:
@@ -123,6 +140,30 @@ class TestPlanSelection:
         other = Planner(scaled).plan(dfg, 10_000)
         assert other is not first
         assert other.chip == scaled
+
+    def test_figure15_builds_one_profile_per_graph(self, monkeypatch):
+        """Figure 15 plans one graph on eleven chips under one set of
+        cost params: one profile serves them all."""
+        built = _count_profiles(monkeypatch)
+        bench = benchmark("tumor")
+        # A fresh translation, so no earlier plan of the graph counts.
+        monkeypatch.setitem(bench.__dict__, "_translations", {})
+        figure15(names=["tumor"])
+        assert built == [(bench.translate().dfg, CostParams())]
+
+    def test_cost_params_never_share_a_profile(self, monkeypatch):
+        built = _count_profiles(monkeypatch)
+        dfg = mlp()
+        all_params = [
+            CostParams(),
+            TABLA_PARAMS,
+            CostParams(interconnect=FLAT),
+            CostParams(mapping="ops_first"),
+        ]
+        for params in all_params + all_params:
+            Planner(XILINX_VU9P, params).plan(dfg, 10_000)
+            Planner(PASIC_G, params).sweep(dfg, 10_000)
+        assert built == [(dfg, params) for params in all_params]
 
     def test_multithreading_helps_at_fixed_rows(self):
         """Figure 16: for a fixed rows-per-thread, more threads win."""

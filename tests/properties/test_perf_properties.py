@@ -2,7 +2,8 @@
 
 Three invariants the whole PR rests on:
 
-* memoising is invisible — a memoised plan equals the uncached one;
+* memoising is invisible — a plan, sweep or TABLA plan on a graph that
+  has been planned before equals the same call on a fresh translation;
 * vectorizing is invisible — the closed-form MIMD batch model equals the
   scalar reference cycle-for-cycle;
 * the interpreter's precompiled execution plans, including the einsum
@@ -24,11 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.dfg import Interpreter, InterpreterError, ir, op_info
+from repro.baselines import TABLA_PARAMS, TablaModel
+from repro.dfg import Interpreter, InterpreterError, ir, op_info, translate
+from repro.dsl import parse
 from repro.hw.accelerator import MimdBatchResult, MimdTimingModel
-from repro.hw.spec import XILINX_VU9P
+from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
 from repro.ml.benchmarks import benchmark
-from repro.planner import Planner
+from repro.planner import FLAT, CostParams, Planner
 
 SMALL_BENCHES = ("stock", "tumor", "face")
 #: mnist and movielens have fusable ``mul -> reduce_sum`` pairs.
@@ -149,6 +152,55 @@ def _align(
     return arr[tuple(index)]
 
 
+def fresh_graph(bench) -> ir.Dfg:
+    """A new paper-scale translation: no plan, profile or size memo."""
+    return translate(parse(bench.source()), bench.dims).dfg
+
+
+#: The one graph every example of the shared-graph property plans, so
+#: its memos build up across examples in hypothesis's order; movielens
+#: has sparse inputs, so density changes its stream words.
+SHARED_BENCH = benchmark("movielens")
+SHARED_GRAPH = fresh_graph(SHARED_BENCH)
+
+#: Chips the DSE is run on: Figure 15's PE and bandwidth variants of the
+#: VU9P (which share the estimates of the points they have in common)
+#: and both P-ASICs.
+CHIPS = st.one_of(
+    st.builds(
+        lambda pes, rows: XILINX_VU9P.scaled(
+            dsp_slices=pes * XILINX_VU9P.dsp_per_pe, max_rows=rows
+        ),
+        st.sampled_from([192, 384, 768, 3072, 6144]),
+        st.integers(1, 96),
+    ),
+    st.builds(
+        lambda x: XILINX_VU9P.scaled(
+            bandwidth_bytes=XILINX_VU9P.bandwidth_bytes * x
+        ),
+        st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+    ),
+    st.sampled_from([PASIC_F, PASIC_G]),
+)
+
+PARAMS = st.sampled_from(
+    [
+        CostParams(),
+        TABLA_PARAMS,
+        CostParams(interconnect=FLAT),
+        CostParams(mapping="ops_first"),
+    ]
+)
+
+
+def _design_space(graph, kind, chip, params, minibatch, density):
+    if kind == "plan":
+        return Planner(chip, params).plan(graph, minibatch, density)
+    if kind == "sweep":
+        return Planner(chip, params).sweep(graph, minibatch, density)
+    return TablaModel(chip).plan(graph, minibatch, density)
+
+
 class TestCacheTransparency:
     @given(
         name=st.sampled_from(SMALL_BENCHES),
@@ -157,14 +209,44 @@ class TestCacheTransparency:
     @settings(max_examples=15, deadline=None)
     def test_cached_plan_equals_uncached(self, name, minibatch):
         bench = benchmark(name)
-        dfg = bench.translate().dfg
-        planner = Planner(XILINX_VU9P)
-        memoised = planner.plan(dfg, minibatch, bench.density)
-        uncached = planner._plan_uncached(dfg, minibatch, bench.density, None)
-        assert memoised == uncached
-        assert memoised.seconds_for(minibatch) == uncached.seconds_for(
+        memoised = Planner(XILINX_VU9P).plan(
+            bench.translate().dfg, minibatch, bench.density
+        )
+        fresh = Planner(XILINX_VU9P).plan(
+            fresh_graph(bench), minibatch, bench.density
+        )
+        assert memoised == fresh
+        assert memoised.seconds_for(minibatch) == fresh.seconds_for(
             minibatch
         )
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["plan", "sweep", "tabla"]),
+                CHIPS,
+                PARAMS,
+                st.sampled_from([1_000, 10_000]),
+                st.sampled_from([None, {"xu": 0.25}, SHARED_BENCH.density]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_shared_graph_equals_fresh_graph(self, calls):
+        """Plans, sweeps and TABLA plans on one graph, in any order, on
+        any mix of chips, cost params and densities, equal the same call
+        on a graph that has never been planned, estimates included."""
+        for kind, chip, params, minibatch, density in calls:
+            shared = _design_space(
+                SHARED_GRAPH, kind, chip, params, minibatch, density
+            )
+            fresh = _design_space(
+                fresh_graph(SHARED_BENCH), kind, chip, params, minibatch,
+                density,
+            )
+            assert shared == fresh
 
 
 class TestVectorizedMimdModel:

@@ -12,8 +12,9 @@ against the EXPERIMENTS.md headline table, and commit both::
 chaos`` flows at CLI defaults at full precision (the CLI itself prints
 rounded values): iterations, simulated seconds and every loss, and for
 chaos every recovery-event field, checkpoints and time to recovery.
-Faulted runs bypass the iteration memo and schedule replay, so this is
-the pin on the event-driven simulator under faults. Regenerate with::
+Faulted runs replay like healthy ones (a fault changes the cluster spec,
+the compute times or the topology, all part of the memo and trace keys),
+so this is the pin on schedule replay under faults. Regenerate with::
 
     PYTHONPATH=src:. python -c "import sys; from tests.test_golden import train_chaos_payload; sys.stdout.write(train_chaos_payload())" > tests/golden/train_chaos.json
 """

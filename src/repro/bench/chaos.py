@@ -1,64 +1,20 @@
-"""Chaos campaign: fault-tolerance cost, quantified like the paper.
+"""Fault-tolerance knobs scaled to the modelled iteration time.
 
-The paper's evaluation assumes sixteen healthy nodes; this harness
-sweeps the canonical fault scenarios over the fault-tolerant runtime
-(:mod:`repro.runtime.recovery`) and reports what each one costs: time
-to recovery (heartbeat detection + retry budget + re-hierarchy +
-recomputation), throughput retained against the healthy run, and the
-final-loss delta from degraded aggregation or replayed iterations.
-
-The workload is a synthetic linear regression small enough that the
-whole campaign runs in seconds yet genuinely converges, so the loss
-deltas are measured, not modelled.
+The fault-tolerant runtime (:mod:`repro.runtime.recovery`) takes its
+heartbeat and retry constants in simulated seconds; ``repro chaos``
+derives them from one healthy iteration with :func:`fault_tolerance_config`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..dfg import translate
-from ..dsl import parse
 from ..runtime import (
-    ClusterSimulator,
-    ClusterSpec,
     FaultToleranceConfig,
     HeartbeatConfig,
     QuorumConfig,
     RetryPolicy,
-    assign_roles,
-    chaos_train,
-    scenario_timeline,
 )
-from ..runtime.faults import FaultSpec, faulty_compute
-from ..runtime.recovery import SCENARIOS
-from .results import ExperimentResult
-
-_LINREG = """
-mu = 0.05;
-model_input x[n];
-model_output y;
-model w[n];
-gradient g[n];
-iterator i[0:n];
-s = sum[i](w[i] * x[i]);
-g[i] = (s - y) * x[i];
-"""
-
-
-def chaos_problem(features: int = 6, samples: int = 512, seed: int = 3):
-    """The campaign's workload: a converging linear regression."""
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=features)
-    X = rng.normal(size=(samples, features))
-    translation = translate(parse(_LINREG), {"n": features})
-    feeds = {"x": X, "y": X @ w}
-
-    def loss(model, f):
-        return float(np.mean((f["x"] @ model["w"] - f["y"]) ** 2))
-
-    return translation, feeds, loss
 
 
 def fault_tolerance_config(
@@ -69,10 +25,10 @@ def fault_tolerance_config(
     """Detection/retry knobs scaled to the iteration time.
 
     Absolute heartbeat and retry constants only mean something relative
-    to how long an iteration takes on the modelled hardware, so the
-    campaign (and the CLI) derive them: beats twice per iteration, a
-    node is dead after ~three silent iterations, and a sender gives up
-    on a peer after roughly two iterations of backoff.
+    to how long an iteration takes on the modelled hardware, so they
+    are derived from it: beats twice per iteration, a node is dead
+    after ~three silent iterations, and a sender gives up on a peer
+    after roughly two iterations of backoff.
     """
     return FaultToleranceConfig(
         heartbeat=HeartbeatConfig(
@@ -84,128 +40,3 @@ def fault_tolerance_config(
         quorum=quorum,
         checkpoint_every=checkpoint_every,
     )
-
-
-def chaos_campaign(
-    nodes: int = 8,
-    groups: int = 2,
-    epochs: int = 2,
-    minibatch_per_worker: int = 8,
-    compute_s: float = 5e-3,
-    update_bytes: int = 100_000,
-    seed: int = 5,
-) -> ExperimentResult:
-    """Sweep every chaos scenario and compare against the healthy run."""
-    translation, feeds, loss = chaos_problem()
-    spec = ClusterSpec(nodes=nodes, groups=groups)
-    topology = assign_roles(nodes, groups)
-
-    def compute(node_id: int, samples: int) -> float:
-        return compute_s
-
-    global_batch = minibatch_per_worker * nodes
-    iteration_s = (
-        ClusterSimulator(spec, compute, update_bytes)
-        .iteration(global_batch)
-        .total_s
-    )
-    config = fault_tolerance_config(iteration_s)
-
-    def run(timeline, cfg=config, compute_fn=compute):
-        return chaos_train(
-            translation,
-            feeds,
-            spec,
-            compute_fn,
-            update_bytes,
-            timeline=timeline,
-            config=cfg,
-            epochs=epochs,
-            minibatch_per_worker=minibatch_per_worker,
-            loss_fn=loss,
-            seed=seed,
-        )
-
-    healthy = run(scenario_timeline("healthy", topology, iteration_s))
-
-    result = ExperimentResult(
-        experiment="chaos",
-        description=(
-            f"fault-tolerance campaign, {nodes} nodes x {groups} groups, "
-            f"{epochs} epochs"
-        ),
-        columns=[
-            "scenario",
-            "faults",
-            "detect_ms",
-            "ttr_s",
-            "sim_s",
-            "thr_pct",
-            "final_loss",
-            "loss_delta_pct",
-        ],
-    )
-
-    def add_row(name, res):
-        fault_events = [e for e in res.events if e.kind != "rejoin"]
-        detect_ms = max(
-            (e.detection_s for e in fault_events), default=0.0
-        ) * 1e3
-        delta_pct = (
-            abs(res.final_loss - healthy.final_loss)
-            / abs(healthy.final_loss)
-            * 100.0
-            if healthy.final_loss
-            else 0.0
-        )
-        result.add_row(
-            scenario=name,
-            faults=sum(len(e.nodes) for e in fault_events),
-            detect_ms=round(detect_ms, 2),
-            ttr_s=round(res.time_to_recovery_s, 4),
-            sim_s=round(res.simulated_seconds, 4),
-            thr_pct=round(
-                100.0 * res.throughput_retained(healthy.simulated_seconds), 1
-            ),
-            final_loss=round(res.final_loss, 6),
-            loss_delta_pct=round(delta_pct, 3),
-        )
-        return delta_pct
-
-    add_row("healthy", healthy)
-    for scenario in SCENARIOS:
-        if scenario == "healthy":
-            continue
-        res = run(scenario_timeline(scenario, topology, iteration_s))
-        delta = add_row(scenario, res)
-        if scenario == "master-crash":
-            result.summary["master_crash_ttr_s"] = res.time_to_recovery_s
-            result.summary["master_crash_loss_delta_pct"] = delta
-
-    # Graceful degradation: a 20x straggler under quorum aggregation
-    # versus the same straggler at the full barrier.
-    straggler = faulty_compute(
-        compute, FaultSpec.single_straggler(nodes - 1, 20.0)
-    )
-    quorum_cfg = fault_tolerance_config(
-        iteration_s,
-        quorum=QuorumConfig(fraction=0.5, deadline_s=2 * iteration_s),
-    )
-    degraded = run(
-        scenario_timeline("healthy", topology, iteration_s),
-        cfg=quorum_cfg,
-        compute_fn=straggler,
-    )
-    blocked = run(
-        scenario_timeline("healthy", topology, iteration_s),
-        compute_fn=straggler,
-    )
-    add_row("straggler-quorum", degraded)
-    add_row("straggler-barrier", blocked)
-    result.summary["quorum_speedup"] = (
-        blocked.simulated_seconds / degraded.simulated_seconds
-        if degraded.simulated_seconds
-        else float("nan")
-    )
-    result.summary["quorum_dropped_partials"] = degraded.dropped_partials
-    return result

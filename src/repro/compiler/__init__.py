@@ -16,7 +16,6 @@ from .memsched import (
     build_memory_schedule,
     build_thread_index_table,
 )
-from .gantt import render_gantt, utilization_by_pe
 from .program import CompiledProgram, compile_thread
 from .scheduling import (
     Schedule,
@@ -45,8 +44,6 @@ __all__ = [
     "communication_edges",
     "compile_thread",
     "map_graph",
-    "render_gantt",
-    "utilization_by_pe",
     "schedule_graph",
     "tree_bus_latency",
     "verify_schedule",

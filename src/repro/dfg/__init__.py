@@ -6,7 +6,6 @@ unrolls small graphs to the scalar form consumed by Algorithm 1 and the
 cycle simulator.
 """
 
-from .dot import program_to_dot, to_dot
 from .differentiate import (
     DifferentiationError,
     derive_gradients,
@@ -33,8 +32,6 @@ __all__ = [
     "DifferentiationError",
     "derive_gradients",
     "differentiate",
-    "program_to_dot",
-    "to_dot",
     "ExpansionTooLarge",
     "INTERIM",
     "Interpreter",

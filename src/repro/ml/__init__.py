@@ -1,17 +1,12 @@
 """Workloads: the five algorithms, ten benchmarks, and data generators."""
 
-from . import datasets, inference, models
+from . import datasets, models
 from .benchmarks import BENCHMARKS, Benchmark, benchmark, benchmark_names
 from .datasets import Dataset
-from .inference import forward_translation, predict, quality
 from .programs import ALGORITHM_SOURCES, source_for
 
 __all__ = [
     "ALGORITHM_SOURCES",
-    "forward_translation",
-    "inference",
-    "predict",
-    "quality",
     "BENCHMARKS",
     "Benchmark",
     "Dataset",

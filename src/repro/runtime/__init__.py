@@ -1,12 +1,7 @@
 """CoSMIC system layer: roles, networking, thread pools, and training."""
 
-from .async_sgd import (
-    StaleTrainingResult,
-    async_batch_seconds,
-    stale_train,
-    sync_batch_seconds,
-)
-from .checkpoint import Checkpoint, checkpoint_trainer, restore_trainer
+from .async_sgd import async_batch_seconds, sync_batch_seconds
+from .checkpoint import Checkpoint
 from .cluster import (
     ClusterSimulator,
     ClusterSpec,
@@ -53,8 +48,6 @@ from .trainer import DistributedTrainer, TrainingResult
 __all__ = [
     "ChaosResult",
     "Checkpoint",
-    "checkpoint_trainer",
-    "restore_trainer",
     "chaos_train",
     "CircularBuffer",
     "FaultTimeline",
@@ -70,9 +63,7 @@ __all__ = [
     "rebuild_topology",
     "rehierarchy_seconds",
     "scenario_timeline",
-    "StaleTrainingResult",
     "async_batch_seconds",
-    "stale_train",
     "sync_batch_seconds",
     "ClusterSimulator",
     "ClusterSpec",

@@ -1,118 +1,22 @@
-"""Asynchronous (stale-gradient) training: the barrier-free variant.
+"""Asynchronous (barrier-free) batch timing.
 
 The paper's runtime is synchronous: every iteration waits for all nodes
 (Eq. 3's aggregation is a barrier), so one straggler stalls the fleet —
 quantified by the straggler ablation. The literature CoSMIC builds on
 ("Slow learners are fast" [22]) removes the barrier: workers compute
 gradients against a *stale* model and the Sigma applies them as they
-arrive. This module adds both halves:
-
-* **functional**: :func:`stale_train` runs distributed SGD where worker
-  ``j``'s gradient at step ``t`` is computed on the model from step
-  ``t - s_j`` (bounded staleness); convergence degrades gracefully with
-  the staleness bound, which tests verify;
-* **timing**: :func:`async_batch_seconds` prices a global batch without
-  the barrier — nodes pipeline independently, so a straggler only
-  reduces its own contribution instead of stalling everyone.
+arrive. :func:`async_batch_seconds` prices a global batch without the
+barrier — nodes pipeline independently, so a straggler only reduces its
+own contribution instead of stalling everyone — and
+:func:`sync_batch_seconds` is its barrier counterpart; the sync-vs-async
+ablation compares the two.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
-import numpy as np
-
-from ..dfg.interpreter import Interpreter
-from ..dfg.translate import Translation
 from .faults import FaultSpec
-
-Feeds = Dict[str, np.ndarray]
-
-
-@dataclass
-class StaleTrainingResult:
-    model: Dict[str, np.ndarray]
-    loss_history: List[float]
-    iterations: int
-    max_staleness: int
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_history[-1] if self.loss_history else float("nan")
-
-
-def stale_train(
-    translation: Translation,
-    feeds: Feeds,
-    workers: int,
-    staleness: int,
-    epochs: int = 1,
-    minibatch_per_worker: int = 32,
-    loss_fn: Optional[Callable] = None,
-    learning_rate: Optional[float] = None,
-    model: Optional[Dict[str, np.ndarray]] = None,
-    seed: int = 0,
-) -> StaleTrainingResult:
-    """Distributed SGD with bounded-staleness gradients.
-
-    Worker ``j`` reads the model ``j % (staleness + 1)`` steps old —
-    a deterministic mixture of delays up to the bound, as a heterogeneous
-    fleet produces. ``staleness=0`` reduces exactly to the synchronous
-    mini-batch step.
-    """
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    if staleness < 0:
-        raise ValueError("staleness must be non-negative")
-    interp = Interpreter(translation.dfg)
-    spec = translation.aggregator
-    mu = (
-        translation.learning_rate if learning_rate is None else learning_rate
-    )
-    rng = np.random.default_rng(seed)
-    samples = next(iter(feeds.values())).shape[0]
-    if model is None:
-        from .trainer import DistributedTrainer
-
-        model = DistributedTrainer(translation).initial_model()
-    model = {k: np.array(v) for k, v in model.items()}
-    history: deque = deque(maxlen=staleness + 1)
-    history.append({k: v.copy() for k, v in model.items()})
-
-    result = StaleTrainingResult(model, [], 0, staleness)
-    global_batch = workers * minibatch_per_worker
-    for _ in range(epochs):
-        order = rng.permutation(samples)
-        for start in range(0, samples - global_batch + 1, global_batch):
-            batch = order[start : start + global_batch]
-            shards = np.array_split(batch, workers)
-            partials = []
-            for j, shard in enumerate(shards):
-                if len(shard) == 0:
-                    continue
-                delay = min(j % (staleness + 1), len(history) - 1)
-                stale_model = history[-(delay + 1)]
-                shard_feeds = {k: v[shard] for k, v in feeds.items()}
-                grads = interp.gradients(
-                    {**shard_feeds, **stale_model}, batch=True
-                )
-                partials.append({k: v.mean(axis=0) for k, v in grads.items()})
-            for target, source in spec.pairs:
-                stack = np.stack([p[source] for p in partials])
-                agg = (
-                    stack.mean(axis=0)
-                    if spec.kind == "mean"
-                    else stack.sum(axis=0)
-                )
-                model[target] = model[target] - mu * agg
-            history.append({k: v.copy() for k, v in model.items()})
-            result.iterations += 1
-            if loss_fn is not None:
-                result.loss_history.append(loss_fn(model, feeds))
-    result.model = model
-    return result
 
 
 def async_batch_seconds(

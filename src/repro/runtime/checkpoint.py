@@ -1,28 +1,19 @@
-"""Training checkpoints: durable snapshots of a distributed run.
+"""In-memory training snapshots for master-failure rollback.
 
-A 100-epoch pass over the netflix workload is hours of simulated (and
-real) time; production training checkpoints. A checkpoint captures the
-model tensors, the iteration/epoch counters, the loss history, and the
-trainer's RNG state, so a restored run continues *bit-identically* —
-which the tests verify by comparing a checkpoint-resumed run against an
-uninterrupted one.
-
-Format: a single ``.npz`` (NumPy archive) with a JSON metadata entry —
-portable, versioned, and inspectable without this library.
+The fault-tolerant runtime (:func:`repro.runtime.recovery.chaos_train`)
+snapshots the master's state every ``checkpoint_every`` iterations; when
+the master dies, its promoted replacement restores the latest snapshot
+and recomputes the lost iterations. The RNG state is the one at the
+start of the snapshot's epoch, so the restore replays that epoch's
+shuffle and continues bit-identically.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
-
-FORMAT_VERSION = 1
-_META_KEY = "__cosmic_meta__"
-_MODEL_PREFIX = "model/"
 
 
 @dataclass
@@ -30,107 +21,6 @@ class Checkpoint:
     """A restorable training snapshot."""
 
     model: Dict[str, np.ndarray]
-    iterations: int = 0
-    epoch: int = 0
-    loss_history: List[float] = field(default_factory=list)
-    rng_state: Optional[dict] = None
-    benchmark: str = ""
-
-    # -- persistence -------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "iterations": self.iterations,
-            "epoch": self.epoch,
-            "loss_history": list(map(float, self.loss_history)),
-            "benchmark": self.benchmark,
-            "rng_state": _encode_rng(self.rng_state),
-            "model_keys": sorted(self.model),
-        }
-        arrays = {
-            _MODEL_PREFIX + name: np.asarray(tensor)
-            for name, tensor in self.model.items()
-        }
-        arrays[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Checkpoint":
-        with np.load(Path(path)) as archive:
-            meta = json.loads(bytes(archive[_META_KEY]).decode())
-            if meta["format_version"] != FORMAT_VERSION:
-                raise ValueError(
-                    f"checkpoint version {meta['format_version']} not "
-                    f"readable by this library (wants {FORMAT_VERSION})"
-                )
-            model = {
-                key[len(_MODEL_PREFIX):]: archive[key]
-                for key in archive.files
-                if key.startswith(_MODEL_PREFIX)
-            }
-        if sorted(model) != meta["model_keys"]:
-            raise ValueError("checkpoint model tensors do not match metadata")
-        return cls(
-            model=model,
-            iterations=meta["iterations"],
-            epoch=meta["epoch"],
-            loss_history=meta["loss_history"],
-            rng_state=_decode_rng(meta["rng_state"]),
-            benchmark=meta["benchmark"],
-        )
-
-    # -- rng plumbing ---------------------------------------------------------
-    @classmethod
-    def capture_rng(cls, rng: np.random.Generator) -> dict:
-        return rng.bit_generator.state
-
-    def make_rng(self) -> np.random.Generator:
-        """A generator continuing exactly where the checkpoint left off."""
-        rng = np.random.default_rng(0)
-        if self.rng_state is not None:
-            rng.bit_generator.state = self.rng_state
-        return rng
-
-
-def _encode_rng(state: Optional[dict]):
-    if state is None:
-        return None
-    return json.loads(json.dumps(state, default=int))
-
-
-def _decode_rng(state):
-    if state is None:
-        return None
-    # PCG64 state entries must be Python ints, which JSON preserves.
-    return state
-
-
-def checkpoint_trainer(
-    trainer, result, epoch: int, benchmark: str = ""
-) -> Checkpoint:
-    """Snapshot a :class:`DistributedTrainer` mid-run.
-
-    ``result`` is the (partial) TrainingResult so far; the trainer's RNG
-    is captured so shuffling continues identically after restore.
-    """
-    return Checkpoint(
-        model={k: np.array(v) for k, v in result.model.items()},
-        iterations=result.iterations,
-        epoch=epoch,
-        loss_history=list(result.loss_history),
-        rng_state=Checkpoint.capture_rng(trainer._rng),
-        benchmark=benchmark,
-    )
-
-
-def restore_trainer(trainer, checkpoint: Checkpoint):
-    """Point a trainer's RNG at the checkpointed stream; returns the
-    model dict to pass into ``train(..., model=...)``."""
-    if checkpoint.rng_state is not None:
-        trainer._rng.bit_generator.state = checkpoint.rng_state
-    return {k: np.array(v) for k, v in checkpoint.model.items()}
+    iterations: int
+    epoch: int
+    rng_state: dict

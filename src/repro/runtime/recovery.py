@@ -35,8 +35,7 @@ property tests exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +63,6 @@ class FaultToleranceConfig:
     quorum: Optional[QuorumConfig] = None
     #: auto-checkpoint cadence in iterations
     checkpoint_every: int = 8
-    #: where auto-checkpoints are written (None keeps them in memory only)
-    checkpoint_dir: Optional[Union[str, Path]] = None
 
     def __post_init__(self):
         if self.checkpoint_every < 1:
@@ -192,18 +189,11 @@ def chaos_train(
             )
         )
 
-    checkpoint_dir = (
-        Path(config.checkpoint_dir) if config.checkpoint_dir else None
-    )
-    if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
     def snapshot(iterations: int, epoch: int, rng_state) -> Checkpoint:
         return Checkpoint(
             model={k: np.array(v) for k, v in model.items()},
             iterations=iterations,
             epoch=epoch,
-            loss_history=list(result.loss_history),
             rng_state=rng_state,
         )
 
@@ -279,8 +269,7 @@ def chaos_train(
                     {k: np.array(v) for k, v in last_ckpt.model.items()}
                 )
                 del result.loss_history[last_ckpt.iterations:]
-                if last_ckpt.rng_state is not None:
-                    rng.bit_generator.state = last_ckpt.rng_state
+                rng.bit_generator.state = last_ckpt.rng_state
                 it = last_ckpt.iterations
                 # Replay the checkpoint epoch's shuffle from the restored
                 # state; if the checkpoint sat exactly on an epoch
@@ -335,8 +324,6 @@ def chaos_train(
         if it % config.checkpoint_every == 0:
             last_ckpt = snapshot(it, epoch, epoch_rng_state)
             result.checkpoints_taken += 1
-            if checkpoint_dir is not None:
-                last_ckpt.save(checkpoint_dir / f"ckpt_{it:06d}.npz")
 
         # -- rejoins: recovered nodes re-enter at iteration boundaries ------
         returned = {
@@ -375,7 +362,7 @@ def chaos_train(
 
 
 # ---------------------------------------------------------------------------
-# Canned chaos scenarios (shared by the CLI and the chaos bench).
+# Canned chaos scenarios (shared by the CLI and the tests).
 # ---------------------------------------------------------------------------
 
 SCENARIOS = (

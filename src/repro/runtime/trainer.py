@@ -20,15 +20,13 @@ Two worker modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from ..dfg import ir
 from ..dfg.interpreter import Interpreter
 from ..dfg.translate import Translation
-from .checkpoint import Checkpoint
 from .cluster import ClusterSimulator, IterationTiming
 
 Feeds = Dict[str, np.ndarray]
@@ -93,10 +91,6 @@ class DistributedTrainer:
         mode: str = "minibatch",
         model: Optional[Dict[str, np.ndarray]] = None,
         learning_rate: Optional[float] = None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        on_checkpoint: Optional[Callable[[Checkpoint], None]] = None,
-        resume_from: Optional[Checkpoint] = None,
         max_iterations: Optional[int] = None,
     ) -> TrainingResult:
         """Run distributed training over ``feeds``.
@@ -111,25 +105,11 @@ class DistributedTrainer:
             mode: ``"minibatch"`` or ``"local_sgd"``.
             model: starting parameters (default: zeros).
             learning_rate: overrides the DSL ``mu``.
-            checkpoint_every: auto-checkpoint every N iterations. The
-                snapshot carries the RNG state *as of the epoch start*,
-                so a restore replays the epoch's shuffle and continues
-                bit-identically mid-epoch.
-            checkpoint_dir: directory for auto-checkpoints
-                (``ckpt_<iterations>.npz``); created if missing.
-            on_checkpoint: callback fired with each auto-checkpoint.
-            resume_from: continue a run from an auto-checkpoint: the
-                model, loss history, iteration counter, and shuffle all
-                pick up exactly where the snapshot was taken. ``epochs``
-                still counts total epochs from the beginning.
-            max_iterations: stop after this many *total* iterations —
-                the fault tests use it to cut a run mid-epoch the way a
-                crash would.
+            max_iterations: stop after this many iterations, mid-epoch
+                if need be.
         """
         if mode not in ("minibatch", "local_sgd"):
             raise ValueError(f"unknown mode {mode!r}")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         samples = _sample_count(feeds)
         if minibatch_per_worker is None:
             minibatch_per_worker = max(
@@ -141,73 +121,19 @@ class DistributedTrainer:
             else learning_rate
         )
         global_batch = minibatch_per_worker * self.workers
-        iters_per_epoch = len(
-            range(0, samples - global_batch + 1, global_batch)
-        )
-
-        start_epoch = 0
-        skip_in_epoch = 0
-        if resume_from is not None:
-            model = {k: np.array(v) for k, v in resume_from.model.items()}
-            if resume_from.rng_state is not None:
-                self._rng.bit_generator.state = resume_from.rng_state
-            start_epoch = resume_from.epoch
-            skip_in_epoch = (
-                resume_from.iterations - start_epoch * iters_per_epoch
-            )
-            if not 0 <= skip_in_epoch <= iters_per_epoch:
-                raise ValueError(
-                    f"checkpoint at iteration {resume_from.iterations} does "
-                    f"not lie in epoch {resume_from.epoch} for this dataset/"
-                    f"batch shape ({iters_per_epoch} iterations per epoch)"
-                )
-            result = TrainingResult(
-                model=model,
-                loss_history=list(resume_from.loss_history),
-                iterations=resume_from.iterations,
-            )
-        else:
-            model = dict(model) if model else self.initial_model()
-            result = TrainingResult(model=model)
-
-        if checkpoint_dir is not None:
-            checkpoint_dir = Path(checkpoint_dir)
-            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        model = dict(model) if model else self.initial_model()
+        result = TrainingResult(model=model)
 
         stopped = False
-        for epoch in range(start_epoch, epochs):
-            # Captured before the shuffle so a mid-epoch checkpoint can
-            # replay this epoch's permutation identically on restore.
-            epoch_rng_state = self._rng.bit_generator.state
+        for _ in range(epochs):
             order = self._rng.permutation(samples)
-            starts = range(0, samples - global_batch + 1, global_batch)
-            for in_epoch, start in enumerate(starts):
-                if epoch == start_epoch and in_epoch < skip_in_epoch:
-                    continue
+            for start in range(0, samples - global_batch + 1, global_batch):
                 batch_idx = order[start : start + global_batch]
                 shards = np.array_split(batch_idx, self.workers)
                 self.step(model, feeds, shards, mu, mode=mode)
                 result.iterations += 1
                 if loss_fn is not None:
                     result.loss_history.append(loss_fn(model, feeds))
-                if (
-                    checkpoint_every is not None
-                    and result.iterations % checkpoint_every == 0
-                ):
-                    ckpt = Checkpoint(
-                        model={k: np.array(v) for k, v in model.items()},
-                        iterations=result.iterations,
-                        epoch=epoch,
-                        loss_history=list(result.loss_history),
-                        rng_state=epoch_rng_state,
-                    )
-                    if checkpoint_dir is not None:
-                        ckpt.save(
-                            checkpoint_dir
-                            / f"ckpt_{result.iterations:06d}.npz"
-                        )
-                    if on_checkpoint is not None:
-                        on_checkpoint(ckpt)
                 if (
                     max_iterations is not None
                     and result.iterations >= max_iterations

@@ -24,7 +24,7 @@ class TestThreePathGradientAgreement:
 
     @pytest.mark.parametrize("name", ["stock", "tumor", "face"])
     def test_all_paths_agree(self, name):
-        from repro.ml.models import GRADIENTS
+        from tests.ml.model_reference import GRADIENTS
 
         b = benchmark(name)
         t = b.translate(scaled=True)

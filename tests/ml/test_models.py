@@ -5,7 +5,8 @@ import pytest
 
 from repro.dfg import Interpreter
 from repro.ml import benchmark
-from repro.ml.models import GRADIENTS, UPDATE_PAIRS, flops_per_sample, sgd_train
+from repro.ml.models import flops_per_sample
+from tests.ml.model_reference import GRADIENTS, UPDATE_PAIRS, sgd_train
 
 
 @pytest.mark.parametrize(

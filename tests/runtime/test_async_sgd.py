@@ -1,93 +1,9 @@
-"""Stale-gradient training tests: functional convergence and timing."""
+"""Barrier-free batch timing against its synchronous counterpart."""
 
-import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime.async_sgd import (
-    async_batch_seconds,
-    stale_train,
-    sync_batch_seconds,
-)
+from repro.runtime.async_sgd import async_batch_seconds, sync_batch_seconds
 from repro.runtime.faults import FaultSpec
-
-LINREG = """
-mu = 0.05;
-model_input x[n];
-model_output y;
-model w[n];
-gradient g[n];
-iterator i[0:n];
-s = sum[i](w[i] * x[i]);
-g[i] = (s - y) * x[i];
-"""
-
-
-@pytest.fixture(scope="module")
-def problem():
-    rng = np.random.default_rng(5)
-    n, N = 8, 1024
-    w = rng.normal(size=n)
-    X = rng.normal(size=(N, n))
-    Y = X @ w
-    t = translate(parse(LINREG), {"n": n})
-    def mse(m, f):
-        return float(np.mean((f["x"] @ m["w"] - f["y"]) ** 2))
-    return t, {"x": X, "y": Y}, mse
-
-
-class TestFunctional:
-    def test_zero_staleness_converges(self, problem):
-        t, feeds, mse = problem
-        result = stale_train(
-            t, feeds, workers=4, staleness=0, epochs=8, loss_fn=mse
-        )
-        assert result.final_loss < 0.05 * result.loss_history[0]
-
-    def test_bounded_staleness_still_converges(self, problem):
-        t, feeds, mse = problem
-        result = stale_train(
-            t, feeds, workers=4, staleness=3, epochs=8, loss_fn=mse
-        )
-        assert result.final_loss < 0.2 * result.loss_history[0]
-
-    def test_staleness_costs_convergence(self, problem):
-        """At aggressive learning rates, stale gradients destabilise the
-        trajectory — the classic staleness/learning-rate trade-off."""
-        t, feeds, mse = problem
-        fresh = stale_train(
-            t, feeds, workers=4, staleness=0, epochs=6, loss_fn=mse,
-            seed=1, learning_rate=0.5,
-        )
-        stale = stale_train(
-            t, feeds, workers=4, staleness=3, epochs=6, loss_fn=mse,
-            seed=1, learning_rate=0.5,
-        )
-        assert stale.final_loss > 10 * fresh.final_loss
-
-    def test_zero_staleness_matches_sync_trainer(self, problem):
-        """staleness=0 is exactly the synchronous mini-batch step."""
-        from repro.runtime import DistributedTrainer
-
-        t, feeds, mse = problem
-        stale = stale_train(
-            t, feeds, workers=4, staleness=0, epochs=1,
-            minibatch_per_worker=32, seed=9,
-        )
-        sync = DistributedTrainer(t, nodes=4, threads_per_node=1, seed=9).train(
-            feeds, epochs=1, minibatch_per_worker=32
-        )
-        np.testing.assert_allclose(
-            stale.model["w"], sync.model["w"], rtol=1e-10
-        )
-
-    def test_invalid_args(self, problem):
-        t, feeds, _ = problem
-        with pytest.raises(ValueError):
-            stale_train(t, feeds, workers=0, staleness=0)
-        with pytest.raises(ValueError):
-            stale_train(t, feeds, workers=2, staleness=-1)
 
 
 class TestTiming:

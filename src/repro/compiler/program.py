@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Dict
 
 from ..dfg import ir
 from ..dfg.scalarize import ScalarExpansion, scalarize
@@ -85,3 +86,12 @@ def compile_thread(
     program = CompiledProgram(expansion, mapping, schedule, memory)
     program.verify()
     return program
+
+
+def utilization_by_pe(program: CompiledProgram) -> Dict[int, float]:
+    """Busy fraction of each PE over the makespan."""
+    makespan = max(1, program.schedule.makespan)
+    busy: Dict[int, int] = {pe: 0 for pe in range(program.grid.n_pe)}
+    for op in program.schedule.ops.values():
+        busy[op.pe] += op.end - op.start
+    return {pe: cycles / makespan for pe, cycles in busy.items()}

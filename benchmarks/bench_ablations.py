@@ -6,7 +6,7 @@ aggregation, the specialised system software — plus a straggler
 sensitivity study for the synchronous-aggregation design.
 """
 
-from repro.bench import (
+from repro.bench.ablations import (
     ablate_aggregation_hierarchy,
     ablate_interconnect,
     ablate_mapping,

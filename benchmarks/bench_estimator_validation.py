@@ -10,10 +10,10 @@ design points the way the schedule does, or the DSE would pick wrong.
 
 import math
 
-from repro.compiler import compile_thread
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.planner import estimate_thread_cycles
+from repro.compiler.program import compile_thread
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.planner.estimator import estimate_thread_cycles
 
 PROGRAMS = {
     "linreg": """

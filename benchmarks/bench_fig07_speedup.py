@@ -1,6 +1,6 @@
 """Figure 7: speedup over the 4-node Spark baseline, 4/8/16 nodes."""
 
-from repro.bench import figure7
+from repro.bench.figures import figure7
 
 
 def test_figure7(regen):

@@ -1,6 +1,6 @@
 """Figure 8: CoSMIC vs Spark self-relative scalability."""
 
-from repro.bench import figure8
+from repro.bench.figures import figure8
 
 
 def test_figure8(regen):

@@ -1,6 +1,6 @@
 """Figure 9: system-wide speedup of P-ASICs and GPU over 3-FPGA-CoSMIC."""
 
-from repro.bench import figure9
+from repro.bench.figures import figure9
 
 
 def test_figure9(regen):

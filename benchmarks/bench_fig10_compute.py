@@ -1,6 +1,6 @@
 """Figure 10: computation-only speedup over the FPGA."""
 
-from repro.bench import figure10
+from repro.bench.figures import figure10
 
 
 def test_figure10(regen):
@@ -21,7 +21,7 @@ def test_figure10(regen):
 def test_compute_gain_exceeds_system_gain(regen):
     """The paper's core systems lesson: an 11x compute win shrinks to
     ~2-3x once networking and aggregation are accounted."""
-    from repro.bench import figure9, figure10
+    from repro.bench.figures import figure9, figure10
 
     names = ["mnist", "stock", "movielens", "tumor"]
     compute = regen(figure10, names, rounds=1)

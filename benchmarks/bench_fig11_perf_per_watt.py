@@ -1,6 +1,6 @@
 """Figure 11: Performance-per-Watt vs the 3-GPU system."""
 
-from repro.bench import figure11
+from repro.bench.figures import figure11
 
 
 def test_figure11(regen):

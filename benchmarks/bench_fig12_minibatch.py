@@ -1,6 +1,6 @@
 """Figure 12: CoSMIC vs Spark across the mini-batch sweep (b=500..100k)."""
 
-from repro.bench import figure12
+from repro.bench.figures import figure12
 
 
 def test_figure12(regen):

@@ -1,6 +1,6 @@
 """Figure 13: computation vs communication fraction of CoSMIC runtime."""
 
-from repro.bench import figure13
+from repro.bench.figures import figure13
 
 
 def test_figure13(regen):

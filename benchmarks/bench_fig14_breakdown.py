@@ -1,7 +1,7 @@
 """Figure 14: speedup breakdown between the FPGAs and the specialised
 system software (vs the 3-node Spark system)."""
 
-from repro.bench import figure14
+from repro.bench.figures import figure14
 
 
 def test_figure14(regen):

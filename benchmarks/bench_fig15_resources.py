@@ -1,6 +1,6 @@
 """Figure 15: sensitivity to the number of PEs and to memory bandwidth."""
 
-from repro.bench import figure15
+from repro.bench.figures import figure15
 
 COMPUTE_BOUND = ("mnist", "acoustic", "movielens", "netflix")
 BANDWIDTH_BOUND = ("stock", "texture", "tumor", "cancer1", "face", "cancer2")

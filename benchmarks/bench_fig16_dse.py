@@ -1,6 +1,6 @@
 """Figure 16: the Planner's (threads x rows) design-space exploration."""
 
-from repro.bench import figure16
+from repro.bench.figures import figure16
 
 
 def test_figure16(regen):
@@ -23,9 +23,9 @@ def test_figure16(regen):
 
 def test_design_space_is_27_points():
     """Section 4.4: the pruned UltraScale+ space has 27 design points."""
-    from repro.hw import XILINX_VU9P
-    from repro.ml import benchmark
-    from repro.planner import Planner
+    from repro.hw.spec import XILINX_VU9P
+    from repro.ml.benchmarks import benchmark
+    from repro.planner.plan import Planner
 
     dfg = benchmark("stock").translate().dfg
     space = Planner(XILINX_VU9P).design_space(dfg, 10_000)

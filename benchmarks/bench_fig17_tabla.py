@@ -1,6 +1,6 @@
 """Figure 17: CoSMIC's template architecture vs TABLA's on UltraScale+."""
 
-from repro.bench import figure17
+from repro.bench.figures import figure17
 
 
 def test_figure17(regen):

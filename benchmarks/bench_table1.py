@@ -1,6 +1,6 @@
 """Table 1: benchmarks, model sizes, dataset shapes, and DSL LoC."""
 
-from repro.bench import table1
+from repro.bench.figures import table1
 
 PAPER_MODEL_KB = {
     "mnist": 2432, "acoustic": 1527, "stock": 31, "texture": 64,

@@ -1,6 +1,6 @@
 """Table 3: chosen thread counts and FPGA resource utilization."""
 
-from repro.bench import table3
+from repro.bench.figures import table3
 
 
 def test_table3(regen):

@@ -15,12 +15,13 @@ Run: ``python examples/accelerator_codesign.py``
 
 import numpy as np
 
-from repro.baselines import TABLA_PARAMS
-from repro.compiler import compile_thread
-from repro.core import CosmicStack
-from repro.dfg import Interpreter
-from repro.hw import PASIC_F, PASIC_G, ThreadSimulator, XILINX_VU9P
-from repro.planner import Planner
+from repro.baselines.tabla import TABLA_PARAMS
+from repro.compiler.program import compile_thread
+from repro.core.stack import CosmicStack
+from repro.dfg.interpreter import Interpreter
+from repro.hw.accelerator import ThreadSimulator
+from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
+from repro.planner.plan import Planner
 
 ROBUST_REGRESSION = """
 minibatch = 4096;
@@ -51,7 +52,7 @@ def main():
               f"({'compute' if plan.compute_bound else 'bandwidth'}-bound)")
 
     print("\n=== 2. mapping quality: data-first (Alg. 1) vs ops-first ===")
-    from repro.planner import estimate_thread_cycles
+    from repro.planner.estimator import estimate_thread_cycles
 
     data_first = estimate_thread_cycles(dfg, 256, 16)
     ops_first = estimate_thread_cycles(dfg, 256, 16, TABLA_PARAMS)

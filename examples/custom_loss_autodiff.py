@@ -12,11 +12,13 @@ Run: ``python examples/custom_loss_autodiff.py``
 
 import numpy as np
 
-from repro.compiler import compile_thread
-from repro.dfg import Interpreter, derive_gradients
-from repro.hw import ThreadSimulator, XILINX_VU9P
-from repro.planner import Planner
-from repro.runtime import DistributedTrainer
+from repro.compiler.program import compile_thread
+from repro.dfg.differentiate import derive_gradients
+from repro.dfg.interpreter import Interpreter
+from repro.hw.accelerator import ThreadSimulator
+from repro.hw.spec import XILINX_VU9P
+from repro.planner.plan import Planner
+from repro.runtime.trainer import DistributedTrainer
 
 # A robust loss: small residuals behave quadratically, outliers saturate.
 #   loss = 1 - exp(-(e/2)^2)

@@ -11,10 +11,11 @@ Run: ``python examples/medical_diagnosis.py``
 
 import numpy as np
 
-from repro import CosmicSystem, benchmark, platform_for
-from repro.baselines import SparkModel
-from repro.core import CosmicStack
-from repro.runtime import ClusterSimulator, ClusterSpec
+from repro.baselines.spark import SparkModel
+from repro.core.stack import CosmicStack
+from repro.core.system import CosmicSystem, platform_for
+from repro.ml.benchmarks import benchmark
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 
 NODES = 8
 

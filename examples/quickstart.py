@@ -13,7 +13,7 @@ Run: ``python examples/quickstart.py``
 
 import numpy as np
 
-from repro import CosmicStack
+from repro.core.stack import CosmicStack
 
 # 1. The DSL program: a support vector machine (Equation 4 of the paper).
 SVM_PROGRAM = """

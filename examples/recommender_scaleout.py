@@ -11,9 +11,10 @@ Run: ``python examples/recommender_scaleout.py``
 
 import numpy as np
 
-from repro import CosmicSystem, benchmark, platform_for
-from repro.baselines import SparkModel
-from repro.core import CosmicStack
+from repro.baselines.spark import SparkModel
+from repro.core.stack import CosmicStack
+from repro.core.system import CosmicSystem, platform_for
+from repro.ml.benchmarks import benchmark
 
 NODE_COUNTS = (4, 8, 16)
 

@@ -17,18 +17,4 @@ The stack's layers map to subpackages:
 * :mod:`repro.bench` — the harness regenerating every figure and table.
 """
 
-from .core import CosmicStack, CosmicSystem, platform_for
-from .ml import BENCHMARKS, Benchmark, benchmark, benchmark_names
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BENCHMARKS",
-    "Benchmark",
-    "CosmicStack",
-    "CosmicSystem",
-    "__version__",
-    "benchmark",
-    "benchmark_names",
-    "platform_for",
-]

@@ -1,27 +1,1 @@
 """Comparison systems: Spark+MLlib, GPU nodes, and TABLA."""
-
-from . import calibration
-from .calibration import TESLA_K40C, XEON_E3, CpuSpec, GpuSpec
-from .gpu import GpuModel
-from .spark import SparkIteration, SparkModel
-from .tabla import (
-    TABLA_PARAMS,
-    TablaModel,
-    cosmic_vs_tabla_speedup,
-    tabla_thread_cycles,
-)
-
-__all__ = [
-    "CpuSpec",
-    "GpuModel",
-    "GpuSpec",
-    "SparkIteration",
-    "SparkModel",
-    "TABLA_PARAMS",
-    "TESLA_K40C",
-    "TablaModel",
-    "XEON_E3",
-    "calibration",
-    "cosmic_vs_tabla_speedup",
-    "tabla_thread_cycles",
-]

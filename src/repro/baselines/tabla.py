@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from ..dfg import ir
 from ..hw.spec import ChipSpec, XILINX_VU9P
-from ..planner.estimator import FLAT, CostParams, estimate_thread_cycles
+from ..planner.estimator import FLAT, CostParams
 from ..planner.plan import AcceleratorPlan, DesignPoint, Planner
 
 #: The cost-model knobs that *are* TABLA: flat shared bus, operations-
@@ -111,11 +111,3 @@ def cosmic_vs_tabla_speedup(
     cosmic = Planner(chip).plan(dfg, minibatch, density)
     tabla = TablaModel(chip).plan(dfg, minibatch, density)
     return cosmic.samples_per_second / tabla.samples_per_second
-
-
-def tabla_thread_cycles(
-    dfg: ir.Dfg, n_pe: int, rows: int,
-    density: Optional[Mapping[str, float]] = None,
-):
-    """Per-sample cycles under TABLA's interconnect/mapping model."""
-    return estimate_thread_cycles(dfg, n_pe, rows, TABLA_PARAMS, density)

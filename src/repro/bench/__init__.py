@@ -1,75 +1,6 @@
 """Experiment harness regenerating every table and figure of Section 7,
 plus ablation studies for the stack's design choices."""
 
-from .ablations import (
-    ABLATIONS,
-    ablate_aggregation_hierarchy,
-    ablate_interconnect,
-    ablate_mapping,
-    ablate_multithreading,
-    ablate_straggler,
-    ablate_sync_vs_async,
-    ablate_system_software,
-    project_scaling,
-)
-from .chaos import fault_tolerance_config
-from .figures import (
-    EXPERIMENTS,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    figure17,
-    run_all,
-    table1,
-    table2,
-    table3,
-)
-from .perf import (
-    PerfReport,
-    compare_to_baseline,
-    measure_stages,
-    run_perf,
-)
-from .results import ExperimentResult, geomean
-
-__all__ = [
-    "ABLATIONS",
-    "EXPERIMENTS",
-    "ablate_aggregation_hierarchy",
-    "ablate_interconnect",
-    "ablate_mapping",
-    "ablate_multithreading",
-    "ablate_straggler",
-    "ablate_sync_vs_async",
-    "ablate_system_software",
-    "project_scaling",
-    "fault_tolerance_config",
-    "compare_to_baseline",
-    "measure_stages",
-    "run_perf",
-    "ExperimentResult",
-    "PerfReport",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "figure16",
-    "figure17",
-    "geomean",
-    "run_all",
-    "table1",
-    "table2",
-    "table3",
-]
+# Re-exported only for perfbench/, which imports these names from the
+# package; everything else imports from the defining module.
+from .figures import EXPERIMENTS as EXPERIMENTS

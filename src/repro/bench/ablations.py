@@ -15,9 +15,11 @@ from typing import Iterable, List, Optional
 from ..core.system import CosmicSystem, platform_for
 from ..hw.spec import XILINX_VU9P
 from ..ml.benchmarks import BENCHMARKS, Benchmark, benchmark
-from ..planner import CostParams, FLAT, Planner, TREE
-from ..runtime import NetworkConfig, PoolConfig
+from ..planner.estimator import FLAT, TREE, CostParams
+from ..planner.plan import Planner
 from ..runtime.faults import FaultSpec, apply_faults
+from ..runtime.network import NetworkConfig
+from ..runtime.threads import PoolConfig
 from .results import ExperimentResult, geomean
 
 

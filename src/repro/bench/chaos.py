@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..runtime import (
-    FaultToleranceConfig,
-    HeartbeatConfig,
-    QuorumConfig,
-    RetryPolicy,
-)
+from ..runtime.cluster import QuorumConfig
+from ..runtime.director import HeartbeatConfig
+from ..runtime.network import RetryPolicy
+from ..runtime.recovery import FaultToleranceConfig
 
 
 def fault_tolerance_config(

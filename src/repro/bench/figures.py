@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..baselines import SparkModel, cosmic_vs_tabla_speedup
+from ..baselines.spark import SparkModel
+from ..baselines.tabla import cosmic_vs_tabla_speedup
 from ..core.system import CosmicSystem, platform_for
 from ..hw.spec import XILINX_VU9P
 from ..ml.benchmarks import BENCHMARKS, Benchmark, benchmark
-from ..planner import Planner
+from ..planner.plan import Planner
 from .results import ExperimentResult, geomean
 
 DEFAULT_NODES = (4, 8, 16)

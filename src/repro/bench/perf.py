@@ -96,11 +96,11 @@ def measure_stages(
     from ..core.stack import CosmicStack
     from ..core.system import CosmicSystem, platform_for
     from ..dfg.translate import translate
-    from ..dsl import parse
+    from ..dsl.parser import parse
     from ..hw.accelerator import MimdTimingModel
     from ..hw.spec import XILINX_VU9P
     from ..ml.benchmarks import BENCHMARKS, benchmark
-    from ..planner import Planner
+    from ..planner.plan import Planner
     from ..runtime import schedule
 
     benches = (
@@ -144,11 +144,11 @@ def measure_stages(
 def _plan_cold(dfg, density):
     """The full DSE of one graph on the VU9P, below every memo the
     Planner keeps on the graph: its plans (by calling below
-    :meth:`~repro.planner.Planner.plan`), and its cost profiles, sizes
-    and stream words (cleared first), so every repeat costs and times
-    each design point afresh."""
+    :meth:`~repro.planner.plan.Planner.plan`), and its cost profiles,
+    sizes and stream words (cleared first), so every repeat costs and
+    times each design point afresh."""
     from ..hw.spec import XILINX_VU9P
-    from ..planner import Planner
+    from ..planner.plan import Planner
 
     for memo in ("_profiles", "_sizes", "_stream_words"):
         dfg.__dict__.pop(memo, None)

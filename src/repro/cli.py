@@ -139,14 +139,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_benchmarks() -> int:
-    from .bench import table1
+    from .bench.figures import table1
 
     print(table1().to_table())
     return 0
 
 
 def _cmd_experiment(exp_id: str) -> int:
-    from .bench import EXPERIMENTS
+    from .bench.figures import EXPERIMENTS
 
     if exp_id == "all":
         for fn in EXPERIMENTS.values():
@@ -165,7 +165,7 @@ def _cmd_experiment(exp_id: str) -> int:
 
 
 def _cmd_ablation(abl_id: str) -> int:
-    from .bench import ABLATIONS
+    from .bench.ablations import ABLATIONS
 
     if abl_id == "all":
         for fn in ABLATIONS.values():
@@ -184,9 +184,9 @@ def _cmd_ablation(abl_id: str) -> int:
 
 
 def _cmd_plan(name: str, chip_kind: str, minibatch: int) -> int:
-    from .hw import PASIC_F, PASIC_G, XILINX_VU9P
-    from .ml import benchmark
-    from .planner import Planner
+    from .hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
+    from .ml.benchmarks import benchmark
+    from .planner.plan import Planner
 
     chip = {"fpga": XILINX_VU9P, "pasic-f": PASIC_F, "pasic-g": PASIC_G}[
         chip_kind
@@ -216,8 +216,8 @@ def _cmd_plan(name: str, chip_kind: str, minibatch: int) -> int:
 
 
 def _cmd_rtl(name: str, target: str, rows: int, columns: int) -> int:
-    from .core import CosmicStack
-    from .ml import benchmark
+    from .core.stack import CosmicStack
+    from .ml.benchmarks import benchmark
 
     stack = CosmicStack.from_benchmark(benchmark(name))
     design = stack.rtl(rows=rows, columns=columns, target=target)
@@ -231,9 +231,10 @@ def train_flow(args):
     Returns ``(benchmark, dataset, result)``; ``args`` is the parsed
     ``train`` namespace.
     """
-    from .core import CosmicStack, platform_for
-    from .ml import benchmark
-    from .runtime import ClusterSimulator, ClusterSpec
+    from .core.stack import CosmicStack
+    from .core.system import platform_for
+    from .ml.benchmarks import benchmark
+    from .runtime.cluster import ClusterSimulator, ClusterSpec
 
     b = benchmark(args.benchmark)
     stack = CosmicStack.from_benchmark(b)
@@ -283,16 +284,12 @@ def chaos_flow(args):
     baseline run and the run under ``args.scenario``.
     """
     from .bench.chaos import fault_tolerance_config
-    from .core import platform_for
-    from .ml import benchmark
-    from .runtime import (
-        ClusterSimulator,
-        ClusterSpec,
-        DistributedTrainer,
-        assign_roles,
-        chaos_train,
-        scenario_timeline,
-    )
+    from .core.system import platform_for
+    from .ml.benchmarks import benchmark
+    from .runtime.cluster import ClusterSimulator, ClusterSpec
+    from .runtime.director import assign_roles
+    from .runtime.recovery import chaos_train, scenario_timeline
+    from .runtime.trainer import DistributedTrainer
 
     b = benchmark(args.benchmark)
     platform = platform_for(b, "fpga")

@@ -67,16 +67,13 @@ class Mapping:
     #: DATA value id -> stream position (memory layout order)
     stream_position: Dict[int, int] = field(default_factory=dict)
 
-    def pes_used(self) -> int:
-        return len({pe for pe in self.pe_of_node.values()})
-
 
 def map_graph(expansion: ScalarExpansion, grid: PeGrid) -> Mapping:
     """Run Algorithm 1 on a scalar DFG.
 
     Args:
         expansion: scalar graph plus element bookkeeping from
-            :func:`repro.dfg.scalarize`.
+            :func:`repro.dfg.scalarize.scalarize`.
         grid: the thread's PE geometry from the Planner.
     """
     dfg = expansion.dfg

@@ -1,21 +1,6 @@
 """The CoSMIC facade: full-stack compilation and scale-out systems."""
 
-from .stack import CosmicStack
-from .system import (
-    CosmicSystem,
-    HOST_TDP_WATTS,
-    NodePlatform,
-    accelerator_platform,
-    gpu_platform,
-    platform_for,
-)
-
-__all__ = [
-    "CosmicStack",
-    "CosmicSystem",
-    "HOST_TDP_WATTS",
-    "NodePlatform",
-    "accelerator_platform",
-    "gpu_platform",
-    "platform_for",
-]
+# Re-exported only for perfbench/, which imports these names from the
+# package; everything else imports from the defining module.
+from .stack import CosmicStack as CosmicStack
+from .system import platform_for as platform_for

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from ..circuit import RtlDesign, construct
-from ..compiler import CompiledProgram, compile_thread
+from ..circuit.constructor import RtlDesign, construct
+from ..compiler.program import CompiledProgram, compile_thread
 from ..dfg.translate import Translation, translate
-from ..dsl import parse
+from ..dsl.parser import parse
 from ..hw.spec import ChipSpec, XILINX_VU9P
 from ..ml.benchmarks import Benchmark
-from ..planner import AcceleratorPlan, CostParams, Planner
-from ..runtime import DistributedTrainer
+from ..planner.estimator import CostParams
+from ..planner.plan import AcceleratorPlan, Planner
+from ..runtime.trainer import DistributedTrainer
 
 
 class CosmicStack:

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 from ..baselines.gpu import GpuModel
 from ..hw.spec import ChipSpec, PASIC_F, PASIC_G, XILINX_VU9P
 from ..ml.benchmarks import Benchmark
-from ..planner import Planner
-from ..runtime import ClusterSimulator, ClusterSpec, IterationTiming
+from ..planner.plan import Planner
+from ..runtime.cluster import ClusterSimulator, ClusterSpec, IterationTiming
 
 #: Host CPU TDP per node (Table 2's Xeon E3).
 HOST_TDP_WATTS = 80.0

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..dsl import ast, parse
+from ..dsl import ast
 from ..dsl.errors import DslError
+from ..dsl.parser import parse
 from . import ir
 from .translate import AggregatorSpec, Translation, translate
 

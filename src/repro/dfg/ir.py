@@ -50,10 +50,6 @@ class Value:
     const_value: Optional[float] = None
     is_gradient: bool = False
 
-    @property
-    def is_input(self) -> bool:
-        return self.producer is None and self.category in (DATA, MODEL)
-
 
 @dataclass
 class Node:
@@ -173,12 +169,6 @@ class Dfg:
         """Total scalar ALU applications for one evaluation of the graph."""
         return sum(self.node_iter_space(n) for n in self.topo_order())
 
-    def total_alu_cycles(self) -> int:
-        """Scalar applications weighted by per-op ALU cost."""
-        return sum(
-            self.node_iter_space(n) * op_info(n.op).cycles for n in self.topo_order()
-        )
-
     def data_words(self) -> int:
         """Scalar words of DATA streamed from memory per evaluation."""
         return sum(self.size(v) for v in self.inputs_of_category(DATA))
@@ -190,14 +180,6 @@ class Dfg:
     def gradient_words(self) -> int:
         """Scalar words of gradient produced per evaluation."""
         return sum(self.size(v) for v in self.gradient_outputs())
-
-    def interim_words(self) -> int:
-        """Scalar words of intermediate storage (peak, conservatively total)."""
-        return sum(
-            self.size(self.values[n.output])
-            for n in self.topo_order()
-            if not self.values[n.output].is_gradient
-        )
 
     def live_interim_words(self) -> int:
         """Interim words that must be buffered in PE SRAM.

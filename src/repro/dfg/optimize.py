@@ -39,10 +39,6 @@ class OptimizationReport:
     cse_merged: int
     dead_removed: int
 
-    @property
-    def nodes_removed(self) -> int:
-        return self.nodes_before - self.nodes_after
-
 
 def optimize(
     dfg: ir.Dfg, passes: Tuple[str, ...] = ("fold", "cse", "dce")

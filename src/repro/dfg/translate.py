@@ -66,7 +66,7 @@ def translate(
     """Translate a parsed DSL program into a :class:`repro.dfg.ir.Dfg`.
 
     Args:
-        program: output of :func:`repro.dsl.parse`.
+        program: output of :func:`repro.dsl.parser.parse`.
         bindings: concrete sizes for symbolic dimensions (e.g. ``{"n": 784}``).
     """
     bindings = dict(bindings or {})

@@ -5,49 +5,3 @@ formula, (2) the aggregation operator, and (3) the mini-batch size
 (Section 4.1 of the paper). This package provides the lexer, parser, AST,
 and semantic analysis for that language.
 """
-
-from .ast import (
-    Assignment,
-    BinaryOp,
-    Call,
-    Declaration,
-    Name,
-    Number,
-    Program,
-    Reduce,
-    Subscript,
-    Ternary,
-    UnaryOp,
-    walk,
-)
-from .errors import DslError, LexError, ParseError, SemanticError
-from .lexer import Token, tokenize
-from .parser import parse
-from .semantic import NODES_SYMBOL, Symbol, SymbolTable, analyze, resolve_dims
-
-__all__ = [
-    "Assignment",
-    "BinaryOp",
-    "Call",
-    "Declaration",
-    "DslError",
-    "LexError",
-    "Name",
-    "NODES_SYMBOL",
-    "Number",
-    "ParseError",
-    "Program",
-    "Reduce",
-    "SemanticError",
-    "Subscript",
-    "Symbol",
-    "SymbolTable",
-    "Ternary",
-    "Token",
-    "UnaryOp",
-    "analyze",
-    "parse",
-    "resolve_dims",
-    "tokenize",
-    "walk",
-]

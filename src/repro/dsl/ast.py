@@ -140,10 +140,6 @@ class Program:
                 return decl
         return None
 
-    def idents_of_type(self, data_type: str) -> List[str]:
-        """All identifiers declared with the given DSL data type."""
-        return [d.ident for d in self.declarations if d.data_type == data_type]
-
     @property
     def minibatch(self) -> int:
         """Programmer-declared mini-batch size (Section 2.2), default 10000."""

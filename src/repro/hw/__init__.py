@@ -1,49 +1,1 @@
 """CoSMIC template architecture: chip specs, PEs, and cycle simulators."""
-
-from .accelerator import (
-    MimdBatchResult,
-    MimdTimingModel,
-    ThreadRunResult,
-    ThreadSimulator,
-)
-from .interconnect import (
-    InterconnectError,
-    InterconnectFabric,
-    NeighborLinks,
-    RowBus,
-    TreeBus,
-    replay_transfers,
-)
-from .memory import Dram, MemoryInterface, PrefetchBuffer, Shifter
-from .node import NodeAccelerator, NodeResult
-from .pe import PIPELINE_DEPTH, PIPELINE_STAGES, Pe, PeBuffers
-from .spec import FPGA, PASIC, PASIC_F, PASIC_G, XILINX_VU9P, ChipSpec
-
-__all__ = [
-    "ChipSpec",
-    "Dram",
-    "FPGA",
-    "InterconnectError",
-    "InterconnectFabric",
-    "NeighborLinks",
-    "RowBus",
-    "TreeBus",
-    "replay_transfers",
-    "MemoryInterface",
-    "NodeAccelerator",
-    "NodeResult",
-    "PrefetchBuffer",
-    "Shifter",
-    "MimdBatchResult",
-    "MimdTimingModel",
-    "PASIC",
-    "PASIC_F",
-    "PASIC_G",
-    "PIPELINE_DEPTH",
-    "PIPELINE_STAGES",
-    "Pe",
-    "PeBuffers",
-    "ThreadRunResult",
-    "ThreadSimulator",
-    "XILINX_VU9P",
-]

@@ -45,10 +45,6 @@ class Dram:
             )
         return self.words[addr : addr + size]
 
-    @property
-    def size_words(self) -> int:
-        return len(self.words)
-
 
 class Shifter:
     """Aligns an incoming burst with the destination PE lanes.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
 from ..dfg.translate import Translation, translate
-from ..dsl import parse
+from ..dsl.parser import parse
 from . import datasets
 from .programs import source_for
 
@@ -80,7 +80,7 @@ class Benchmark:
         memo = self.__dict__.setdefault("_sizes", {})
         key = ("bytes_per_sample", word_bytes)
         if key not in memo:
-            from ..planner import effective_data_words
+            from ..planner.estimator import effective_data_words
 
             dfg = self.translate().dfg
             dense = effective_data_words(dfg, self.density) * word_bytes

@@ -1,34 +1,1 @@
 """CoSMIC architecture layer: the Planner and its estimation tool."""
-
-from .estimator import (
-    FLAT,
-    TREE,
-    CostParams,
-    ThreadEstimate,
-    effective_data_words,
-    estimate_thread_cycles,
-)
-from .pasic import (
-    PasicBudget,
-    PasicPlan,
-    buffer_bytes_for,
-    plan_pasic,
-)
-from .plan import AcceleratorPlan, DesignPoint, Planner, ResourceUsage
-
-__all__ = [
-    "AcceleratorPlan",
-    "CostParams",
-    "DesignPoint",
-    "FLAT",
-    "PasicBudget",
-    "PasicPlan",
-    "Planner",
-    "ResourceUsage",
-    "buffer_bytes_for",
-    "plan_pasic",
-    "ThreadEstimate",
-    "TREE",
-    "effective_data_words",
-    "estimate_thread_cycles",
-]

@@ -152,15 +152,6 @@ class ClusterSimulator:
         self._compute_seconds = compute_seconds
         self.update_bytes = update_bytes
 
-    def with_topology(self, topology: Topology) -> "ClusterSimulator":
-        """The same cluster model over a re-formed hierarchy."""
-        return ClusterSimulator(
-            self.spec,
-            self._compute_seconds,
-            self.update_bytes,
-            topology,
-        )
-
     def iteration(
         self,
         batch_samples: int,

@@ -169,9 +169,6 @@ class HeartbeatMonitor:
     def forget(self, node_id: int):
         self._last_seen.pop(node_id, None)
 
-    def last_seen(self, node_id: int) -> float:
-        return self._last_seen[node_id]
-
     def suspects(self, now: float) -> List[int]:
         """Nodes silent for longer than the timeout, in id order."""
         return sorted(

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.baselines import GpuModel, TablaModel, cosmic_vs_tabla_speedup
-from repro.hw import XILINX_VU9P
-from repro.ml import benchmark
-from repro.planner import Planner
+from repro.baselines.gpu import GpuModel
+from repro.baselines.tabla import TablaModel, cosmic_vs_tabla_speedup
+from repro.hw.spec import XILINX_VU9P
+from repro.ml.benchmarks import benchmark
+from repro.planner.plan import Planner
 
 
 class TestGpuModel:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines import SparkModel
-from repro.ml import benchmark
+from repro.baselines.spark import SparkModel
+from repro.ml.benchmarks import benchmark
 
 
 class TestIteration:

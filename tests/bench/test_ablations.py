@@ -1,7 +1,7 @@
 """Tests for the design-choice ablation studies."""
 
 
-from repro.bench import (
+from repro.bench.ablations import (
     ABLATIONS,
     ablate_aggregation_hierarchy,
     ablate_interconnect,

@@ -3,9 +3,8 @@ must hold in every regenerated figure."""
 
 import pytest
 
-from repro.bench import (
+from repro.bench.figures import (
     EXPERIMENTS,
-    table2,
     figure7,
     figure8,
     figure9,
@@ -17,10 +16,11 @@ from repro.bench import (
     figure15,
     figure16,
     figure17,
-    geomean,
     table1,
+    table2,
     table3,
 )
+from repro.bench.results import geomean
 
 FAST = ["mnist", "stock", "movielens", "tumor"]
 

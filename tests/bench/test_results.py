@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import ExperimentResult, geomean
+from repro.bench.results import ExperimentResult, geomean
 
 
 @pytest.fixture

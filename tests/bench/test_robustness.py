@@ -38,14 +38,14 @@ def perturbed(request, monkeypatch):
 
 class TestFigure7Robust:
     def test_cosmic_still_wins_everywhere(self, perturbed):
-        from repro.bench import figure7
+        from repro.bench.figures import figure7
 
         result = figure7(["mnist", "stock", "movielens"])
         for row in result.rows:
             assert row["cosmic16x"] > row["spark16x"]
 
     def test_recommender_still_leads(self, perturbed):
-        from repro.bench import figure7
+        from repro.bench.figures import figure7
 
         result = figure7(["mnist", "stock", "movielens"])
         by_name = {r["name"]: r["cosmic16x"] for r in result.rows}
@@ -54,7 +54,7 @@ class TestFigure7Robust:
 
 class TestFigure8Robust:
     def test_cosmic_still_scales_better(self, perturbed):
-        from repro.bench import figure8
+        from repro.bench.figures import figure8
 
         result = figure8(["stock", "tumor", "face"])
         assert (
@@ -65,7 +65,7 @@ class TestFigure8Robust:
 
 class TestFigure12Robust:
     def test_gap_still_narrows_with_minibatch(self, perturbed):
-        from repro.bench import figure12
+        from repro.bench.figures import figure12
 
         result = figure12(["stock", "tumor"])
         assert (
@@ -86,7 +86,7 @@ class TestGpuRobust:
         return factor
 
     def test_gpu_still_wins_only_on_backprop(self, gpu_perturbed):
-        from repro.bench import figure10
+        from repro.bench.figures import figure10
 
         result = figure10(["mnist", "stock", "movielens"])
         rows = {r["name"]: r["gpu_x"] for r in result.rows}

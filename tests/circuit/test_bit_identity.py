@@ -15,10 +15,11 @@ constructor or testbench output.
 
 import hashlib
 
-from repro.circuit import construct, generate_testbench
-from repro.core import CosmicStack
+from repro.circuit.constructor import construct
+from repro.circuit.testbench import generate_testbench
+from repro.core.stack import CosmicStack
 from repro.hw.accelerator import ThreadSimulator
-from repro.ml import BENCHMARKS
+from repro.ml.benchmarks import BENCHMARKS
 
 #: SHA-256 of the canonical text below, recorded at the parent commit.
 PARENT_DIGEST = (

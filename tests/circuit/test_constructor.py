@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.circuit import construct, decode, encode_microcode, opcode_of
-from repro.compiler import compile_thread
-from repro.dfg import translate
-from repro.dsl import parse
+from repro.circuit.constructor import construct, opcode_of
+from repro.circuit.microcode import decode, encode_microcode
+from repro.compiler.program import compile_thread
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.circuit.testbench import generate_testbench, golden_vectors
-from repro.compiler import compile_thread
-from repro.dfg import Interpreter, translate
-from repro.dsl import parse
+from repro.compiler.program import compile_thread
+from repro.dfg.interpreter import Interpreter
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];

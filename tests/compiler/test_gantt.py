@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.compiler import compile_thread
-from repro.compiler.program import utilization_by_pe
-from repro.dfg import translate
-from repro.dsl import parse
+from repro.compiler.program import compile_thread, utilization_by_pe
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LOGREG = """
 model_input x[n];

@@ -1,9 +1,11 @@
 """Tests for Algorithm 1 (minimum-communication mapping)."""
 
 
-from repro.compiler import PeGrid, communication_edges, map_graph
-from repro.dfg import DATA, MODEL, scalarize, translate
-from repro.dsl import parse
+from repro.compiler.mapping import PeGrid, communication_edges, map_graph
+from repro.dfg.ir import DATA, MODEL
+from repro.dfg.scalarize import scalarize
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.compiler import PeGrid, map_graph, schedule_graph, verify_schedule
-from repro.dfg import scalarize, translate
-from repro.dsl import parse
+from repro.compiler.mapping import PeGrid, map_graph
+from repro.compiler.scheduling import schedule_graph, verify_schedule
+from repro.dfg.scalarize import scalarize
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 # Two independent chains of different depths share PEs with a wide
 # elementwise stage: a naive FIFO schedule can starve the deep chain.

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.compiler import (
-    compile_thread,
-    tree_bus_latency,
-    verify_schedule,
-)
-from repro.dfg import translate
-from repro.dsl import parse
+from repro.compiler.program import compile_thread
+from repro.compiler.scheduling import tree_bus_latency, verify_schedule
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];
@@ -171,7 +168,7 @@ class TestMemorySchedule:
 
 class TestThreadIndexTable:
     def test_offsets(self):
-        from repro.compiler import build_thread_index_table
+        from repro.compiler.memsched import build_thread_index_table
 
         table = build_thread_index_table(
             threads=3, rows_per_thread=2, columns=4, words_per_thread=100

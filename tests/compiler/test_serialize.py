@@ -1,9 +1,9 @@
 """Reproducible builds: compiling the same graph twice yields the same
 artifact (schedule, memory program and microcode)."""
 
-from repro.compiler import compile_thread
-from repro.dfg import translate
-from repro.dsl import parse
+from repro.compiler.program import compile_thread
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];

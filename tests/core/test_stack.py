@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import CosmicStack
-from repro.hw import PASIC_F, XILINX_VU9P
-from repro.ml import benchmark
+from repro.core.stack import CosmicStack
+from repro.hw.spec import PASIC_F, XILINX_VU9P
+from repro.ml.benchmarks import benchmark
 
 SOURCE = """
 minibatch = 2000;

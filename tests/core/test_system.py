@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import CosmicSystem, platform_for
-from repro.ml import benchmark
+from repro.core.system import CosmicSystem, platform_for
+from repro.ml.benchmarks import benchmark
 
 
 class TestPlatforms:

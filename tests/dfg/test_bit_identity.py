@@ -18,8 +18,9 @@ import hashlib
 
 import numpy as np
 
-from repro.dfg import Interpreter, ir
-from repro.ml import BENCHMARKS
+from repro.dfg import ir
+from repro.dfg.interpreter import Interpreter
+from repro.ml.benchmarks import BENCHMARKS
 from repro.runtime.trainer import DistributedTrainer
 
 #: SHA-256 of the canonical bytes below, recorded at the parent commit.

@@ -4,12 +4,13 @@ vs finite differences."""
 import numpy as np
 import pytest
 
-from repro.dfg import Interpreter, translate
 from repro.dfg.differentiate import (
     DifferentiationError,
     derive_gradients,
 )
-from repro.dsl import parse
+from repro.dfg.interpreter import Interpreter
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG_LOSS = """
 model_input x[n];
@@ -155,9 +156,10 @@ class TestDerivedGraphsCompile:
     def test_derived_graph_plans_and_compiles(self):
         """The derived gradient DFG is a first-class citizen: it plans,
         compiles, schedules, and simulates like a hand-written one."""
-        from repro.compiler import compile_thread
-        from repro.hw import ThreadSimulator, XILINX_VU9P
-        from repro.planner import Planner
+        from repro.compiler.program import compile_thread
+        from repro.hw.accelerator import ThreadSimulator
+        from repro.hw.spec import XILINX_VU9P
+        from repro.planner.plan import Planner
 
         derived = derive_gradients(LINREG_LOSS, {"n": 8})
         plan = Planner(XILINX_VU9P).plan(derived.dfg, 1000)
@@ -177,7 +179,7 @@ class TestDerivedGraphsCompile:
         )
 
     def test_derived_translation_trains(self):
-        from repro.runtime import DistributedTrainer
+        from repro.runtime.trainer import DistributedTrainer
 
         rng = np.random.default_rng(4)
         n, N = 6, 512

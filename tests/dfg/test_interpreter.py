@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dfg import Interpreter, InterpreterError, translate
-from repro.dsl import parse
-from repro.ml import BENCHMARKS
+from repro.dfg.interpreter import Interpreter, InterpreterError
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.ml.benchmarks import BENCHMARKS
 
 LINREG = """
 model_input x[n];

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dfg import CONST, DATA, MODEL, Dfg
+from repro.dfg.ir import CONST, DATA, MODEL, Dfg
 
 
 def small_graph():

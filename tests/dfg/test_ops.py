@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dfg import all_ops, is_known_op, op_info
+from repro.dfg.ops import all_ops, is_known_op, op_info
 
 
 class TestRegistry:

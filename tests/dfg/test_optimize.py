@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dfg import Interpreter, translate
 from repro.dfg.differentiate import derive_gradients
+from repro.dfg.interpreter import Interpreter
 from repro.dfg.optimize import optimize
-from repro.dsl import parse
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 CSE_HEAVY = """
 model_input x[n];
@@ -71,7 +72,7 @@ class TestSemanticsPreserved:
             np.testing.assert_allclose(after[key], before[key], rtol=0)
 
     def test_benchmark_programs_survive(self):
-        from repro.ml import benchmark
+        from repro.ml.benchmarks import benchmark
 
         rng = np.random.default_rng(1)
         for name in ("stock", "mnist", "movielens"):
@@ -118,8 +119,8 @@ class TestEachPass:
 
 class TestDownstreamIntegration:
     def test_optimized_graph_compiles(self, feeds):
-        from repro.compiler import compile_thread
-        from repro.hw import ThreadSimulator
+        from repro.compiler.program import compile_thread
+        from repro.hw.accelerator import ThreadSimulator
 
         t = translate(parse(CSE_HEAVY), {"n": 8})
         optimized, _ = optimize(t.dfg)

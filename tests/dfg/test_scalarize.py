@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dfg import (
-    DATA,
-    ExpansionTooLarge,
-    Interpreter,
-    MODEL,
-    scalarize,
-    translate,
-)
-from repro.dsl import parse
+from repro.dfg.interpreter import Interpreter
+from repro.dfg.ir import DATA, MODEL
+from repro.dfg.scalarize import ExpansionTooLarge, scalarize
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];

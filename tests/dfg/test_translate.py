@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.dfg import (
-    CONST,
-    DATA,
-    INTERIM,
-    MODEL,
-    TranslationError,
-    translate,
-)
-from repro.dsl import parse
+from repro.dfg.ir import CONST, DATA, INTERIM, MODEL
+from repro.dfg.translate import TranslationError, translate
+from repro.dsl.parser import parse
 
 LINREG = """
 mu = 0.1;

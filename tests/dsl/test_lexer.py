@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dsl import LexError, tokenize
+from repro.dsl.errors import LexError
+from repro.dsl.lexer import tokenize
 
 
 def kinds(source):

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.dsl import (
+from repro.dsl.ast import (
     BinaryOp,
     Call,
     Number,
-    ParseError,
     Reduce,
     Subscript,
     Ternary,
     UnaryOp,
-    parse,
 )
+from repro.dsl.errors import ParseError
+from repro.dsl.parser import parse
 
 SVM = """
 minibatch = 10000;

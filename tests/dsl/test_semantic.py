@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dsl import SemanticError, analyze, parse, resolve_dims
-from repro.dsl.semantic import iterator_extent
+from repro.dsl.errors import SemanticError
+from repro.dsl.parser import parse
+from repro.dsl.semantic import analyze, iterator_extent, resolve_dims
 
 
 def check(source):

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.compiler import PeGrid, compile_thread
+from repro.compiler.mapping import PeGrid
+from repro.compiler.program import compile_thread
 from repro.compiler.scheduling import (
     NEIGHBOR_LATENCY,
     ROW_BUS_LATENCY,
     Transfer,
     tree_bus_latency,
 )
-from repro.dfg import translate
-from repro.dsl import parse
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.hw.interconnect import (
     InterconnectError,
     NeighborLinks,

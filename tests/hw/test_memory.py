@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.compiler import compile_thread
 from repro.compiler.memsched import build_thread_index_table
+from repro.compiler.program import compile_thread
 from repro.compiler.scheduling import SHIFTER_LATENCY
-from repro.dfg import DATA, translate
-from repro.dsl import parse
+from repro.dfg.ir import DATA
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.hw.memory import Dram, MemoryInterface, PrefetchBuffer, Shifter
 
 LINREG = """
@@ -162,7 +163,7 @@ class TestMemoryInterface:
 
     def test_preload_broadcast(self):
         prog = make_program()
-        from repro.dfg import MODEL
+        from repro.dfg.ir import MODEL
 
         elements = prog.expansion.input_elements(MODEL)
         model_words = {vid: float(i) for i, (_, _, vid) in enumerate(elements)}
@@ -181,8 +182,8 @@ class TestMemoryInterface:
     def test_drain_collects_full_gradient(self):
         """End-to-end: stream + preload + execute + drain through the
         memory interface yields the interpreter's gradient."""
-        from repro.dfg import Interpreter
-        from repro.hw import ThreadSimulator
+        from repro.dfg.interpreter import Interpreter
+        from repro.hw.accelerator import ThreadSimulator
 
         n = 12
         prog = make_program(n=n)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.hw import XILINX_VU9P
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.hw.node import NodeAccelerator
-from repro.planner import Planner
+from repro.hw.spec import XILINX_VU9P
+from repro.planner.plan import Planner
 
 LINREG = """
 minibatch = 1024;
@@ -100,7 +100,7 @@ class TestTiming:
     def test_multithreading_beats_single_thread_on_compute(self):
         """A compute-bound DFG processes a partition faster with the
         planned multi-threaded design than forced single-threading."""
-        from repro.planner import DesignPoint
+        from repro.planner.plan import DesignPoint
 
         MLP = """
         model_input x[n];

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.hw import (
-    PASIC_F,
-    PASIC_G,
-    PIPELINE_DEPTH,
-    PIPELINE_STAGES,
-    Pe,
-    XILINX_VU9P,
-)
+from repro.hw.pe import PIPELINE_DEPTH, PIPELINE_STAGES, Pe
+from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
 
 
 class TestPipelineConstants:

@@ -4,10 +4,11 @@ MIMD timing behaviour."""
 import numpy as np
 import pytest
 
-from repro.compiler import compile_thread
-from repro.dfg import Interpreter, translate
-from repro.dsl import parse
-from repro.hw import MimdTimingModel, ThreadSimulator
+from repro.compiler.program import compile_thread
+from repro.dfg.interpreter import Interpreter
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.hw.accelerator import MimdTimingModel, ThreadSimulator
 
 LINREG = """
 model_input x[n];
@@ -117,7 +118,7 @@ class TestEstimatorValidation:
 
     @pytest.mark.parametrize("n,rows,columns", [(16, 1, 4), (32, 2, 4), (64, 2, 8)])
     def test_estimator_within_factor_of_schedule(self, n, rows, columns):
-        from repro.planner import estimate_thread_cycles
+        from repro.planner.estimator import estimate_thread_cycles
 
         t, prog = build(LINREG, n, rows, columns)
         est = estimate_thread_cycles(t.dfg, rows * columns, rows)
@@ -128,7 +129,7 @@ class TestEstimatorValidation:
         assert 0.3 < ratio < 6.0
 
     def test_estimator_tracks_scaling_trend(self):
-        from repro.planner import estimate_thread_cycles
+        from repro.planner.estimator import estimate_thread_cycles
 
         t16, p16 = build(LINREG, 64, 2, 8)
         t1, p1 = build(LINREG, 64, 1, 1)

@@ -8,14 +8,17 @@ they test that the modules agree with each other.
 import numpy as np
 import pytest
 
-from repro.baselines import SparkModel
-from repro.compiler import compile_thread
-from repro.core import CosmicStack, CosmicSystem, platform_for
-from repro.dfg import Interpreter
-from repro.hw import NodeAccelerator, ThreadSimulator, XILINX_VU9P
-from repro.ml import benchmark
-from repro.planner import Planner
-from repro.runtime import ClusterSimulator, ClusterSpec
+from repro.baselines.spark import SparkModel
+from repro.compiler.program import compile_thread
+from repro.core.stack import CosmicStack
+from repro.core.system import CosmicSystem, platform_for
+from repro.dfg.interpreter import Interpreter
+from repro.hw.accelerator import ThreadSimulator
+from repro.hw.node import NodeAccelerator
+from repro.hw.spec import XILINX_VU9P
+from repro.ml.benchmarks import benchmark
+from repro.planner.plan import Planner
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 
 
 class TestThreePathGradientAgreement:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml import BENCHMARKS, benchmark, benchmark_names, source_for
+from repro.ml.benchmarks import BENCHMARKS, benchmark, benchmark_names
+from repro.ml.programs import source_for
 
 #: Table 1 "Model Size (KB)" column.
 PAPER_MODEL_KB = {
@@ -101,7 +102,7 @@ class TestTranslations:
         def intensity(name):
             b = benchmark(name)
             dfg = b.translate().dfg
-            from repro.planner import estimate_thread_cycles
+            from repro.planner.estimator import estimate_thread_cycles
             est = estimate_thread_cycles(dfg, 256, 16, density=b.density)
             return est.work_cycles / max(1.0, b.bytes_per_sample())
 
@@ -116,7 +117,7 @@ class TestDatasets:
         ds = b.make_dataset(samples=32, seed=1)
         assert ds.samples == 32
         t = b.translate(scaled=True)
-        from repro.dfg import DATA
+        from repro.dfg.ir import DATA
 
         for value in t.dfg.inputs_of_category(DATA):
             feed = ds.feeds[value.name]

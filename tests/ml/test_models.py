@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dfg import Interpreter
-from repro.ml import benchmark
+from repro.dfg.interpreter import Interpreter
+from repro.ml.benchmarks import benchmark
 from repro.ml.models import flops_per_sample
 from tests.ml.model_reference import GRADIENTS, UPDATE_PAIRS, sgd_train
 

@@ -10,10 +10,11 @@ only for a deliberate change to the cost model.
 
 import hashlib
 
-from repro.baselines import TABLA_PARAMS, TablaModel
-from repro.hw import XILINX_VU9P
-from repro.ml import BENCHMARKS
-from repro.planner import CostParams, Planner
+from repro.baselines.tabla import TABLA_PARAMS, TablaModel
+from repro.hw.spec import XILINX_VU9P
+from repro.ml.benchmarks import BENCHMARKS
+from repro.planner.estimator import CostParams
+from repro.planner.plan import Planner
 
 #: SHA-256 of the canonical text below, recorded at the parent commit.
 PARENT_DIGEST = (

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.planner import (
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.planner.estimator import (
     FLAT,
     TREE,
     CostParams,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ml import benchmark
+from repro.ml.benchmarks import benchmark
 from repro.planner.pasic import (
     DEFAULT_BUFFER_BYTES,
     PasicBudget,
@@ -77,7 +77,7 @@ class TestBufferSizing:
 
 class TestChipMaterialisation:
     def test_chip_is_usable_by_the_stack(self):
-        from repro.planner import Planner
+        from repro.planner.plan import Planner
 
         budget = PasicBudget(area_mm2=50.0, power_w=25.0)
         plan = plan_pasic(budget)
@@ -89,7 +89,7 @@ class TestChipMaterialisation:
         assert accel.samples_per_second > 0
 
     def test_bigger_budget_more_throughput_on_compute_bound(self):
-        from repro.planner import Planner
+        from repro.planner.plan import Planner
 
         dfg = benchmark("mnist").translate().dfg
         small_b = PasicBudget(area_mm2=35.0, power_w=40.0)

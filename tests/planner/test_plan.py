@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.hw import PASIC_F, PASIC_G, XILINX_VU9P
-from repro.baselines import TABLA_PARAMS
+from repro.baselines.tabla import TABLA_PARAMS
 from repro.bench.figures import figure15
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
 from repro.ml.benchmarks import benchmark
-from repro.planner import FLAT, CostParams, DesignPoint, Planner
-from repro.planner.estimator import CostProfile
+from repro.planner.estimator import FLAT, CostParams, CostProfile
+from repro.planner.plan import DesignPoint, Planner
 
 LINREG = """
 model_input x[n];

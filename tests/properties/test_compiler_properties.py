@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import PeGrid, communication_edges, compile_thread, map_graph
-from repro.dfg import Interpreter, scalarize, translate
-from repro.dsl import parse
+from repro.compiler.mapping import PeGrid, communication_edges, map_graph
+from repro.compiler.program import compile_thread
+from repro.dfg.interpreter import Interpreter
+from repro.dfg.scalarize import scalarize
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 
 LINREG = """
 model_input x[n];
@@ -101,7 +104,7 @@ class TestEndToEndFunctional:
     def test_simulator_equals_interpreter(self, n, geometry, seed):
         """For any width, geometry, and data: the cycle simulator's
         gradient equals the NumPy interpreter's."""
-        from repro.hw import ThreadSimulator
+        from repro.hw.accelerator import ThreadSimulator
 
         rows, columns = geometry
         t = translate(parse(SVM), {"n": n})

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsl import parse, tokenize
-from repro.dsl.lexer import FUNCTIONS, KEYWORDS
+from repro.dsl.lexer import FUNCTIONS, KEYWORDS, tokenize
+from repro.dsl.parser import parse
 
 idents = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8
@@ -48,7 +48,7 @@ class TestLexerProperties:
     @settings(max_examples=200)
     def test_lexer_total_on_arbitrary_text(self, source):
         """Any input either tokenizes or raises LexError — no crashes."""
-        from repro.dsl import LexError
+        from repro.dsl.errors import LexError
 
         try:
             tokenize(source)

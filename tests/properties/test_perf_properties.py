@@ -25,13 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.baselines import TABLA_PARAMS, TablaModel
-from repro.dfg import Interpreter, InterpreterError, ir, op_info, translate
-from repro.dsl import parse
+from repro.baselines.tabla import TABLA_PARAMS, TablaModel
+from repro.dfg import ir
+from repro.dfg.interpreter import Interpreter, InterpreterError
+from repro.dfg.ops import op_info
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.hw.accelerator import MimdBatchResult, MimdTimingModel
 from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
 from repro.ml.benchmarks import benchmark
-from repro.planner import FLAT, CostParams, Planner
+from repro.planner.estimator import FLAT, CostParams
+from repro.planner.plan import Planner
 
 SMALL_BENCHES = ("stock", "tumor", "face")
 #: mnist and movielens have fusable ``mul -> reduce_sum`` pairs.

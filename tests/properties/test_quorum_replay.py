@@ -17,20 +17,17 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (
+from repro.runtime import schedule
+from repro.runtime.cluster import (
     ClusterSimulator,
     ClusterSpec,
-    FaultSpec,
     IterationTiming,
-    NetworkConfig,
     QuorumConfig,
-    apply_faults,
-    assign_roles,
-    rebuild_topology,
-    replay_iteration,
-    schedule_trace,
 )
-from repro.runtime import schedule
+from repro.runtime.director import assign_roles, rebuild_topology
+from repro.runtime.faults import FaultSpec, apply_faults
+from repro.runtime.network import NetworkConfig
+from repro.runtime.schedule import replay_iteration, schedule_trace
 from tests.properties.test_schedule_replay import scalar_booking
 from tests.runtime import event_reference
 from tests.runtime.event_reference import (

@@ -5,17 +5,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime import (
-    CircularBuffer,
-    ClusterSimulator,
-    ClusterSpec,
-    DistributedTrainer,
-    assign_roles,
-)
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
+from repro.runtime.director import assign_roles
 from repro.runtime.events import EventLoop, Resource
 from repro.runtime.network import Network
+from repro.runtime.threads import CircularBuffer
+from repro.runtime.trainer import DistributedTrainer
 
 LINREG = """
 model_input x[n];
@@ -195,13 +192,10 @@ class TestChaosProperties:
     def test_surviving_timelines_terminate_deterministically(
         self, seed, crash_probability, recover_fraction
     ):
-        from repro.runtime import (
-            FaultTimeline,
-            FaultToleranceConfig,
-            HeartbeatConfig,
-            RetryPolicy,
-            chaos_train,
-        )
+        from repro.runtime.director import HeartbeatConfig
+        from repro.runtime.faults import FaultTimeline
+        from repro.runtime.network import RetryPolicy
+        from repro.runtime.recovery import FaultToleranceConfig, chaos_train
 
         nodes = 6
         spec = ClusterSpec(nodes=nodes, groups=2)

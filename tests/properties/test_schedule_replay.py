@@ -19,17 +19,19 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (
+from repro.runtime import schedule
+from repro.runtime.cluster import (
     ClusterSimulator,
     ClusterSpec,
     IterationTiming,
-    NetworkConfig,
+)
+from repro.runtime.network import Network, NetworkConfig
+from repro.runtime.schedule import (
+    GATHER_PHASE,
+    REDUCE_PHASE,
     replay_iteration,
     schedule_trace,
 )
-from repro.runtime import schedule
-from repro.runtime.network import Network
-from repro.runtime.schedule import GATHER_PHASE, REDUCE_PHASE
 from tests.runtime.event_reference import (
     event_driven_iteration,
     reference_engine,

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (
+from repro.runtime.events import Resource
+from repro.runtime.threads import (
     CircularBuffer,
     PoolConfig,
     SigmaPipeline,
     WorkerPool,
 )
-from repro.runtime.events import Resource
 
 
 class _RefPool:

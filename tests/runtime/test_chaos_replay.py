@@ -5,21 +5,19 @@ its faults still cost time."""
 import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime import (
-    ClusterSimulator,
-    ClusterSpec,
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.runtime import schedule
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
+from repro.runtime.director import HeartbeatConfig
+from repro.runtime.faults import (
     FaultSpec,
     FaultTimeline,
-    FaultToleranceConfig,
-    HeartbeatConfig,
     NodeCrash,
-    RetryPolicy,
     apply_faults,
-    chaos_train,
 )
-from repro.runtime import schedule
+from repro.runtime.network import RetryPolicy
+from repro.runtime.recovery import FaultToleranceConfig, chaos_train
 
 
 @pytest.fixture(autouse=True)

@@ -4,10 +4,10 @@ continue a run bit-identically."""
 import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime import DistributedTrainer
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.runtime.checkpoint import Checkpoint
+from repro.runtime.trainer import DistributedTrainer
 
 LINREG = """
 mu = 0.05;

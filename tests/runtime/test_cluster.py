@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.runtime import (
-    ClusterSimulator,
-    ClusterSpec,
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
+from repro.runtime.director import (
     ROLE_MASTER_SIGMA,
     ROLE_SIGMA,
     assign_roles,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime import ClusterSimulator, ClusterSpec
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 from repro.runtime.faults import (
     FaultTimeline,
     NodeCrash,

@@ -1,7 +1,7 @@
 """Observability tests: wire accounting and Sigma receive pressure."""
 
 
-from repro.runtime import ClusterSimulator, ClusterSpec
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 
 
 def simulator(nodes, groups=None, update_bytes=500_000):

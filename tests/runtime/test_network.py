@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.runtime import NetworkConfig, RetryPolicy
 from repro.runtime.events import EventLoop
-from repro.runtime.network import Network
+from repro.runtime.network import Network, NetworkConfig, RetryPolicy
 
 
 def make(bandwidth=1e9, chunk=64 * 1024):

@@ -8,34 +8,45 @@ change to a dispatch tie, to the buffer's drain order, or to the order
 of the additions shows up here. It covers both simulators (schedule
 replay, and the event-driven reference ``event_driven_iteration``) over
 a node/group/quorum/straggler grid, plus direct pipeline streams through
-a buffer small enough that producers stall. Regenerate the digest only
-for a deliberate change to the pipeline model.
+a buffer small enough that producers stall.
+
+The pin is split in two. The barrier digest covers every cluster
+without a quorum plus the direct pipeline streams; it changes only with
+a deliberate change to the pipeline model. The quorum digest covers the
+clusters that close aggregation windows under a :class:`QuorumConfig`;
+it is the one to re-record when the quorum rule itself changes, and
+the barrier digest must survive that change untouched.
 """
 
 import dataclasses
 import hashlib
 import random
 
-from repro.runtime import (
+from repro.runtime import schedule
+from repro.runtime.cluster import (
     ClusterSimulator,
     ClusterSpec,
     IterationTiming,
-    PoolConfig,
     QuorumConfig,
-    SigmaPipeline,
 )
-from repro.runtime import schedule
 from repro.runtime.director import default_groups
+from repro.runtime.threads import PoolConfig, SigmaPipeline
 from tests.runtime.event_reference import event_driven_iteration
 
-#: SHA-256 of the canonical text below, recorded at the parent commit.
-PARENT_DIGEST = (
-    "bf3c8b0bba605dfb135eca777c009b4a25cba12183c4892bc34df82a270b835b"
+#: SHA-256 of ``barrier_text()`` (clusters without a quorum, plus the
+#: direct pipeline streams), recorded at the parent commit.
+BARRIER_DIGEST = (
+    "ba37ef081814eb75e71b6bd64c4010d908a30132968f125726c8f8b99ddd5acb"
+)
+
+#: SHA-256 of ``quorum_text()`` (clusters under each of ``QUORUMS``),
+#: recorded at the parent commit.
+QUORUM_DIGEST = (
+    "62f076de4431e2aa0440d4b61c5435512eae015a48c2b5c3d684e380e1e89370"
 )
 
 NODES = (4, 8, 16, 32, 64)
 QUORUMS = (
-    None,
     QuorumConfig(fraction=0.5, deadline_s=1e-4),
     QuorumConfig(fraction=0.75, deadline_s=1e-3),
     QuorumConfig(fraction=0.9, deadline_s=5e-2),
@@ -69,12 +80,12 @@ def _simulator(nodes, groups, spread):
     return sim, compute
 
 
-def cluster_lines():
+def cluster_lines(quorums):
     lines = []
     for nodes in NODES:
         base = default_groups(nodes)
         for groups in (base, min(2 * base, nodes)):
-            for quorum in QUORUMS:
+            for quorum in quorums:
                 for spread in SPREADS:
                     sim, compute = _simulator(nodes, groups, spread)
                     label = (nodes, groups, quorum, spread)
@@ -132,8 +143,12 @@ def pipeline_lines():
     return lines
 
 
-def pinned_text():
-    return "\n".join(cluster_lines() + pipeline_lines())
+def barrier_text():
+    return "\n".join(cluster_lines((None,)) + pipeline_lines())
+
+
+def quorum_text():
+    return "\n".join(cluster_lines(QUORUMS))
 
 
 def test_streams_stall_the_producer():
@@ -153,5 +168,10 @@ def test_streams_stall_the_producer():
 
 
 def test_pipeline_and_cluster_timings_match_parent_digest():
-    digest = hashlib.sha256(pinned_text().encode()).hexdigest()
-    assert digest == PARENT_DIGEST
+    digest = hashlib.sha256(barrier_text().encode()).hexdigest()
+    assert digest == BARRIER_DIGEST
+
+
+def test_quorum_timings_match_parent_digest():
+    digest = hashlib.sha256(quorum_text().encode()).hexdigest()
+    assert digest == QUORUM_DIGEST

@@ -3,26 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime import (
-    ClusterSimulator,
-    ClusterSpec,
-    DistributedTrainer,
-    FaultTimeline,
-    FaultToleranceConfig,
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
+from repro.runtime.director import (
     HeartbeatConfig,
     HeartbeatMonitor,
-    QuorumConfig,
-    SCENARIOS,
-    RetryPolicy,
     assign_roles,
-    chaos_train,
     rebuild_topology,
     rehierarchy_seconds,
+)
+from repro.runtime.faults import FaultSpec, FaultTimeline, faulty_compute
+from repro.runtime.network import RetryPolicy
+from repro.runtime.recovery import (
+    SCENARIOS,
+    FaultToleranceConfig,
+    chaos_train,
     scenario_timeline,
 )
-from repro.runtime.faults import FaultSpec, faulty_compute
+from repro.runtime.trainer import DistributedTrainer
 
 LINREG = """
 mu = 0.05;

@@ -9,8 +9,8 @@ every :class:`IterationTiming` must be equal.
 
 from repro.bench import figures
 from repro.bench.perf import QUICK_BENCHES, _result_payload
-from repro.runtime import ClusterSimulator, ClusterSpec, QuorumConfig
 from repro.runtime import schedule
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
 from tests.runtime.event_reference import reference_engine
 
 

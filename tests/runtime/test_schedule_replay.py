@@ -4,15 +4,15 @@ import dataclasses
 
 import pytest
 
-from repro.runtime import (
-    ClusterSimulator,
-    ClusterSpec,
-    QuorumConfig,
+from repro.runtime import schedule
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
+from repro.runtime.schedule import (
+    GATHER_PHASE,
+    REDUCE_PHASE,
+    SCHEDULE_FORMAT,
     replay_iteration,
     schedule_trace,
 )
-from repro.runtime import schedule
-from repro.runtime.schedule import GATHER_PHASE, REDUCE_PHASE, SCHEDULE_FORMAT
 from tests.runtime.event_reference import reference_engine
 
 

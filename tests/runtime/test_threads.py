@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.runtime import CircularBuffer, PoolConfig, SigmaPipeline, WorkerPool
+from repro.runtime.threads import (
+    CircularBuffer,
+    PoolConfig,
+    SigmaPipeline,
+    WorkerPool,
+)
 
 
 class TestWorkerPool:

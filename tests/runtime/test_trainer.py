@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dfg import translate
-from repro.dsl import parse
-from repro.runtime import ClusterSimulator, ClusterSpec, DistributedTrainer
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec
+from repro.runtime.trainer import DistributedTrainer
 
 LINREG = """
 mu = 0.05;

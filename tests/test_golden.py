@@ -23,7 +23,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.bench import run_all
+from repro.bench.figures import run_all
 from repro.bench.perf import _result_payload
 from repro.cli import build_parser, chaos_flow, train_flow
 from repro.runtime.recovery import SCENARIOS

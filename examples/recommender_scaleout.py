@@ -9,8 +9,6 @@ and trains a scaled-down factor model for real.
 Run: ``python examples/recommender_scaleout.py``
 """
 
-import numpy as np
-
 from repro.baselines.spark import SparkModel
 from repro.core.stack import CosmicStack
 from repro.core.system import CosmicSystem, platform_for

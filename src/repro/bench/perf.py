@@ -1,193 +1,151 @@
-"""Perf-regression harness: time the stack, gate against a baseline.
+"""Perf-regression harness: end-to-end wall times, gated on medians.
 
-``python -m repro perf`` times each toolchain stage per benchmark —
-translate / plan / compile / simulate / epoch — and writes the timings
-to ``BENCH_perf.json``. Each stage times the work itself rather than a
-memo hit: the translator and the Planner's DSE are called below their
-memos (the DSE after clearing the profiles and sizes it keeps on the
-graph), and the epoch starts from an empty schedule table.
+``python -m repro perf`` times the three end-to-end flows — a cold
+``run_all()``, the seeded ``train``/``chaos`` CLI flows and the tier-1
+suite — each ``REPEATS`` times in a fresh interpreter started from the
+checkout root with ``PYTHONPATH=src``, so every run pays its imports and
+fills its memos from empty. Repetitions are interleaved across flows so
+a drift in the host's speed lands on every flow alike.
 
-Comparing a run against a committed baseline flags any stage that got
-more than ``tolerance`` times slower, so CI catches perf regressions the
-functional suite cannot.
+``BENCH_perf.json`` keeps every run as a raw ``(flow, repetition,
+seconds)`` row, so the spread can be audited, plus each flow's median
+and p90. A run regresses when a flow's median exceeds the baseline's
+median by more than ``TOLERANCE`` times. Per-layer host time comes from
+``perfbench/run.py --trace 1``, which reports ``layer.*.self_s``.
 """
 
 from __future__ import annotations
 
-import gc
 import json
+import os
 import platform
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Tuple
 
-#: Stages timed per benchmark, in pipeline order.
-STAGES = ("translate", "plan", "compile", "simulate", "epoch")
+import numpy as np
 
-#: Benchmarks the ``--quick`` CI gate times (small, medium, large model).
-QUICK_BENCHES = ("stock", "movielens", "mnist")
+#: Checkout root: the flows run from here with ``PYTHONPATH=src``.
+ROOT = Path(__file__).resolve().parents[3]
 
-#: Timings below this floor are noise on any machine; the comparator
-#: never flags a stage whose baseline is under it.
-FLOOR_SECONDS = 0.005
+_TRAIN_CHAOS = """\
+from repro.cli import main
+from repro.runtime.recovery import SCENARIOS
+for name in ("stock", "cancer1", "face", "mnist", "movielens"):
+    main(["train", name])
+for scenario in SCENARIOS:
+    main(["chaos", "mnist", "--scenario", scenario])
+"""
+
+#: Interpreter arguments of each end-to-end flow; the train and chaos
+#: flows are the ones ``tests/golden/train_chaos.json`` pins.
+FLOWS: Dict[str, Tuple[str, ...]] = {
+    "run_all": ("-c", "from repro.bench.figures import run_all; run_all()"),
+    "train_chaos": ("-c", _TRAIN_CHAOS),
+    "tier1": ("-m", "pytest", "-x", "-q"),
+}
+
+#: Fresh processes timed per flow.
+REPEATS = 5
+
+#: A flow regresses when its median exceeds the baseline's by this factor.
+TOLERANCE = 2.0
+
+#: A flow process still running after this long is killed and the run
+#: fails; tier-1, the slowest flow, takes well under a minute.
+TIMEOUT_S = 600
 
 
 @dataclass
 class PerfReport:
-    """One harness run: stage timings per benchmark."""
+    """One harness run: a ``(flow, repetition, seconds)`` row per process."""
 
-    stages: Dict[str, Dict[str, float]]
-    quick: bool
+    runs: List[Tuple[str, int, float]]
     machine: Dict[str, object] = field(default_factory=dict)
+
+    def flows(self) -> Dict[str, Dict[str, float]]:
+        """Run count, median and p90 wall time per flow, in first-run
+        order."""
+        seconds: Dict[str, List[float]] = {}
+        for flow, _, s in self.runs:
+            seconds.setdefault(flow, []).append(s)
+        return {
+            flow: {
+                "runs": len(xs),
+                "median_s": round(float(np.median(xs)), 4),
+                "p90_s": round(float(np.percentile(xs, 90)), 4),
+            }
+            for flow, xs in seconds.items()
+        }
 
     def to_dict(self) -> Dict:
         return {
-            "format_version": 3,
-            "quick": self.quick,
+            "format_version": 4,
             "machine": self.machine,
-            "stages": self.stages,
+            "runs": [
+                {"flow": flow, "repetition": rep, "seconds": s}
+                for flow, rep, s in self.runs
+            ],
+            "flows": self.flows(),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "PerfReport":
+        if payload.get("format_version") != 4:
+            raise ValueError(
+                f"perf payload format {payload.get('format_version')} is "
+                "not 4; rewrite it with --update-baseline"
+            )
         return cls(
-            stages=payload["stages"],
-            quick=payload.get("quick", False),
+            runs=[
+                (row["flow"], row["repetition"], row["seconds"])
+                for row in payload["runs"]
+            ],
             machine=payload.get("machine", {}),
         )
 
 
-def _timeit(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall time — the usual perf-counter practice:
-    the minimum is the least noisy estimator of the true cost.
-
-    The cyclic collector is paused while the clock runs (as
-    :mod:`timeit` does): a gen-2 collection scheduled by allocations in
-    *earlier* stages would otherwise land inside whichever sample runs
-    next and charge unrelated garbage to that stage.
-    """
-    best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best
-
-
-def measure_stages(
-    names: Optional[Iterable[str]] = None, repeats: int = 2
-) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark wall time of each toolchain stage's own work.
-
-    ``translate`` parses + translates the DSL program; ``plan`` runs the
-    full design-space exploration from a graph with no planner memos; ``compile`` scalarises, maps, and
-    schedules; ``simulate`` runs the MIMD timing model over a
-    10k-sample mini-batch; ``epoch`` times a 16-node epoch of cluster
-    iterations, clearing the schedule table inside each timed call so it
-    derives and replays the schedule rather than hitting the memo.
-    """
-    from ..core.stack import CosmicStack
-    from ..core.system import CosmicSystem, platform_for
-    from ..dfg.translate import translate
-    from ..dsl.parser import parse
-    from ..hw.accelerator import MimdTimingModel
-    from ..hw.spec import XILINX_VU9P
-    from ..ml.benchmarks import BENCHMARKS, benchmark
-    from ..planner.plan import Planner
-    from ..runtime import schedule
-
-    benches = (
-        list(BENCHMARKS) if names is None else [benchmark(n) for n in names]
+def _time_flow(flow: str) -> float:
+    """Wall seconds of one fresh process running ``flow``."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *FLOWS[flow]],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=TIMEOUT_S,
     )
-    out: Dict[str, Dict[str, float]] = {}
-    for bench in benches:
-        translation = bench.translate()
-        plan = Planner(XILINX_VU9P).plan(
-            translation.dfg,
-            10_000,
-            bench.density,
-            stream_words=bench.bytes_per_sample() / XILINX_VU9P.word_bytes,
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"perf flow {flow} exited {proc.returncode}:\n"
+            f"{proc.stdout[-2000:]}"
         )
-        timing = MimdTimingModel.for_plan(plan)
-        stack = CosmicStack.from_benchmark(bench)
-        system = CosmicSystem(
-            bench, platform_for(bench, "fpga"), nodes=16
-        )
-        source = bench.source()
-        timings = {
-            "translate": _timeit(
-                lambda: translate(parse(source), bench.dims), repeats
-            ),
-            "plan": _timeit(
-                lambda: _plan_cold(translation.dfg, bench.density), repeats
-            ),
-            "compile": _timeit(
-                lambda: stack.compile(rows=2, columns=4), repeats
-            ),
-            "simulate": _timeit(lambda: timing.run_batch(10_000), repeats),
-            "epoch": _timeit(
-                lambda: (schedule.TRACES.clear(), system.epoch_seconds()),
-                repeats,
-            ),
-        }
-        out[bench.name] = {k: round(v, 6) for k, v in timings.items()}
-    return out
+    return seconds
 
 
-def _plan_cold(dfg, density):
-    """The full DSE of one graph on the VU9P, below every memo the
-    Planner keeps on the graph: its plans (by calling below
-    :meth:`~repro.planner.plan.Planner.plan`), and its cost profiles,
-    sizes and stream words (cleared first), so every repeat costs and
-    times each design point afresh."""
-    from ..hw.spec import XILINX_VU9P
-    from ..planner.plan import Planner
-
-    for memo in ("_profiles", "_sizes", "_stream_words"):
-        dfg.__dict__.pop(memo, None)
-    return Planner(XILINX_VU9P)._plan_uncached(dfg, 10_000, density, None)
-
-
-def _result_payload(results: Sequence) -> str:
-    """Canonical JSON of every row and summary — the bit-identity probe."""
-    return json.dumps(
-        [(r.experiment, r.rows, r.summary) for r in results],
-        default=str,
-        sort_keys=True,
-    )
-
-
-def run_perf(
-    names: Optional[Iterable[str]] = None,
-    quick: bool = False,
-    repeats: Optional[int] = None,
-) -> PerfReport:
-    """The full harness: the stage matrix."""
-    if names is None and quick:
-        names = QUICK_BENCHES
-    if repeats is None:
-        repeats = 1 if quick else 2
+def run_perf() -> PerfReport:
+    """Time every flow ``REPEATS`` times, repetitions interleaved."""
+    runs = [
+        (flow, rep, round(_time_flow(flow), 4))
+        for rep in range(REPEATS)
+        for flow in FLOWS
+    ]
     return PerfReport(
-        stages=measure_stages(names, repeats=repeats),
-        quick=quick,
+        runs=runs,
         machine={
             "python": platform.python_version(),
             "machine": platform.machine(),
             "system": platform.system(),
+            "cpus": os.cpu_count(),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Baseline comparison
-# ---------------------------------------------------------------------------
 
 
 def write_report(report: PerfReport, path: Path):
@@ -199,39 +157,31 @@ def load_report(path: Path) -> PerfReport:
 
 
 def compare_to_baseline(
-    current: PerfReport, baseline: PerfReport, tolerance: float = 2.0
+    current: PerfReport, baseline: PerfReport
 ) -> List[str]:
-    """Regression messages; empty means the run is within tolerance.
-
-    A stage regresses when it is ``tolerance`` times slower than the
-    baseline *and* the baseline is above the noise floor.
-    """
+    """Regression messages; empty means every median is within
+    ``TOLERANCE`` times its baseline median."""
+    base = baseline.flows()
     problems: List[str] = []
-    for bench, stages in current.stages.items():
-        base_stages = baseline.stages.get(bench)
-        if base_stages is None:
+    for flow, stats in current.flows().items():
+        if flow not in base:
             continue
-        for stage, seconds in stages.items():
-            base = base_stages.get(stage)
-            if base is None or base < FLOOR_SECONDS:
-                continue
-            if seconds > base * tolerance:
-                problems.append(
-                    f"{bench}/{stage}: {seconds:.4f}s vs baseline "
-                    f"{base:.4f}s (>{tolerance:g}x)"
-                )
+        limit = base[flow]["median_s"] * TOLERANCE
+        if stats["median_s"] > limit:
+            problems.append(
+                f"{flow}: median {stats['median_s']:.3f}s vs baseline "
+                f"{base[flow]['median_s']:.3f}s (>{TOLERANCE:g}x)"
+            )
     return problems
 
 
 def render_report(report: PerfReport) -> str:
-    """Human-readable table of the payload."""
-    lines = ["== perf: toolchain stage timings (seconds, below the memos) =="]
-    header = "bench".ljust(12) + "".join(s.rjust(11) for s in STAGES)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for bench, stages in report.stages.items():
+    """One line per flow: median, p90 and the number of runs."""
+    lines = ["== perf: end-to-end wall time per fresh process (seconds) =="]
+    lines.append(f"{'flow':<12}{'median':>9}{'p90':>9}{'runs':>6}")
+    for flow, stats in report.flows().items():
         lines.append(
-            bench.ljust(12)
-            + "".join(f"{stages.get(s, 0.0):11.4f}" for s in STAGES)
+            f"{flow:<12}{stats['median_s']:9.3f}{stats['p90_s']:9.3f}"
+            f"{stats['runs']:6d}"
         )
     return "\n".join(lines)

@@ -12,8 +12,9 @@ Commands:
 * ``chaos <benchmark> [--scenario ...]`` — train under an injected fault
   scenario with the fault-tolerant runtime and report recovery cost
   against the healthy run.
-* ``perf [--quick] [--update-baseline]`` — time the toolchain stages and
-  gate against the committed ``BENCH_perf.json`` baseline.
+* ``perf [--update-baseline]`` — time the end-to-end flows (cold
+  ``run_all()``, seeded ``train``/``chaos``, tier-1) and gate their
+  medians against the committed ``BENCH_perf.json`` baseline.
 """
 
 from __future__ import annotations
@@ -77,19 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--checkpoint-every", type=int, default=4)
 
     perf = sub.add_parser(
-        "perf", help="time the toolchain and gate against BENCH_perf.json"
-    )
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="small benchmark subset, one repeat (the CI smoke gate)",
-    )
-    perf.add_argument(
-        "--bench",
-        action="append",
-        dest="benches",
-        metavar="NAME",
-        help="limit the stage matrix to this benchmark (repeatable)",
+        "perf",
+        help="time the end-to-end flows and gate against BENCH_perf.json",
     )
     perf.add_argument(
         "--baseline",
@@ -106,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="write this run to the baseline path instead of comparing",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=2.0,
-        help="flag stages slower than TOLERANCE x baseline (default 2.0)",
     )
     return parser
 
@@ -380,6 +364,7 @@ def _cmd_perf(args) -> int:
     from pathlib import Path
 
     from .bench.perf import (
+        TOLERANCE,
         compare_to_baseline,
         load_report,
         render_report,
@@ -387,7 +372,7 @@ def _cmd_perf(args) -> int:
         write_report,
     )
 
-    report = run_perf(names=args.benches, quick=args.quick)
+    report = run_perf()
     print(render_report(report))
 
     baseline_path = Path(args.baseline)
@@ -404,15 +389,13 @@ def _cmd_perf(args) -> int:
             "to create one"
         )
         return 0
-    problems = compare_to_baseline(
-        report, load_report(baseline_path), tolerance=args.tolerance
-    )
+    problems = compare_to_baseline(report, load_report(baseline_path))
     if problems:
         print(f"\nPERF REGRESSIONS vs {baseline_path}:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"\nwithin {args.tolerance:g}x of baseline {baseline_path}")
+    print(f"\nmedians within {TOLERANCE:g}x of baseline {baseline_path}")
     return 0
 
 

@@ -171,10 +171,3 @@ class CosmicSystem:
 
     def system_power_watts(self, nodes: Optional[int] = None) -> float:
         return (nodes or self.nodes) * self.platform.node_power_watts()
-
-    def throughput_samples_per_second(
-        self, minibatch_per_node: int = 10_000, nodes: Optional[int] = None
-    ) -> float:
-        nodes = nodes or self.nodes
-        timing = self.iteration(minibatch_per_node, nodes)
-        return minibatch_per_node * nodes / timing.total_s

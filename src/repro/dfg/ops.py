@@ -95,12 +95,3 @@ COMPARISON_OPS = frozenset({"gt", "lt", "ge", "le", "eq", "ne"})
 def op_info(name: str) -> OpInfo:
     """Metadata for op ``name``; raises KeyError for unknown ops."""
     return _REGISTRY[name]
-
-
-def is_known_op(name: str) -> bool:
-    return name in _REGISTRY
-
-
-def all_ops() -> Dict[str, OpInfo]:
-    """A copy of the full registry (for documentation and tests)."""
-    return dict(_REGISTRY)

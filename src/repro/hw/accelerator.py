@@ -267,8 +267,3 @@ class MimdTimingModel:
             compute_bound_threads=compute_bound,
             per_thread_finish=[int(f) for f in finish],
         )
-
-    def throughput_samples_per_cycle(self, samples: int = 1024) -> float:
-        result = self.run_batch(samples)
-        busy = result.total_cycles
-        return samples / busy if busy else float("inf")

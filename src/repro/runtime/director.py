@@ -142,41 +142,6 @@ class HeartbeatConfig:
         deadline = last_beat + self.timeout_s
         return math.ceil(deadline / self.period_s - 1e-9) * self.period_s
 
-    def detection_delay(self, crash_s: float) -> float:
-        return self.detection_at(crash_s) - crash_s
-
-
-class HeartbeatMonitor:
-    """The Director's liveness table: last beat per node.
-
-    Deterministic and simulation-time driven: ``beat`` records arrivals,
-    ``suspects(now)`` returns every tracked node silent past the timeout.
-    """
-
-    def __init__(self, config: HeartbeatConfig, nodes: Iterable[int]):
-        self.config = config
-        self._last_seen: Dict[int, float] = {n: 0.0 for n in nodes}
-
-    def beat(self, node_id: int, now: float):
-        if node_id not in self._last_seen:
-            raise KeyError(f"node {node_id} is not monitored")
-        self._last_seen[node_id] = max(self._last_seen[node_id], now)
-
-    def watch(self, node_id: int, now: float):
-        """Start monitoring a (re)joined node, counting from ``now``."""
-        self._last_seen[node_id] = now
-
-    def forget(self, node_id: int):
-        self._last_seen.pop(node_id, None)
-
-    def suspects(self, now: float) -> List[int]:
-        """Nodes silent for longer than the timeout, in id order."""
-        return sorted(
-            node
-            for node, seen in self._last_seen.items()
-            if now - seen > self.config.timeout_s
-        )
-
 
 # ---------------------------------------------------------------------------
 # Hierarchy re-formation after failures.

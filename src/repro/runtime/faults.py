@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import math
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -116,25 +114,6 @@ def faulty_compute(compute_seconds, faults: FaultSpec):
         )
 
     return wrapped
-
-
-def degraded_network_seconds(
-    base_seconds: float, node_id: int, faults: FaultSpec
-) -> float:
-    """Wire time for one message from/to a degraded node."""
-    return (
-        base_seconds * faults.network_factor(node_id)
-        + faults.expected_retransmit_s(node_id)
-    )
-
-
-def straggler_slowdown(
-    iteration_total_s: float, healthy_total_s: float
-) -> float:
-    """Relative cost of the injected faults for one iteration."""
-    if healthy_total_s <= 0:
-        return math.inf
-    return iteration_total_s / healthy_total_s
 
 
 # ---------------------------------------------------------------------------

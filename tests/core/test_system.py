@@ -48,13 +48,6 @@ class TestSystem:
         assert 0 < timing.compute_fraction < 1
         assert timing.total_s > timing.compute_s
 
-    def test_throughput_consistent_with_iteration(self):
-        b = benchmark("stock")
-        system = CosmicSystem(b, platform_for(b, "fpga"), 3)
-        timing = system.iteration(10_000)
-        tput = system.throughput_samples_per_second(10_000)
-        assert tput == pytest.approx(30_000 / timing.total_s, rel=1e-6)
-
     def test_system_power(self):
         b = benchmark("stock")
         system = CosmicSystem(b, platform_for(b, "fpga"), 3)

@@ -186,5 +186,5 @@ class TestMimdTiming:
     def test_throughput_roofline(self):
         """Throughput never exceeds the streaming bound."""
         model = MimdTimingModel(16, 10, 160, 16)
-        tput = model.throughput_samples_per_cycle(256)
+        tput = 256 / model.run_batch(256).total_cycles
         assert tput <= 16 / 160 + 1e-9

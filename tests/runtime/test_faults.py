@@ -9,9 +9,7 @@ from repro.runtime.faults import (
     Partition,
     FaultSpec,
     apply_faults,
-    degraded_network_seconds,
     faulty_compute,
-    straggler_slowdown,
 )
 
 
@@ -66,7 +64,7 @@ class TestInjection:
             healthy(), FaultSpec.single_straggler(5, 4.0)
         ).iteration(8 * 1000)
         assert slowed.compute_max_s == pytest.approx(4 * base.compute_max_s)
-        assert straggler_slowdown(slowed.total_s, base.total_s) > 1.5
+        assert slowed.total_s / base.total_s > 1.5
 
     def test_straggler_on_sigma_same_as_delta(self):
         """The barrier makes the straggler's role irrelevant."""
@@ -100,11 +98,6 @@ class TestInjection:
         fn = faulty_compute(lambda nid, s: 1.0, FaultSpec.single_straggler(2, 5.0))
         assert fn(2, 10) == 5.0
         assert fn(0, 10) == 1.0
-
-    def test_degraded_network_seconds(self):
-        spec = FaultSpec(link_quality={1: 0.5}, drop_rate={1: 0.1})
-        t = degraded_network_seconds(0.01, 1, spec)
-        assert t > 0.02  # halved bandwidth + retransmit expectation
 
 
 class TestFleetJitter:

@@ -8,7 +8,6 @@ from repro.dsl.parser import parse
 from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
 from repro.runtime.director import (
     HeartbeatConfig,
-    HeartbeatMonitor,
     assign_roles,
     rebuild_topology,
     rehierarchy_seconds,
@@ -99,7 +98,7 @@ class TestHeartbeat:
         for crash in (0.0, 0.05, 0.1, 0.33, 1.27):
             at = hb.detection_at(crash)
             assert at >= crash
-            assert hb.detection_delay(crash) <= hb.period_s + hb.timeout_s
+            assert at - crash <= hb.period_s + hb.timeout_s
             # Detection happens on a heartbeat tick.
             assert at == pytest.approx(
                 round(at / hb.period_s) * hb.period_s
@@ -115,21 +114,6 @@ class TestHeartbeat:
             HeartbeatConfig(period_s=0.2, timeout_s=0.1)
         with pytest.raises(ValueError):
             HeartbeatConfig(period_s=0.0)
-
-    def test_monitor_suspects_silent_nodes(self):
-        monitor = HeartbeatMonitor(
-            HeartbeatConfig(period_s=0.1, timeout_s=0.5), nodes=[0, 1, 2]
-        )
-        monitor.beat(0, 1.0)
-        monitor.beat(1, 0.7)
-        assert monitor.suspects(1.1) == [2]
-        assert monitor.suspects(1.3) == [1, 2]
-        monitor.forget(2)
-        assert monitor.suspects(1.3) == [1]
-        monitor.watch(2, 1.3)  # rejoined: silence counts from now
-        assert monitor.suspects(1.4) == [1]
-        with pytest.raises(KeyError):
-            monitor.beat(99, 1.0)
 
 
 class TestRebuildTopology:

@@ -1,17 +1,18 @@
 """Whole studies regenerate identically on the event-driven reference.
 
-Figure 7 (the quick benchmark set), Figure 16 and a 16-node quorum
-fraction x deadline grid run twice: on the shipping replay engine, and
-with every cluster iteration routed through the event-driven reference
-(:func:`~tests.runtime.event_reference.reference_engine`). Every row and
-every :class:`IterationTiming` must be equal.
+Figure 7 (a small, a medium and a large model), Figure 16 and a
+16-node quorum fraction x deadline grid run twice: on the shipping
+replay engine, and with every cluster iteration routed through the
+event-driven reference
+(:func:`~tests.runtime.event_reference.reference_engine`). Every row
+and every :class:`IterationTiming` must be equal.
 """
 
 from repro.bench import figures
-from repro.bench.perf import QUICK_BENCHES, _result_payload
 from repro.runtime import schedule
 from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
 from tests.runtime.event_reference import reference_engine
+from tests.test_golden import result_payload
 
 
 def _memoised_timings():
@@ -32,10 +33,13 @@ def _on_both_engines(study):
 
 def test_figure_rows_identical_on_reference_engine():
     def regenerate():
-        return [figures.figure7(QUICK_BENCHES), figures.figure16()]
+        return [
+            figures.figure7(("stock", "movielens", "mnist")),
+            figures.figure16(),
+        ]
 
     reference, shipped = _on_both_engines(regenerate)
-    assert _result_payload(shipped) == _result_payload(reference)
+    assert result_payload(shipped) == result_payload(reference)
 
 
 def test_quorum_grid_identical_on_reference_engine():

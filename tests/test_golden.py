@@ -1,12 +1,12 @@
 """The end-to-end contract: every ``run_all()`` row and summary, plus the
 seeded ``train``/``chaos`` flows, pinned.
 
-``tests/golden/run_all.json`` is the canonical ``_result_payload`` JSON of
+``tests/golden/run_all.json`` is the canonical ``result_payload`` JSON of
 all 14 Section 7 experiments. Any change to a table or figure fails this
 test; if the change is intended, regenerate the file, review its diff
 against the EXPERIMENTS.md headline table, and commit both::
 
-    PYTHONPATH=src python -c "import sys; from repro.bench import run_all; from repro.bench.perf import _result_payload; sys.stdout.write(_result_payload(run_all()))" > tests/golden/run_all.json
+    PYTHONPATH=src:. python -c "import sys; from repro.bench.figures import run_all; from tests.test_golden import result_payload; sys.stdout.write(result_payload(run_all()))" > tests/golden/run_all.json
 
 ``tests/golden/train_chaos.json`` pins the ``repro train`` and ``repro
 chaos`` flows at CLI defaults at full precision (the CLI itself prints
@@ -24,7 +24,6 @@ import json
 from pathlib import Path
 
 from repro.bench.figures import run_all
-from repro.bench.perf import _result_payload
 from repro.cli import build_parser, chaos_flow, train_flow
 from repro.runtime.recovery import SCENARIOS
 
@@ -33,6 +32,15 @@ GOLDEN = GOLDEN_DIR / "run_all.json"
 
 TRAIN_BENCHMARKS = ("stock", "cancer1", "face", "mnist", "movielens")
 CHAOS_BENCHMARK = "mnist"
+
+
+def result_payload(results) -> str:
+    """Canonical JSON of every row and summary — the bit-identity probe."""
+    return json.dumps(
+        [(r.experiment, r.rows, r.summary) for r in results],
+        default=str,
+        sort_keys=True,
+    )
 
 
 def _run_fields(result):
@@ -76,7 +84,7 @@ def train_chaos_payload() -> str:
 
 
 def test_run_all_matches_golden_byte_exact():
-    assert _result_payload(run_all()).encode() == GOLDEN.read_bytes()
+    assert result_payload(run_all()).encode() == GOLDEN.read_bytes()
 
 
 def test_train_and_chaos_flows_match_golden_byte_exact():

@@ -62,16 +62,6 @@ class Schedule:
     transfers: List[Transfer] = field(default_factory=list)
     makespan: int = 0
 
-    def ops_on_pe(self, pe: int) -> List[ScheduledOp]:
-        return sorted(
-            (op for op in self.ops.values() if op.pe == pe),
-            key=lambda op: op.start,
-        )
-
-    @property
-    def comm_cycles(self) -> int:
-        return sum(t.latency for t in self.transfers)
-
 
 def tree_bus_latency(rows: int) -> int:
     """Cross-row transfer latency over the hierarchical tree bus."""
@@ -113,21 +103,14 @@ def schedule_graph(
         if value.producer is None:
             ready_at[value.vid] = arrival.get(value.vid, 0)
 
-    pending = sorted(
+    # A producer outranks each of its consumers: under "longest_chain" its
+    # height adds at least one cycle to theirs, under "source_order" the
+    # Dfg numbers producers first. So in rank order every operand is ready
+    # when its consumer is reached, and one pass issues the whole graph.
+    for node in sorted(
         dfg.topo_order(), key=lambda n: ranks[n.nid], reverse=True
-    )
-    scheduled: Dict[int, bool] = {}
-    while pending:
-        progress = False
-        for node in pending:
-            if not all(vid in ready_at for vid in node.inputs):
-                continue
-            _issue(node, dfg, mapping, schedule, ready_at, pe_free, bus)
-            scheduled[node.nid] = True
-            progress = True
-        pending = [n for n in pending if n.nid not in scheduled]
-        if pending and not progress:
-            raise RuntimeError("scheduler deadlock: graph is not acyclic")
+    ):
+        _issue(node, dfg, mapping, schedule, ready_at, pe_free, bus)
     schedule.makespan = max(
         (op.end for op in schedule.ops.values()), default=0
     )
@@ -191,17 +174,18 @@ def verify_schedule(dfg: ir.Dfg, mapping: Mapping, schedule: Schedule):
 
 
 def _heights(dfg: ir.Dfg) -> Dict[int, int]:
-    """Longest dependence chain from each node to any sink."""
+    """Longest dependence chain from each node to any sink.
+
+    One reverse pass: ``below`` carries each value's tallest consumer.
+    """
     height: Dict[int, int] = {}
-    consumers: Dict[int, List[ir.Node]] = {}
-    for node in dfg.topo_order():
-        for vid in node.inputs:
-            consumers.setdefault(vid, []).append(node)
+    below: Dict[int, int] = {}
     for node in reversed(dfg.topo_order()):
-        below = [
-            height[c.nid] for c in consumers.get(node.output, [])
-        ]
-        height[node.nid] = op_info(node.op).cycles + max(below, default=0)
+        h = op_info(node.op).cycles + below.get(node.output, 0)
+        height[node.nid] = h
+        for vid in node.inputs:
+            if below.get(vid, 0) < h:
+                below[vid] = h
     return height
 
 

@@ -27,7 +27,7 @@ CONST = "CONST"
 CATEGORIES = (DATA, MODEL, INTERIM, CONST)
 
 
-@dataclass
+@dataclass(slots=True)
 class Value:
     """An edge of the DFG: a (possibly shaped) operand.
 
@@ -51,7 +51,7 @@ class Value:
     is_gradient: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A vertex of the DFG: one (macro-)operation.
 

@@ -35,15 +35,22 @@ class ScalarExpansion:
     dfg: ir.Dfg
     #: scalar ids of every input element, by (var, index)
     elements: ElementMap = field(default_factory=dict)
+    #: category -> (var, index, vid) of its input elements, in layout order
+    _inputs: Dict[str, List[Tuple[str, Tuple[int, ...], int]]] = field(
+        init=False, repr=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        for (name, index), vid in sorted(self.elements.items()):
+            value = self.dfg.values[vid]
+            if value.producer is None:
+                self._inputs.setdefault(value.category, []).append(
+                    (name, index, vid)
+                )
 
     def input_elements(self, category: str) -> List[Tuple[str, Tuple[int, ...], int]]:
         """(var, index, vid) for inputs of ``category`` in layout order."""
-        out = []
-        for (name, index), vid in sorted(self.elements.items()):
-            value = self.dfg.values[vid]
-            if value.producer is None and value.category == category:
-                out.append((name, index, vid))
-        return out
+        return list(self._inputs.get(category, ()))
 
 
 def scalarize(macro: ir.Dfg, max_nodes: int = 50_000) -> ScalarExpansion:
@@ -111,14 +118,19 @@ class _Expander:
             return
         grid: Dict[Tuple[int, ...], ir.Value] = {}
         out_axes = out_value.axes
+        # Per input: its element grid and where its axes sit in out_axes.
+        gathers = [
+            (
+                self._grid[vid],
+                [out_axes.index(a) for a in self._macro.values[vid].axes],
+            )
+            for vid in node.inputs
+        ]
         for index in self._indices(out_axes):
-            operands = []
-            for vid in node.inputs:
-                in_value = self._macro.values[vid]
-                sub = tuple(
-                    index[out_axes.index(a)] for a in in_value.axes
-                )
-                operands.append(self._grid[vid][sub])
+            operands = [
+                source[tuple(index[p] for p in positions)]
+                for source, positions in gathers
+            ]
             grid[index] = self._scalar.add_node(
                 node.op,
                 operands,
@@ -138,17 +150,21 @@ class _Expander:
             "reduce_min": "min",
             "reduce_max": "max",
         }[node.op]
+        # Each input axis is read from the output index or, past its end,
+        # from the reduced index.
+        positions = [
+            out_axes.index(a)
+            if a in out_axes
+            else len(out_axes) + node.reduce_axes.index(a)
+            for a in in_axes
+        ]
+        source = self._grid[node.inputs[0]]
         grid: Dict[Tuple[int, ...], ir.Value] = {}
         for index in self._indices(out_axes):
             leaves: List[ir.Value] = []
             for reduced in self._indices(node.reduce_axes):
-                sub = tuple(
-                    index[out_axes.index(a)]
-                    if a in out_axes
-                    else reduced[node.reduce_axes.index(a)]
-                    for a in in_axes
-                )
-                leaves.append(self._grid[node.inputs[0]][sub])
+                full = index + reduced
+                leaves.append(source[tuple(full[p] for p in positions)])
             grid[index] = self._tree(
                 combine, leaves, out_value, index
             )
@@ -197,4 +213,4 @@ class _Expander:
 def _element_name(name: str, index: Tuple[int, ...]) -> str:
     if not index:
         return name
-    return f"{name}[{','.join(str(i) for i in index)}]"
+    return f"{name}[{','.join(map(str, index))}]"

@@ -34,6 +34,13 @@ def program(source=LINREG, n=16, rows=2, columns=4, **kw):
     return compile_thread(dfg, rows=rows, columns=columns, **kw)
 
 
+def ops_on_pe(schedule, pe):
+    return sorted(
+        (op for op in schedule.ops.values() if op.pe == pe),
+        key=lambda op: op.start,
+    )
+
+
 class TestLegality:
     @pytest.mark.parametrize("rows,columns", [(1, 1), (1, 4), (2, 4), (4, 8)])
     def test_schedule_verifies(self, rows, columns):
@@ -49,7 +56,7 @@ class TestLegality:
     def test_pe_exclusivity(self):
         prog = program(rows=2, columns=2)
         for pe in range(prog.grid.n_pe):
-            ops = prog.schedule.ops_on_pe(pe)
+            ops = ops_on_pe(prog.schedule, pe)
             for a, b in zip(ops, ops[1:]):
                 assert b.start >= a.end
 

@@ -5,9 +5,11 @@ import pytest
 
 from repro.dfg.interpreter import Interpreter
 from repro.dfg.ir import DATA, MODEL
+from repro.dfg.optimize import optimize
 from repro.dfg.scalarize import ExpansionTooLarge, scalarize
 from repro.dfg.translate import translate
 from repro.dsl.parser import parse
+from repro.ml.benchmarks import BENCHMARKS
 
 LINREG = """
 model_input x[n];
@@ -50,6 +52,25 @@ class TestStructure:
         model = exp.input_elements(MODEL)
         assert [name for name, _, _ in model] == ["w", "w", "w"]
         assert {name for name, _, _ in data} == {"x", "y"}
+
+    @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+    def test_input_elements_match_sorted_scan(self, bench):
+        """The per-category lists built at expansion equal a fresh scan:
+        sort every element, keep the inputs of the category. A caller
+        that changes its list does not change the next caller's."""
+        exp = scalarize(optimize(bench.translate(scaled=True).dfg)[0])
+        for category in (DATA, MODEL):
+            scan = [
+                (name, index, vid)
+                for (name, index), vid in sorted(exp.elements.items())
+                if exp.dfg.values[vid].producer is None
+                and exp.dfg.values[vid].category == category
+            ]
+            got = exp.input_elements(category)
+            assert got == scan
+            got.reverse()
+            got.append(("tampered", (), -1))
+            assert exp.input_elements(category) == scan
 
     def test_reduction_tree_is_balanced(self):
         exp = scalarize(lin(8))

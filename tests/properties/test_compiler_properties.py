@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import scheduling
 from repro.compiler.mapping import PeGrid, communication_edges, map_graph
 from repro.compiler.program import compile_thread
 from repro.dfg.interpreter import Interpreter
@@ -30,6 +31,19 @@ gradient g[n];
 iterator i[0:n];
 m = sum[i](w[i] * x[i]) * y;
 g[i] = (m < 1) ? (-y * x[i]) : 0;
+"""
+
+# ``s`` and ``e`` each feed a short and a longer consumer chain, so a
+# value's tallest consumer is not always its first or last one.
+BRANCHY = """
+model_input x[n];
+model_output y;
+model w[n];
+gradient g[n];
+iterator i[0:n];
+s = sum[i](w[i] * x[i]);
+e = s - y;
+g[i] = e * x[i] + (sigmoid(s) - y) * e;
 """
 
 geometries = st.tuples(
@@ -92,6 +106,97 @@ class TestScheduleInvariants:
         small = compile_thread(dfg, rows=1, columns=1, include_stream=False)
         large = compile_thread(dfg, rows=2, columns=4, include_stream=False)
         assert large.cycles <= small.cycles + 24
+
+
+def reference_heights(dfg):
+    """Longest chain to a sink, from explicit consumer lists."""
+    consumers = {}
+    for node in dfg.topo_order():
+        for vid in node.inputs:
+            consumers.setdefault(vid, []).append(node)
+    height = {}
+    for node in reversed(dfg.topo_order()):
+        below = [height[c.nid] for c in consumers.get(node.output, [])]
+        height[node.nid] = (
+            scheduling.op_info(node.op).cycles + max(below, default=0)
+        )
+    return height
+
+
+def reference_schedule(dfg, mapping, include_stream, priority):
+    """The fixed-point list scheduler: sweep the rank-ordered pending
+    list, issuing every node whose operands are ready, until none is
+    left."""
+    grid = mapping.grid
+    schedule = scheduling.Schedule(grid)
+    if priority == "longest_chain":
+        ranks = reference_heights(dfg)
+    else:
+        ranks = {n.nid: -n.nid for n in dfg.topo_order()}
+    arrival = scheduling._data_arrivals(mapping) if include_stream else {}
+    ready_at = {
+        v.vid: arrival.get(v.vid, 0)
+        for v in dfg.values.values()
+        if v.producer is None
+    }
+    pe_free = [0] * grid.n_pe
+    bus = scheduling._BusCalendar(grid)
+    pending = sorted(
+        dfg.topo_order(), key=lambda n: ranks[n.nid], reverse=True
+    )
+    scheduled = set()
+    while pending:
+        progress = False
+        for node in pending:
+            if not all(vid in ready_at for vid in node.inputs):
+                continue
+            scheduling._issue(
+                node, dfg, mapping, schedule, ready_at, pe_free, bus
+            )
+            scheduled.add(node.nid)
+            progress = True
+        pending = [n for n in pending if n.nid not in scheduled]
+        if pending and not progress:
+            raise RuntimeError("scheduler deadlock: graph is not acyclic")
+    schedule.makespan = max(
+        (op.end for op in schedule.ops.values()), default=0
+    )
+    return schedule
+
+
+class TestOnePassScheduler:
+    @given(
+        st.sampled_from([LINREG, SVM, BRANCHY]),
+        widths,
+        geometries,
+        st.sampled_from(["longest_chain", "source_order"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fixed_point_reference(
+        self, source, n, geometry, priority, include_stream
+    ):
+        rows, columns = geometry
+        exp = scalarize(translate(parse(source), {"n": n}).dfg)
+        dfg = exp.dfg
+        mapping = map_graph(exp, PeGrid(rows, columns))
+        if priority == "longest_chain":
+            ranks = scheduling._heights(dfg)
+            assert ranks == reference_heights(dfg)
+        else:
+            ranks = {n.nid: -n.nid for n in dfg.topo_order()}
+        # A producer outranks every consumer, so one pass in rank order
+        # reaches each node after all of its producers.
+        for node in dfg.topo_order():
+            for vid in node.inputs:
+                producer = dfg.values[vid].producer
+                if producer is not None:
+                    assert ranks[producer] > ranks[node.nid]
+        got = scheduling.schedule_graph(dfg, mapping, include_stream, priority)
+        want = reference_schedule(dfg, mapping, include_stream, priority)
+        assert got.ops == want.ops
+        assert got.transfers == want.transfers
+        assert got.makespan == want.makespan
 
 
 class TestEndToEndFunctional:

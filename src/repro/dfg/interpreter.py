@@ -17,7 +17,7 @@ import functools
 import math
 import string
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,11 @@ def _batched(value: ir.Value, batch: bool) -> bool:
     return batch and (value.category == ir.DATA or value.producer is not None)
 
 
+def _batch_sum(per_sample: np.ndarray) -> np.ndarray:
+    """Sum of :meth:`Interpreter.gradients`' C-ordered result over rows."""
+    return np.add.reduce(np.array(per_sample, dtype=np.float64), axis=0)
+
+
 class Interpreter:
     """Evaluates a :class:`repro.dfg.ir.Dfg` on NumPy arrays.
 
@@ -66,6 +71,9 @@ class Interpreter:
     A ``mul`` whose product only feeds a ``reduce_sum`` becomes one
     ``np.einsum`` step when that keeps the float order (see
     :meth:`_fusable`): the product is never materialised.
+
+    The batch plan runs a body, then a gradient tail (:meth:`_split_tail`):
+    :meth:`shard_gradient_means` runs the body once, the tail per shard.
     """
 
     def __init__(self, dfg: ir.Dfg):
@@ -94,6 +102,7 @@ class Interpreter:
             for name, vid in self._outputs
             if name in gradient_names
         )
+        self._split_tail(topo, uses)
 
     @property
     def dfg(self) -> ir.Dfg:
@@ -129,13 +138,41 @@ class Interpreter:
             self._evaluate(feeds, batch), self._gradient_outputs
         )
 
+    def shard_gradient_means(
+        self, feeds: Mapping[str, np.ndarray], bounds: Sequence[int]
+    ) -> List[Dict[str, np.ndarray]]:
+        """Per shard, gradient name -> mean over the shard's rows
+        ``bounds[s]:bounds[s + 1]`` of the batch ``feeds``. Equals
+        ``np.add.reduce(gradients(shard_feeds, batch=True)[name],
+        axis=0) / n`` bit for bit, NaN signs aside
+        (``docs/performance.md``)."""
+        env: Dict[int, np.ndarray] = {}
+        rows = self._bind_inputs(feeds, env, True)
+        if bounds[0] != 0 or bounds[-1] != rows or min(np.diff(bounds)) < 1:
+            raise InterpreterError(f"shard bounds must rise from 0 to {rows}")
+        self._execute(self._plans[True][: self._tail_start], env, (rows,))
+        means = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            n = hi - lo
+            shard = {
+                vid: env[vid][lo:hi] if batched else env[vid]
+                for vid, batched in self._tail_inputs
+            }
+            self._execute(self._shard_tail, shard, (n,))
+            means.append({k: shard[v] / n for k, v in self._gradient_outputs})
+        return means
+
     def _evaluate(
         self, feeds: Mapping[str, np.ndarray], batch: bool
     ) -> Dict[int, np.ndarray]:
         env: Dict[int, np.ndarray] = {}
         batch_size = self._bind_inputs(feeds, env, batch)
-        prefix = (batch_size,) if batch else ()
-        for step in self._plans[batch]:
+        self._execute(self._plans[batch], env, (batch_size,) if batch else ())
+        return env
+
+    @staticmethod
+    def _execute(steps: Sequence[_Step], env: dict, prefix: tuple) -> None:
+        for step in steps:
             views = []
             for vid, perm, index in step.operands:
                 arr = env[vid]
@@ -148,7 +185,6 @@ class Interpreter:
             if step.broadcast is not None:
                 result = np.broadcast_to(result, prefix + step.broadcast)
             env[step.output] = result
-        return env
 
     @staticmethod
     def _collect(
@@ -173,7 +209,8 @@ class Interpreter:
                 steps[node.output] = self._compile_step(node, batch)
             else:
                 del steps[mul.output]
-                steps[node.output] = self._einsum_step(mul, node, batch)
+                out = self._dfg.values[node.output]
+                steps[node.output] = self._einsum_step(mul, out, batch, batch)
         return list(steps.values())
 
     def _compile_step(self, node: ir.Node, batch: bool) -> _Step:
@@ -281,24 +318,88 @@ class Interpreter:
             return None
         return mul
 
-    def _einsum_step(self, mul: ir.Node, node: ir.Node, batch: bool) -> _Step:
-        """``reduce_sum(mul(a, b))`` as one ``np.einsum`` contraction."""
+    def _einsum_step(
+        self, mul: ir.Node, out: ir.Value, batch: bool, out_batched: bool
+    ) -> _Step:
+        """``mul`` summed into ``out``'s axes as one ``np.einsum``: the
+        batch axis too unless ``out_batched``."""
         product = self._dfg.values[mul.output]
         # None stands for the batch axis.
         letters = dict(zip((None,) + product.axes, string.ascii_letters))
 
-        def term(value: ir.Value) -> str:
-            lead = (None,) if _batched(value, batch) else ()
+        def term(value: ir.Value, batched: bool) -> str:
+            lead = (None,) if batched else ()
             return "".join(letters[a] for a in lead + value.axes)
 
-        inputs = ",".join(term(self._dfg.values[vid]) for vid in mul.inputs)
-        subscripts = f"{inputs}->{term(self._dfg.values[node.output])}"
+        values = [self._dfg.values[vid] for vid in mul.inputs]
+        inputs = ",".join(term(v, _batched(v, batch)) for v in values)
+        subscripts = f"{inputs}->{term(out, out_batched)}"
         return _Step(
-            node.output,
+            out.vid,
             functools.partial(np.einsum, subscripts),
             tuple((vid, None, None) for vid in mul.inputs),
             None,
         )
+
+    def _split_tail(self, topo: List[ir.Node], uses: Counter) -> None:
+        """Order the batch plan as body, then gradient tail: each
+        unconsumed gradient, and back from it every unnamed single-use
+        value with exactly its axes. Per shard, the tail ends in a sum
+        over rows per gradient: ``einsum`` (:meth:`_contraction`) or
+        ``add.reduce``."""
+        dfg = self._dfg
+        shared = {vid for vid, n in uses.items() if n > 1}
+        shared.update(dfg.outputs.values())
+        #: tail vid -> the axes of its gradient
+        tail = {
+            vid: set(dfg.values[vid].axes)
+            for _, vid in self._gradient_outputs
+            if not uses[vid]
+        }
+        for node in reversed(topo):
+            axes = tail.get(node.output)
+            for src in node.inputs if axes is not None else ():
+                if src not in shared and set(dfg.values[src].axes) == axes:
+                    tail[src] = axes
+        plan = self._plans[True]
+        plan.sort(key=lambda step: step.output in tail)  # stable
+        self._tail_start = sum(step.output not in tail for step in plan)
+        steps = {step.output: step for step in plan[self._tail_start:]}
+        sums = []
+        for _, vid in self._gradient_outputs:
+            mul = self._contraction(vid, steps)
+            if mul is None:
+                sums.append(_Step(vid, _batch_sum, ((vid, None, None),), None))
+                continue
+            del steps[vid]
+            steps.pop(mul.output, None)
+            sums.append(self._einsum_step(mul, dfg.values[vid], True, False))
+        self._shard_tail = (*steps.values(), *sums)
+        read = {v for step in self._shard_tail for v, _, _ in step.operands}
+        #: (vid, batched) of each body value the per-shard tail reads.
+        self._tail_inputs = tuple(
+            (vid, _batched(dfg.values[vid], True))
+            for vid in sorted(read - steps.keys())
+        )
+
+    def _contraction(self, vid: int, steps: dict) -> Optional[ir.Node]:
+        """The ``mul`` of gradient ``vid`` (or of its ``identity``) if
+        ``einsum`` sums it over rows as ``add.reduce`` does: from +0.0,
+        row by row. Not for one element (summed pairwise), a factor
+        without rows (``einsum`` sums it first) or a broadcast."""
+        dfg = self._dfg
+        if vid not in steps or dfg.size(dfg.values[vid]) < 2:
+            return None
+        node = dfg.nodes[dfg.values[vid].producer]
+        if node.op == "identity" and node.inputs[0] in steps:
+            node = dfg.nodes[dfg.values[node.inputs[0]].producer]
+        if (
+            node.op != "mul"
+            or steps[node.output].broadcast is not None
+            or not all(_batched(dfg.values[v], True) for v in node.inputs)
+        ):
+            return None
+        return node
 
     # -- internals ---------------------------------------------------------
     def _bind_inputs(

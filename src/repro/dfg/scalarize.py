@@ -87,7 +87,6 @@ class _Expander:
             grid = self._grid[vid]
             first = grid[min(grid)]
             self._scalar.outputs[name] = first.vid
-        self._scalar.validate()
         return ScalarExpansion(self._scalar, self._elements)
 
     # -- helpers -------------------------------------------------------------

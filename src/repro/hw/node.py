@@ -14,6 +14,7 @@ really computes the numbers it would in hardware.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -71,21 +72,14 @@ class NodeAccelerator:
         samples = _sample_count(feeds)
         if samples < 1:
             raise ValueError("partition must contain at least one sample")
-        shards = np.array_split(np.arange(samples), self.threads)
+        sizes = [len(s) for s in np.array_split(range(samples), self.threads)]
         spec = self._translation.aggregator
-        thread_partials = []
-        thread_samples: Dict[int, int] = {}
-        for thread, shard in enumerate(shards):
-            thread_samples[thread] = len(shard)
-            if len(shard) == 0:
-                continue
-            shard_feeds = {k: np.asarray(v)[shard] for k, v in feeds.items()}
-            grads = self._interp.gradients(
-                {**shard_feeds, **model}, batch=True
-            )
-            thread_partials.append(
-                {k: v.mean(axis=0) for k, v in grads.items()}
-            )
+        # Threads past the sample count get no rows.
+        bounds = [0, *itertools.accumulate(n for n in sizes if n)]
+        partition = {k: np.ascontiguousarray(v) for k, v in feeds.items()}
+        thread_partials = self._interp.shard_gradient_means(
+            {**partition, **model}, bounds
+        )
         # Local aggregation on the tree-bus ALUs (Figure 1): the node
         # ships one partial, not one per thread.
         partials: Dict[str, np.ndarray] = {}
@@ -102,7 +96,7 @@ class NodeAccelerator:
             samples=samples,
             timing=timing,
             seconds=seconds,
-            thread_samples=thread_samples,
+            thread_samples=dict(enumerate(sizes)),
         )
 
     def seconds_for(self, samples: int) -> float:

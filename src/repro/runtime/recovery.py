@@ -142,6 +142,8 @@ def chaos_train(
     the current (possibly re-formed) topology. With an empty timeline
     and no quorum the run is bit-identical to ``DistributedTrainer.train``.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     trainer = DistributedTrainer(
         translation,
         nodes=spec.nodes,

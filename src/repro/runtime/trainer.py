@@ -19,6 +19,7 @@ Two worker modes:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
@@ -110,6 +111,8 @@ class DistributedTrainer:
         """
         if mode not in ("minibatch", "local_sgd"):
             raise ValueError(f"unknown mode {mode!r}")
+        if epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {epochs}")
         samples = _sample_count(feeds)
         if minibatch_per_worker is None:
             minibatch_per_worker = max(
@@ -192,19 +195,11 @@ class DistributedTrainer:
         mu: float,
     ):
         spec = self._translation.aggregator
-        partials: List[Dict[str, np.ndarray]] = []
-        for shard in shards:
-            if len(shard) == 0:
-                continue
-            shard_feeds = {k: v[shard] for k, v in feeds.items()}
-            shard_feeds.update(model)
-            grads = self._interp.gradients(shard_feeds, batch=True)
-            # The ufunc and division v.mean(axis=0) runs, minus its
-            # Python wrapper.
-            n = len(shard)
-            partials.append(
-                {k: np.add.reduce(v, axis=0) / n for k, v in grads.items()}
-            )
+        rows = np.concatenate(shards)
+        batch = {k: v[rows] for k, v in feeds.items()}
+        batch.update(model)
+        bounds = [0, *itertools.accumulate(map(len, shards))]
+        partials = self._interp.shard_gradient_means(batch, bounds)
         for target, source in spec.pairs:
             stack = np.stack([p[source] for p in partials])
             agg = stack.mean(axis=0) if spec.kind == "mean" else stack.sum(axis=0)

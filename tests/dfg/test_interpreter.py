@@ -307,3 +307,88 @@ class TestFusedPlans:
             expect = FUSED.get(bench.name, (nodes, nodes))
             for batch in (False, True):
                 assert (nodes, len(interp._plans[batch])) == expect
+
+
+#: How :meth:`Interpreter.shard_gradient_means` sums each gradient over
+#: a shard: one einsum over the batch axis, or per-sample values summed
+#: by ``add.reduce``.
+CONTRACTED = {
+    "mnist": ("g1", "g2"),
+    "acoustic": ("g1", "g2"),
+    "stock": ("g",),
+    "texture": ("g",),
+    "tumor": ("g",),
+    "cancer1": ("g",),
+    "movielens": ("g",),
+    "netflix": ("g",),
+}
+REDUCED = {"face": ("g",), "cancer2": ("g",)}
+
+SCALAR_GRADIENT = """
+model_input x[n];
+model_output y;
+model w[n];
+gradient g;
+iterator i[0:n];
+e = sum[i](w[i] * x[i]) - y;
+g = e * e;
+"""
+
+ONE_BATCHED_FACTOR = """
+model_input x[n];
+model_output y;
+model w[n];
+gradient g[n];
+iterator i[0:n];
+e = sum[i](w[i] * x[i]) - y;
+g[i] = w[i] * e;
+"""
+
+
+def shard_routes(interp):
+    """Gradient name -> the op of the last per-shard step writing it."""
+    last = {step.output: step.fn for step in interp._shard_tail}
+    routes = {}
+    for name, vid in interp._gradient_outputs:
+        einsum = getattr(last[vid], "func", None) is np.einsum
+        routes[name] = "einsum" if einsum else "reduce"
+    return routes
+
+
+class TestShardGradientMeans:
+    @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+    def test_route_per_gradient(self, bench):
+        expect = {name: "einsum" for name in CONTRACTED.get(bench.name, ())}
+        expect.update(
+            (name, "reduce") for name in REDUCED.get(bench.name, ())
+        )
+        assert expect
+        for scaled in (False, True):
+            interp = Interpreter(bench.translate(scaled=scaled).dfg)
+            assert shard_routes(interp) == expect
+
+    @pytest.mark.parametrize(
+        "source",
+        [SCALAR_GRADIENT, ONE_BATCHED_FACTOR],
+        ids=["scalar gradient", "one batched factor"],
+    )
+    def test_guard_cases_stay_on_reduce(self, source, rng):
+        interp = Interpreter(translate(parse(source), {"n": 4}).dfg)
+        assert shard_routes(interp) == {"g": "reduce"}
+        x = rng.normal(size=(7, 4))
+        y = rng.normal(size=7)
+        w = rng.normal(size=4)
+        bounds = [0, 1, 4, 7]
+        means = interp.shard_gradient_means({"x": x, "y": y, "w": w}, bounds)
+        for mean, lo, hi in zip(means, bounds, bounds[1:]):
+            shard = {"x": x[lo:hi], "y": y[lo:hi], "w": w}
+            per_sample = interp.gradients(shard, batch=True)["g"]
+            expect = np.add.reduce(per_sample, axis=0) / (hi - lo)
+            assert mean["g"].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bounds", [[0, 3], [0, 2, 2, 4], [1, 4], [0]])
+    def test_bad_bounds_rejected(self, bounds):
+        interp = Interpreter(translate(parse(LINREG), {"n": 2}).dfg)
+        feeds = {"x": np.ones((4, 2)), "y": np.ones(4), "w": np.ones(2)}
+        with pytest.raises(InterpreterError, match="bounds"):
+            interp.shard_gradient_means(feeds, bounds)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.compiler.program import compile_thread
 from repro.dfg.interpreter import Interpreter
-from repro.dfg.ir import DATA, MODEL
+from repro.dfg.ir import DATA, MODEL, Dfg
 from repro.dfg.optimize import optimize
 from repro.dfg.scalarize import ExpansionTooLarge, scalarize
 from repro.dfg.translate import translate
@@ -71,6 +72,23 @@ class TestStructure:
             got.reverse()
             got.append(("tampered", (), -1))
             assert exp.input_elements(category) == scan
+
+    @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+    def test_expansion_is_valid(self, bench):
+        scalarize(optimize(bench.translate(scaled=True).dfg)[0]).dfg.validate()
+
+    def test_compile_thread_validates_scalar_graph_once(self, monkeypatch):
+        validated = []
+        validate = Dfg.validate
+
+        def counting(dfg):
+            validated.append(dfg)
+            validate(dfg)
+
+        monkeypatch.setattr(Dfg, "validate", counting)
+        program = compile_thread(lin(4), rows=1, columns=2)
+        scalar = program.expansion.dfg
+        assert [dfg for dfg in validated if dfg is scalar] == [scalar]
 
     def test_reduction_tree_is_balanced(self):
         exp = scalarize(lin(8))

@@ -8,7 +8,8 @@ Three invariants the whole PR rests on:
   scalar reference cycle-for-cycle;
 * the interpreter's precompiled execution plans, including the einsum
   steps that fuse ``mul -> reduce_sum``, equal the dynamic reference
-  path bit-for-bit.
+  path bit-for-bit, and each shard's gradient mean from one pass over
+  all shards equals the mean of that shard's own per-sample gradients.
 
 Both references live only here: ``scalar_run_batch`` steps the
 round-robin memory interface one sample at a time, and
@@ -33,7 +34,7 @@ from repro.dfg.translate import translate
 from repro.dsl.parser import parse
 from repro.hw.accelerator import MimdBatchResult, MimdTimingModel
 from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
-from repro.ml.benchmarks import benchmark
+from repro.ml.benchmarks import BENCHMARKS, benchmark
 from repro.planner.estimator import FLAT, CostParams
 from repro.planner.plan import Planner
 
@@ -44,10 +45,11 @@ INTERPRETER_BENCHES = SMALL_BENCHES + ("mnist", "movielens")
 #: Signed zeros, subnormals, infinities, and finite magnitudes from
 #: 1e-300 to 1e300: the values the fused contraction must reproduce bit
 #: for bit.
+SPECIAL_FLOATS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-320]
+)
 EDGE_FLOATS = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-320]
-    ),
+    st.sampled_from(SPECIAL_FLOATS.tolist()),
     st.builds(
         lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
         st.sampled_from([-1.0, 1.0]),
@@ -446,3 +448,70 @@ class TestInterpreterPlans:
         assert fast.keys() == slow.keys()
         for key in fast:
             np.testing.assert_array_equal(fast[key], slow[key])
+
+
+def numpy_edge_floats(rng, shape, rate: float) -> np.ndarray:
+    """Standard normals, whose sums move with their order, with a share
+    ``rate`` of them replaced: half by ``SPECIAL_FLOATS``, half by
+    ``±[1, 9.99]·10^[-300, 299]``."""
+    size = math.prod(shape)
+    wide = (
+        rng.choice([-1.0, 1.0], size)
+        * rng.uniform(1.0, 9.99, size)
+        * 10.0 ** rng.integers(-300, 300, size)
+    )
+    kind = rng.random(size)
+    values = np.where(
+        kind < rate / 2,
+        rng.choice(SPECIAL_FLOATS, size),
+        np.where(kind < rate, wide, rng.normal(size=size)),
+    )
+    return values.reshape(shape)
+
+
+class TestShardGradientMeans:
+    @given(
+        name=st.sampled_from([bench.name for bench in BENCHMARKS]),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        rate=st.sampled_from([0.0, 0.02, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_per_shard_reduce_bit_for_bit(self, name, sizes, rate, seed):
+        interp = Interpreter(benchmark(name).translate(scaled=True).dfg)
+        dfg = interp.dfg
+        rng = np.random.default_rng(seed)
+        rows = sum(sizes)
+        feeds = {
+            value.name: numpy_edge_floats(rng, (rows, *dfg.shape(value)), rate)
+            for value in dfg.inputs_of_category(ir.DATA)
+        }
+        model = {
+            value.name: numpy_edge_floats(rng, dfg.shape(value), rate)
+            for value in dfg.inputs_of_category(ir.MODEL)
+        }
+        bounds = [0, *np.cumsum(sizes)]
+        # Overflow and inf * 0 are expected here; only the bits matter.
+        with np.errstate(all="ignore"):
+            means = interp.shard_gradient_means({**feeds, **model}, bounds)
+            assert len(means) == len(sizes)
+            for mean, lo, hi in zip(means, bounds, bounds[1:]):
+                shard = {k: v[lo:hi] for k, v in feeds.items()}
+                grads = interp.gradients({**shard, **model}, batch=True)
+                assert mean.keys() == grads.keys()
+                for key, per_sample in grads.items():
+                    expect = np.add.reduce(per_sample, axis=0) / (hi - lo)
+                    assert mean[key].shape == expect.shape
+                    assert _same_bits(mean[key], expect), key
+
+
+def _same_bits(got: np.ndarray, expect: np.ndarray) -> bool:
+    """Bit for bit, except that a NaN's sign may differ: when both
+    operands of a NumPy ``multiply`` are NaN, which one's sign the
+    result keeps depends on the array's length, so a NaN row's sign can
+    differ between any two batch sizes, one pass or not."""
+    nan = np.isnan(got)
+    return bool(
+        (nan == np.isnan(expect)).all()
+        and got[~nan].tobytes() == expect[~nan].tobytes()
+    )

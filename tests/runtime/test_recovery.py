@@ -257,6 +257,19 @@ class TestQuorum:
 
 
 class TestChaosTrain:
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, problem, epochs):
+        translation, feeds = problem
+        with pytest.raises(ValueError, match="epochs"):
+            chaos_train(
+                translation,
+                feeds,
+                SPEC,
+                flat_compute,
+                UPDATE_BYTES,
+                epochs=epochs,
+            )
+
     def test_healthy_run_matches_plain_trainer(self, problem):
         translation, feeds = problem
         config = ft_config(iteration_seconds())

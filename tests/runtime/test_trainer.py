@@ -184,6 +184,15 @@ class TestMechanics:
                 {"x": np.ones((4, 8)), "y": np.ones(4)}, mode="magic"
             )
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        t = translate(parse(LINREG), {"n": 8})
+        trainer = DistributedTrainer(t, nodes=1, threads_per_node=1)
+        with pytest.raises(ValueError, match="epochs"):
+            trainer.train(
+                {"x": np.ones((4, 8)), "y": np.ones(4)}, epochs=epochs
+            )
+
     def test_invalid_topology_rejected(self):
         t = translate(parse(LINREG), {"n": 8})
         with pytest.raises(ValueError):

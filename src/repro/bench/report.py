@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Union
 
 from .ablations import ABLATIONS
 from .figures import EXPERIMENTS
-from .results import ExperimentResult
+from .results import ExperimentResult, _fmt
 
 
 def generate_results(
@@ -85,12 +85,3 @@ def write_report(
     path.write_text(renderer(results))
     return path
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.01:
-            return f"{value:.3g}"
-        return f"{value:.2f}"
-    return str(value)

@@ -24,6 +24,14 @@ import sys
 from typing import List, Optional
 
 
+def count(text: str) -> int:
+    """argparse ``type=`` for a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -44,20 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--chip", default="fpga", choices=["fpga", "pasic-f", "pasic-g"]
     )
-    plan.add_argument("--minibatch", type=int, default=10_000)
+    plan.add_argument("--minibatch", type=count, default=10_000)
 
     rtl = sub.add_parser("rtl", help="emit generated RTL for one thread")
     rtl.add_argument("benchmark")
     rtl.add_argument("--target", default="fpga", choices=["fpga", "pasic"])
-    rtl.add_argument("--rows", type=int, default=2)
-    rtl.add_argument("--columns", type=int, default=4)
+    rtl.add_argument("--rows", type=count, default=2)
+    rtl.add_argument("--columns", type=count, default=4)
 
     train = sub.add_parser("train", help="train the scaled benchmark")
     train.add_argument("benchmark")
-    train.add_argument("--nodes", type=int, default=4)
-    train.add_argument("--threads", type=int, default=2)
-    train.add_argument("--epochs", type=int, default=5)
-    train.add_argument("--samples", type=int, default=2048)
+    train.add_argument("--nodes", type=count, default=4)
+    train.add_argument("--threads", type=count, default=2)
+    train.add_argument("--epochs", type=count, default=5)
+    train.add_argument("--samples", type=count, default=2048)
     train.add_argument("--seed", type=int, default=0)
 
     from .runtime.recovery import SCENARIOS
@@ -69,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--scenario", default="master-crash", choices=list(SCENARIOS)
     )
-    chaos.add_argument("--nodes", type=int, default=8)
-    chaos.add_argument("--groups", type=int, default=2)
-    chaos.add_argument("--threads", type=int, default=1)
-    chaos.add_argument("--epochs", type=int, default=2)
-    chaos.add_argument("--samples", type=int, default=1024)
+    chaos.add_argument("--nodes", type=count, default=8)
+    chaos.add_argument("--groups", type=count, default=2)
+    chaos.add_argument("--threads", type=count, default=1)
+    chaos.add_argument("--epochs", type=count, default=2)
+    chaos.add_argument("--samples", type=count, default=1024)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--checkpoint-every", type=int, default=4)
+    chaos.add_argument("--checkpoint-every", type=count, default=4)
 
     perf = sub.add_parser(
         "perf",

@@ -78,6 +78,9 @@ def compile_thread(
     graphs (tests, estimator validation, RTL generation); large production
     graphs use the macro-level estimator directly.
     """
+    for name, value in (("rows", rows), ("columns", columns)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     expansion = scalarize(dfg)
     grid = PeGrid(rows=rows, columns=columns)
     mapping = map_graph(expansion, grid)

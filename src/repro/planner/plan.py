@@ -378,6 +378,7 @@ class Planner:
         every other input the DSE reads: chip, cost params, minibatch,
         density and stream size. Planners on the same graph share it.
         """
+        _check_minibatch(minibatch)
         key = (
             self._chip,
             self._params,
@@ -422,6 +423,7 @@ class Planner:
         chip twice), but its points reuse the graph's profile and
         estimates, so only each plan's roofline arithmetic is new.
         """
+        _check_minibatch(minibatch)
         plans = self._evaluate_all(dfg, minibatch, density, stream_words)
         return {plan.design.label(): plan for plan in plans}
 
@@ -439,6 +441,11 @@ class Planner:
         return self._cost(
             dfg, points, storage, minibatch, density, stream_words
         )
+
+
+def _check_minibatch(minibatch: int):
+    if minibatch < 1:
+        raise ValueError(f"minibatch must be at least 1, got {minibatch}")
 
 
 def _better(

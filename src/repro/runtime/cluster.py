@@ -164,11 +164,11 @@ class ClusterSimulator:
         on the slowest partial; the timing's ``dropped`` field lists the
         node ids whose partials missed the window.
 
-        Every iteration re-times the cluster's schedule
-        (:mod:`repro.runtime.schedule`): the trace is derived from the
-        topology once per (roles, groups, update size) in
-        :data:`~repro.runtime.schedule.TRACES`, and each replayed timing
-        is memoised beside it by (spec, quorum rule, per-node compute
+        Every iteration replays the cluster's schedule
+        (:mod:`repro.runtime.schedule`), which is derived from the
+        topology, and the replayed timing is memoised in
+        :data:`~repro.runtime.schedule.TIMINGS` by (roles, groups,
+        update size), then by (spec, quorum rule, per-node compute
         times). The compute model is still invoked once per node per call
         (it may be stateful, e.g. straggler injection); different compute
         times mean a fresh replay. Faults need no other path: degraded
@@ -184,24 +184,16 @@ class ClusterSimulator:
             self._compute_seconds(role.node_id, per_node)
             for role in topo.roles
         ]
-        key = (tuple(topo.roles), topo.groups, self.update_bytes)
-        if key not in schedule.TRACES:
-            schedule.TRACES[key] = (
-                schedule.schedule_trace(topo, self.update_bytes),
-                {},
-            )
-        trace, timings = schedule.TRACES[key]
-        if trace.roles != key[0] or trace.update_bytes != self.update_bytes:
-            raise RuntimeError(
-                "schedule table returned a trace built for a different "
-                "cluster; the table key is missing an input"
-            )
+        timings = schedule.TIMINGS.setdefault(
+            (tuple(topo.roles), topo.groups, self.update_bytes), {}
+        )
         memo = (self.spec, quorum, tuple(compute_times))
-        if memo not in timings:
-            timings[memo] = schedule.replay_iteration(
-                trace, self.spec, compute_times, quorum=quorum
+        timing = timings.get(memo)
+        if timing is None:
+            timing = timings[memo] = schedule.replay_iteration(
+                topo, self.spec, self.update_bytes, compute_times,
+                quorum=quorum,
             )
-        timing = timings[memo]
         # Hand every caller its own list fields; the memoised instance must
         # stay pristine for the next hit.
         return replace(

@@ -35,7 +35,7 @@ property tests exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -201,18 +201,10 @@ def chaos_train(
 
     last_ckpt = snapshot(0, 0, rng.bit_generator.state)
 
-    timing_cache: Dict[Tuple, object] = {}
-
     def timing_for(topology: Topology):
-        key = tuple(sorted(topology.roles, key=lambda r: r.node_id))
-        if key not in timing_cache:
-            sim = ClusterSimulator(
-                spec, compute_seconds, update_bytes, topology=topology
-            )
-            timing_cache[key] = sim.iteration(
-                global_batch, quorum=config.quorum
-            )
-        return timing_cache[key]
+        return ClusterSimulator(
+            spec, compute_seconds, update_bytes, topology=topology
+        ).iteration(global_batch, quorum=config.quorum)
 
     clock = 0.0
     it = 0
@@ -308,16 +300,14 @@ def chaos_train(
         nodes_in_order = [
             r.node_id for r in sorted(topo.roles, key=lambda r: r.node_id)
         ]
-        shards = np.array_split(
-            batch, len(nodes_in_order) * threads_per_node
-        )
+        shards = len(nodes_in_order) * threads_per_node
         dropped_nodes = set(timing.dropped)
         drop = {
             index
-            for index, _ in enumerate(shards)
+            for index in range(shards)
             if nodes_in_order[index // threads_per_node] in dropped_nodes
         }
-        trainer.step(model, feeds, shards, mu, mode=mode, drop=drop)
+        trainer.step(model, feeds, batch, shards, mu, mode=mode, drop=drop)
         result.dropped_partials += len(dropped_nodes)
         clock = iteration_end
         it += 1

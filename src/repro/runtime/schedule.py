@@ -1,4 +1,4 @@
-"""Schedule-replay engine: derive one iteration's schedule, replay it.
+"""Schedule-replay engine: derive one iteration's sends, replay them.
 
 The communication schedule of a CoSMIC iteration is *static per
 topology*: which node sends to which, in which phase, with what payload is
@@ -10,26 +10,25 @@ schedule a pure function of the topology, re-timed many times.
 This module implements that split:
 
 * :func:`schedule_trace` lists the sends of the gather/reduce/broadcast
-  phases straight from the Director's hierarchy, producing a canonical
-  :class:`ScheduleTrace`; no simulation runs to build it.
-* :func:`replay_iteration` re-times a trace under new per-node compute
-  times and :class:`NetworkConfig` parameters. NIC bookings are evaluated
-  with NumPy over the chunk arrays (``np.add.accumulate`` is a strictly
-  sequential left-to-right reduction, so every float lands bit-identical
-  to the scalar chunk-by-chunk arithmetic); chunk callbacks feed the real
+  phases straight from the Director's hierarchy; no simulation runs to
+  build them.
+* :func:`replay_iteration` derives those sends from the topology and
+  re-times them under per-node compute times and :class:`NetworkConfig`
+  parameters. NIC bookings are evaluated with NumPy over the chunk
+  arrays (``np.add.accumulate`` is a strictly sequential left-to-right
+  reduction, so every float lands bit-identical to the scalar
+  chunk-by-chunk arithmetic); chunk callbacks feed the real
   :class:`SigmaPipeline` objects in the exact (arrival, insertion) order
   an event loop would dispatch them.
 
-Traces live in :data:`TRACES`, one entry per (roles, groups, model size)
-beside the iteration timings replayed from it, so a figure sweep builds
-each topology's trace once and replays every (minibatch, NetworkConfig)
-point.
+Replayed timings live in :data:`TIMINGS`, one table per (roles, groups,
+model size), so a figure sweep replays each (minibatch, NetworkConfig)
+point of a topology once.
 
-Each trace names, per Sigma/master aggregation point, the contributor
-set that feeds it (:class:`ArrivalPoint`). That is what lets
-:func:`replay_iteration` evaluate a
-:class:`~repro.runtime.cluster.QuorumConfig` window closure — K-th
-arrival vs. ``deadline_s`` past the first — directly on the booked
+The gather and reduce sends name, per Sigma/master aggregation point,
+the contributors that feed it. That is what lets :func:`replay_iteration`
+evaluate a :class:`~repro.runtime.cluster.QuorumConfig` window closure —
+K-th arrival vs. ``deadline_s`` past the first — directly on the booked
 arrival arrays, then re-book only the downstream sends whose payload set
 changed (the withheld-send pass). The window sorts contributions by
 (finish time, node id), so the order of a contributor set never reaches
@@ -38,7 +37,7 @@ a result.
 Replay is the only iteration engine. Faults reach it as inputs it
 already takes: :func:`~repro.runtime.faults.apply_faults` changes the
 network config and the compute model, and a crash or re-hierarchy hands
-the simulator a new topology, which gets its own trace. The
+the simulator a new topology, which gets its own timing table. The
 event-driven simulation lives in the tests
 (``tests/runtime/event_reference.py``) as the reference: the
 differential property suites (``tests/properties/test_schedule_replay.py``
@@ -50,93 +49,28 @@ exactly the sends it issues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .director import NodeRole, Topology
+from .director import Topology
 from .network import NetworkConfig
 from .threads import SigmaPipeline
 
-#: Bumped whenever the simulator's send structure or the replay arithmetic
-#: changes; :func:`replay_iteration` refuses a trace of another format.
-#: Format 3 derives the trace from the topology and keeps only each
-#: aggregation point's contributor set.
-SCHEDULE_FORMAT = 3
-
-
-# ---------------------------------------------------------------------------
-# Traces
-# ---------------------------------------------------------------------------
-
-
-#: ArrivalPoint phase markers.
-GATHER_PHASE = 0
-REDUCE_PHASE = 1
-
-
-@dataclass(frozen=True)
-class ArrivalPoint:
-    """One Sigma (gather phase) or the master (reduce phase), with the
-    contributors whose partials it aggregates — the set each quorum
-    window closure is evaluated over."""
-
-    node_id: int  # the receiving Sigma (or master Sigma)
-    phase: int  # GATHER_PHASE or REDUCE_PHASE
-    senders: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ScheduleTrace:
-    """The event schedule of one iteration.
-
-    ``gather_sends`` / ``reduce_sends`` / ``broadcast_sends`` hold
-    ``(src, dst, nbytes)``. The replayer re-sorts the gather/reduce
-    phases by their re-timed start instants (the same ordering rule the
-    simulator applies) and replays the broadcast in listed order (its
-    ordering is structural). ``arrival_points`` names each Sigma/master
-    aggregation point with a contributor set — the structure
-    quorum-window replay evaluates.
-    """
-
-    format_version: int
-    nodes: int
-    groups: int
-    roles: Tuple[NodeRole, ...]
-    update_bytes: int
-    gather_sends: Tuple[Tuple[int, int, int], ...]
-    reduce_sends: Tuple[Tuple[int, int, int], ...]
-    broadcast_sends: Tuple[Tuple[int, int, int], ...]
-    arrival_points: Tuple[ArrivalPoint, ...]
-
-    @property
-    def wire_messages(self) -> int:
-        return (
-            len(self.gather_sends)
-            + len(self.reduce_sends)
-            + len(self.broadcast_sends)
-        )
-
-    def topology(self) -> Topology:
-        return Topology(roles=list(self.roles), groups=self.groups)
-
-    def points_for(self, phase: int) -> Tuple[ArrivalPoint, ...]:
-        """Aggregation points of one phase (gather or reduce)."""
-        return tuple(p for p in self.arrival_points if p.phase == phase)
-
-
-#: Iteration schedules, keyed by everything that shapes one:
-#: ``(roles, groups, update_bytes) -> (trace, timings)``, where ``timings``
-#: memoises each replayed :class:`IterationTiming` by ``(ClusterSpec,
-#: QuorumConfig or None, compute_times)``. Only
+#: Replayed iteration timings, keyed by everything that shapes the
+#: schedule: ``(roles, groups, update_bytes) -> {(ClusterSpec,
+#: QuorumConfig or None, compute_times): IterationTiming}``. Only
 #: :meth:`ClusterSimulator.iteration` reads or writes it; figure sweeps
-#: share entries across the fresh simulators they build.
-TRACES: Dict[tuple, Tuple[ScheduleTrace, Dict[tuple, object]]] = {}
+#: share entries across the fresh simulators they build. Nested, so a
+#: topology's roles tuple is held once, not in every timing's key.
+TIMINGS: Dict[tuple, Dict[tuple, object]] = {}
 
 
-def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
-    """List one iteration's sends straight from the hierarchy.
+def schedule_trace(
+    topology: Topology, update_bytes: int
+) -> Tuple[tuple, tuple, tuple]:
+    """List one iteration's ``(gather, reduce, broadcast)`` sends, each
+    a tuple of ``(src, dst, nbytes)``.
 
     The Director fixes the Sigma/Delta roles, so the sends follow from
     the topology alone, in the order the event-driven simulation issues
@@ -147,8 +81,9 @@ def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
     * broadcast: for each Sigma in topology order, master to that Sigma,
       then that Sigma to each of its Deltas.
 
-    A Sigma with no Deltas has no gather point, and a single-group
-    cluster has no reduce point.
+    The replayer re-sorts the gather and reduce phases by their re-timed
+    start instants (the simulator's own issue rule) and replays the
+    broadcast in listed order, because its order is structural.
     """
     master_id = topology.master.node_id
     sigma_ids = [s.node_id for s in topology.sigmas()]
@@ -161,7 +96,11 @@ def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
         for sigma in sigma_ids
         for delta in deltas[sigma]
     )
-    reducers = tuple(s for s in sigma_ids if s != master_id)
+    reduce_ = tuple(
+        (sigma, master_id, update_bytes)
+        for sigma in sigma_ids
+        if sigma != master_id
+    )
     broadcast = []
     for sigma in sigma_ids:
         if sigma != master_id:
@@ -169,24 +108,7 @@ def schedule_trace(topology: Topology, update_bytes: int) -> ScheduleTrace:
         broadcast.extend(
             (sigma, delta, update_bytes) for delta in deltas[sigma]
         )
-    points = tuple(
-        ArrivalPoint(sigma, GATHER_PHASE, deltas[sigma])
-        for sigma in sorted(sigma_ids)
-        if deltas[sigma]
-    )
-    if reducers:
-        points += (ArrivalPoint(master_id, REDUCE_PHASE, reducers),)
-    return ScheduleTrace(
-        format_version=SCHEDULE_FORMAT,
-        nodes=topology.nodes,
-        groups=topology.groups,
-        roles=tuple(topology.roles),
-        update_bytes=update_bytes,
-        gather_sends=gather,
-        reduce_sends=tuple((s, master_id, update_bytes) for s in reducers),
-        broadcast_sends=tuple(broadcast),
-        arrival_points=points,
-    )
+    return gather, reduce_, tuple(broadcast)
 
 
 # ---------------------------------------------------------------------------
@@ -326,64 +248,60 @@ def _feed_phase(
 
 
 def replay_iteration(
-    trace: ScheduleTrace,
+    topology: Topology,
     spec,
+    update_bytes: int,
     compute_times: Sequence[float],
     quorum=None,
 ):
-    """Re-time a schedule trace under new compute times and network
-    parameters; returns an :class:`IterationTiming` bit-identical to the
-    full event-driven simulation of the same inputs.
+    """Re-time one iteration of ``topology`` under new compute times and
+    network parameters; returns an :class:`IterationTiming` bit-identical
+    to the full event-driven simulation of the same inputs.
 
-    With a :class:`~repro.runtime.cluster.QuorumConfig`, each window
-    closure is evaluated directly on the booked arrival arrays — the
-    gather/reduce phase is booked once with every listed send (the
-    probe), the window rule splits contributors at the later of the K-th
-    arrival and ``deadline_s`` past the first, and only when some partial
-    missed the window is the phase re-booked with those sends withheld
-    (the dropped bytes must never occupy the real NICs). This mirrors the
-    event-driven simulator's probe/withhold passes exactly, so every
-    field — ``contributors`` and ``dropped`` included — stays
-    bit-identical.
+    ``compute_times`` holds each node's accelerator seconds, in
+    ``topology.roles`` order. With a
+    :class:`~repro.runtime.cluster.QuorumConfig`, each window closure is
+    evaluated directly on the booked arrival arrays — the gather/reduce
+    phase is booked once with every listed send (the probe), the window
+    rule splits contributors at the later of the K-th arrival and
+    ``deadline_s`` past the first, and only when some partial missed the
+    window is the phase re-booked with those sends withheld (the dropped
+    bytes must never occupy the real NICs). This mirrors the event-driven
+    simulator's probe/withhold passes exactly, so every field —
+    ``contributors`` and ``dropped`` included — stays bit-identical.
     """
     from .cluster import IterationTiming, _close_window
 
-    if trace.format_version != SCHEDULE_FORMAT:
-        raise RuntimeError(
-            f"schedule trace format {trace.format_version} does not match "
-            f"this replayer ({SCHEDULE_FORMAT}); re-record the schedule "
-            "with schedule_trace()"
-        )
-    topo = trace.topology()
-    if len(compute_times) != topo.nodes:
+    if len(compute_times) != topology.nodes:
         raise ValueError(
-            f"{len(compute_times)} compute times for a {topo.nodes}-node "
+            f"{len(compute_times)} compute times for a {topology.nodes}-node "
             "schedule"
         )
+    gather_sends, reduce_sends, broadcast_sends = schedule_trace(
+        topology, update_bytes
+    )
     cfg = spec.network
-    ub = trace.update_bytes
-    master = topo.master
-    sigmas = topo.sigmas()
+    master = topology.master
+    sigmas = topology.sigmas()
 
     compute_done = {
         role.node_id: spec.management_overhead_s + seconds
-        for role, seconds in zip(topo.roles, compute_times)
+        for role, seconds in zip(topology.roles, compute_times)
     }
     first_send = min(compute_done.values())
 
-    # Contributor sets per aggregation point, from the trace.
-    feeders_of = {
-        p.node_id: p.senders for p in trace.points_for(GATHER_PHASE)
-    }
-    reduce_points = trace.points_for(REDUCE_PHASE)
-    master_senders = reduce_points[0].senders if reduce_points else ()
+    # Contributor sets per aggregation point, from the sends.
+    feeders_of: Dict[int, List[int]] = {}
+    for src, dst, _ in gather_sends:
+        feeders_of.setdefault(dst, []).append(src)
+    master_senders = [src for src, _, _ in reduce_sends]
 
     # Phase 2: deltas stream partials to their group sigma. The sigma
     # folds its own partial first (before any chunk lands), then sends
     # are issued in (start, sender) order — the simulator's sort rule.
     gather_all = sorted(
         ((compute_done[src], src, dst, nb)
-         for src, dst, nb in trace.gather_sends),
+         for src, dst, nb in gather_sends),
         key=lambda s: s[:2],
     )
 
@@ -392,7 +310,7 @@ def replay_iteration(
         own: Dict[int, float] = {}
         for sigma in sigmas:
             own[sigma.group] = pipes[sigma.node_id].fold_local(
-                compute_done[sigma.node_id], ub
+                compute_done[sigma.node_id], update_bytes
             )
         sends = [s for s in gather_all if s[1] not in skip]
         done = _feed_phase(ledger, cfg, sends, pipes)
@@ -431,16 +349,16 @@ def replay_iteration(
     # Phase 3: group aggregates converge on the master sigma (same
     # window rule, judged on the arrivals booked over the post-phase-2
     # ledger — which is exactly the event-driven probe's NIC state).
-    group_of = {r.node_id: r.group for r in topo.roles}
+    group_of = {r.node_id: r.group for r in topology.roles}
     reduce_all = sorted(
         ((group_done[group_of[src]], src, dst, nb)
-         for src, dst, nb in trace.reduce_sends),
+         for src, dst, nb in reduce_sends),
         key=lambda s: s[:2],
     )
 
     def run_reduce(ledger, skip):
         pipe = SigmaPipeline(spec.pools)
-        own_m = pipe.fold_local(group_done[master.group], ub)
+        own_m = pipe.fold_local(group_done[master.group], update_bytes)
         sends = [s for s in reduce_all if s[1] not in skip]
         done = _feed_phase(ledger, cfg, sends, {master.node_id: pipe})
         return pipe, own_m, done
@@ -469,7 +387,7 @@ def replay_iteration(
         for node in group_members[sigma_group[sigma_id]]
     )
     dropped = sorted(
-        r.node_id for r in topo.roles if r.node_id not in contributors
+        r.node_id for r in topology.roles if r.node_id not in contributors
     )
 
     # Phase 4: hierarchical broadcast, in the listed (structural) order.
@@ -477,7 +395,7 @@ def replay_iteration(
     sigma_ids = {s.node_id for s in sigmas}
     sigma_recv: Dict[int, float] = {master.node_id: master_done}
     broadcast_done = master_done
-    for src, dst, nbytes in trace.broadcast_sends:
+    for src, dst, nbytes in broadcast_sends:
         start = master_done if src == master.node_id else sigma_recv[src]
         if nbytes not in plans:
             plans[nbytes] = _chunk_plan(cfg, nbytes)
@@ -498,12 +416,12 @@ def replay_iteration(
     # Wire accounting covers what the real network carried: withheld
     # sends were refused by the receiver and never hit the wire.
     gather_counted = [
-        nb for src, _, nb in trace.gather_sends if src not in skip2
+        nb for src, _, nb in gather_sends if src not in skip2
     ]
     reduce_counted = [
-        nb for src, _, nb in trace.reduce_sends if src not in skip3
+        nb for src, _, nb in reduce_sends if src not in skip3
     ]
-    broadcast_counted = [nb for _, _, nb in trace.broadcast_sends]
+    broadcast_counted = [nb for _, _, nb in broadcast_sends]
     return IterationTiming(
         total_s=total,
         compute_s=sum(compute_times) / len(compute_times),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -131,9 +131,8 @@ class DistributedTrainer:
         for _ in range(epochs):
             order = self._rng.permutation(samples)
             for start in range(0, samples - global_batch + 1, global_batch):
-                batch_idx = order[start : start + global_batch]
-                shards = np.array_split(batch_idx, self.workers)
-                self.step(model, feeds, shards, mu, mode=mode)
+                batch = order[start : start + global_batch]
+                self.step(model, feeds, batch, self.workers, mu, mode=mode)
                 result.iterations += 1
                 if loss_fn is not None:
                     result.loss_history.append(loss_fn(model, feeds))
@@ -157,12 +156,15 @@ class DistributedTrainer:
         self,
         model: Dict[str, np.ndarray],
         feeds: Feeds,
-        shards: List[np.ndarray],
+        batch: np.ndarray,
+        shards: int,
         mu: float,
         mode: str = "minibatch",
         drop: Iterable[int] = (),
     ) -> bool:
-        """One synchronous iteration over explicit sample-index shards.
+        """One synchronous iteration over the sample indices ``batch``,
+        split into ``shards`` contiguous shards as ``np.array_split``
+        splits them (the first ``len(batch) % shards`` are one longer).
 
         ``drop`` names shard indices whose partials never reached the
         aggregate — quorum-dropped stragglers or crashed workers. The
@@ -170,18 +172,22 @@ class DistributedTrainer:
         convergence effects are real rather than modelled. Returns False
         (model untouched) when every shard was dropped or empty.
         """
+        size, extra = divmod(len(batch), shards)
+        starts = [i * size + min(i, extra) for i in range(shards + 1)]
         dropped = set(drop)
-        survivors = [
-            shard
-            for index, shard in enumerate(shards)
-            if index not in dropped and len(shard)
+        spans = [
+            (starts[i], starts[i + 1])
+            for i in range(shards)
+            if i not in dropped and starts[i + 1] > starts[i]
         ]
-        if not survivors:
+        if not spans:
             return False
         if mode == "minibatch":
-            self._step_minibatch(model, feeds, survivors, mu)
+            if dropped:
+                batch = np.concatenate([batch[lo:hi] for lo, hi in spans])
+            self._step_minibatch(model, feeds, batch, spans, mu)
         elif mode == "local_sgd":
-            self._step_local_sgd(model, feeds, survivors, mu)
+            self._step_local_sgd(model, feeds, batch, spans, mu)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         return True
@@ -191,14 +197,16 @@ class DistributedTrainer:
         self,
         model: Dict[str, np.ndarray],
         feeds: Feeds,
-        shards: List[np.ndarray],
+        rows: np.ndarray,
+        spans: List[Tuple[int, int]],
         mu: float,
     ):
+        """``rows`` holds the surviving shards back to back; only the
+        lengths of their ``spans`` matter here."""
         spec = self._translation.aggregator
-        rows = np.concatenate(shards)
         batch = {k: v[rows] for k, v in feeds.items()}
         batch.update(model)
-        bounds = [0, *itertools.accumulate(map(len, shards))]
+        bounds = [0, *itertools.accumulate(hi - lo for lo, hi in spans)]
         partials = self._interp.shard_gradient_means(batch, bounds)
         for target, source in spec.pairs:
             stack = np.stack([p[source] for p in partials])
@@ -209,17 +217,16 @@ class DistributedTrainer:
         self,
         model: Dict[str, np.ndarray],
         feeds: Feeds,
-        shards: List[np.ndarray],
+        batch: np.ndarray,
+        spans: List[Tuple[int, int]],
         mu: float,
     ):
         """Eq. 3a literally: each worker runs SGD on a model replica."""
         spec = self._translation.aggregator
         replicas: List[Dict[str, np.ndarray]] = []
-        for shard in shards:
-            if len(shard) == 0:
-                continue
+        for lo, hi in spans:
             replica = {k: v.copy() for k, v in model.items()}
-            for sample in shard:
+            for sample in batch[lo:hi]:
                 sample_feeds = {k: v[sample] for k, v in feeds.items()}
                 grads = self._interp.gradients({**sample_feeds, **replica})
                 for target, source in spec.pairs:

@@ -46,6 +46,13 @@ class TestLegality:
     def test_schedule_verifies(self, rows, columns):
         program(rows=rows, columns=columns).verify()
 
+    @pytest.mark.parametrize(
+        "rows,columns,name", [(0, 4, "rows"), (-1, 4, "rows"), (2, 0, "columns")]
+    )
+    def test_grid_below_one_rejected(self, rows, columns, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            program(rows=rows, columns=columns)
+
     def test_nonlinear_program_verifies(self):
         program(LOGREG).verify()
 

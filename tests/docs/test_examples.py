@@ -85,11 +85,11 @@ def doc_files():
 
 @pytest.fixture(autouse=True)
 def fresh_table():
-    """Guide examples share the process-wide schedule table; isolate them
+    """Guide examples share the process-wide timing table; isolate them
     from the rest of the suite (and from each other across files)."""
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
     yield
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
 
 
 class TestExtraction:

@@ -110,6 +110,13 @@ class TestDesignSpace:
 
 
 class TestPlanSelection:
+    @pytest.mark.parametrize("method", ["plan", "sweep"])
+    @pytest.mark.parametrize("minibatch", [0, -5])
+    def test_minibatch_below_one_rejected(self, method, minibatch):
+        planner = Planner(XILINX_VU9P)
+        with pytest.raises(ValueError, match="minibatch must be at least 1"):
+            getattr(planner, method)(lin(), minibatch)
+
     def test_compute_bound_mlp_uses_all_rows(self):
         plan = Planner(XILINX_VU9P).plan(mlp(), 10_000)
         assert plan.design.total_rows == XILINX_VU9P.row_max

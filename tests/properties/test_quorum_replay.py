@@ -1,8 +1,8 @@
-"""Differential property suite for quorum-window replay (format 2).
+"""Differential property suite for quorum-window replay.
 
 The contract: for any cluster and any :class:`QuorumConfig`, replaying
-the :class:`ScheduleTrace` with the quorum rule evaluated on the booked
-arrival arrays is *bit-identical* to the event-driven probe/withhold
+the sends derived from the topology, with the quorum rule evaluated on
+the booked arrival arrays, is *bit-identical* to the event-driven probe/withhold
 reference simulation — every field of :class:`IterationTiming`,
 including ``contributors`` and ``dropped``, compared with ``==``, no
 tolerances. The same holds for faulted clusters (stragglers, degraded
@@ -27,7 +27,7 @@ from repro.runtime.cluster import (
 from repro.runtime.director import assign_roles, rebuild_topology
 from repro.runtime.faults import FaultSpec, apply_faults
 from repro.runtime.network import NetworkConfig
-from repro.runtime.schedule import replay_iteration, schedule_trace
+from repro.runtime.schedule import replay_iteration
 from tests.properties.test_schedule_replay import scalar_booking
 from tests.runtime import event_reference
 from tests.runtime.event_reference import (
@@ -148,6 +148,13 @@ def reference(sim, compute, rule=None):
     )
 
 
+def replay(sim, compute, rule=None):
+    """The replayed timing of the same iteration."""
+    return replay_iteration(
+        sim.topology, sim.spec, sim.update_bytes, list(compute), quorum=rule
+    )
+
+
 def straggler_sim(nodes=8, groups=2, slow=(3, 6), factor=30.0):
     """Deterministic heterogeneous cluster: ``slow`` nodes compute
     ``factor``x slower than the 1 ms baseline."""
@@ -166,14 +173,9 @@ class TestQuorumReplayDifferential:
     def test_replay_bit_identical_to_event_driven(self, cluster, rule):
         sim, compute = cluster
         event = reference(sim, compute, rule)
-        trace = schedule_trace(sim.topology, sim.update_bytes)
-        vectorized = replay_iteration(
-            trace, sim.spec, list(compute), quorum=rule
-        )
+        vectorized = replay(sim, compute, rule)
         with scalar_booking():
-            scalar = replay_iteration(
-                trace, sim.spec, list(compute), quorum=rule
-            )
+            scalar = replay(sim, compute, rule)
         assert_bit_identical(event, vectorized, "event vs vectorized")
         assert_bit_identical(event, scalar, "event vs scalar")
 
@@ -192,9 +194,9 @@ class TestQuorumReplayDifferential:
         sim, _ = cluster
         with reference_engine():
             event = sim.iteration(batch, quorum=rule)
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         replayed = sim.iteration(batch, quorum=rule)
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         assert_bit_identical(event, replayed, "iteration() vs reference")
 
 
@@ -213,13 +215,13 @@ class TestFaultedReplayDifferential:
         compute times and the network config, and a crash arrives as a
         re-formed topology. So ``iteration()`` on the replay engine must
         equal the event-driven reference on every field, even after the
-        healthy parent has filled the schedule table for the same
+        healthy parent has filled the timing table for the same
         topology."""
         healthy, sim, times = cluster
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         healthy.iteration(batch, quorum=rule)
         replayed = sim.iteration(batch, quorum=rule)
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         event = reference(sim, times, rule)
         assert_bit_identical(event, replayed, "faulted iteration()")
 
@@ -229,14 +231,11 @@ class TestQuorumWindowEdges:
         """K=N closes the window at the last arrival regardless of the
         deadline — bit-identical to no quorum at all, nobody dropped."""
         sim, compute = straggler_sim()
-        trace = schedule_trace(sim.topology, sim.update_bytes)
-        barrier = replay_iteration(trace, sim.spec, list(compute))
+        barrier = replay(sim, compute)
         for deadline in (1e-6, 10.0):
             rule = QuorumConfig(fraction=1.0, deadline_s=deadline)
             event = reference(sim, compute, rule)
-            replayed = replay_iteration(
-                trace, sim.spec, list(compute), quorum=rule
-            )
+            replayed = replay(sim, compute, rule)
             assert_bit_identical(event, replayed, f"deadline={deadline}")
             assert_bit_identical(barrier, replayed, "vs barrier")
             assert replayed.dropped == []
@@ -247,10 +246,7 @@ class TestQuorumWindowEdges:
         sim, compute = straggler_sim(slow=(1, 2, 3, 5, 6, 7), factor=100.0)
         rule = QuorumConfig(fraction=0.2, deadline_s=1e-4)
         event = reference(sim, compute, rule)
-        trace = schedule_trace(sim.topology, sim.update_bytes)
-        replayed = replay_iteration(
-            trace, sim.spec, list(compute), quorum=rule
-        )
+        replayed = replay(sim, compute, rule)
         assert_bit_identical(event, replayed, "drop-all-but-K")
         assert len(replayed.dropped) > 0
         # The master opens its own window, so it always survives; a slow
@@ -286,13 +282,10 @@ class TestQuorumWindowEdges:
         gaps = [t - times[0] for t in times[1:] if t > times[0]]
         assert gaps, "degenerate capture: every contribution tied"
 
-        trace = schedule_trace(sim.topology, sim.update_bytes)
         for gap in gaps:
             rule = QuorumConfig(fraction=0.01, deadline_s=gap)
             event = reference(sim, compute, rule)
-            replayed = replay_iteration(
-                trace, sim.spec, list(compute), quorum=rule
-            )
+            replayed = replay(sim, compute, rule)
             assert_bit_identical(event, replayed, f"deadline={gap!r}")
             # the tied arrival itself must be included, not dropped
             tied = [n for n, t in window if t == times[0] + gap]
@@ -302,7 +295,7 @@ class TestQuorumWindowEdges:
         """The timing memo key carries the quorum rule: two different
         windows on the same cluster never collide, and a repeat of the
         same window is served from the memo unchanged."""
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         sim, _ = straggler_sim()
         tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
         loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
@@ -312,4 +305,4 @@ class TestQuorumWindowEdges:
         assert_bit_identical(first, again, "memo round-trip")
         assert first.total_s < barrier.total_s
         assert first.dropped and not barrier.dropped
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()

@@ -1,20 +1,21 @@
 """Differential property suite for the schedule-replay engine.
 
 The contract under test: for any quorum-less cluster, replaying the
-:class:`ScheduleTrace` built from its topology is *bit-identical* to the
-event-driven reference simulation
+sends derived from its topology is *bit-identical* to the event-driven
+reference simulation
 (:func:`~tests.runtime.event_reference.event_driven_iteration`) — every
 float of every :class:`IterationTiming` field, compared with ``==``, no
 tolerances. Replay with its NumPy NIC booking (``schedule._book_send``)
 and replay with :func:`scalar_book_send`, the chunk-by-chunk reference
-booking below, must agree with it the same way. The trace itself must
-list exactly the sends the event-driven simulation issues, as captured
-by :class:`SendLog` around :class:`Network`.
+booking below, must agree with it the same way. :func:`schedule_trace`
+must list exactly the sends the event-driven simulation issues, as
+captured by :class:`SendLog` around :class:`Network`, and the timing
+table must replay whenever any input of an iteration changes.
 """
 
 import dataclasses
-from collections import defaultdict
 from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,14 +25,11 @@ from repro.runtime.cluster import (
     ClusterSimulator,
     ClusterSpec,
     IterationTiming,
+    QuorumConfig,
 )
+from repro.runtime.director import ROLE_DELTA, assign_roles, rebuild_topology
 from repro.runtime.network import Network, NetworkConfig
-from repro.runtime.schedule import (
-    GATHER_PHASE,
-    REDUCE_PHASE,
-    replay_iteration,
-    schedule_trace,
-)
+from repro.runtime.schedule import replay_iteration, schedule_trace
 from tests.runtime.event_reference import (
     event_driven_iteration,
     reference_engine,
@@ -189,26 +187,27 @@ class TestReplayDifferential:
         event = event_driven_iteration(
             sim.topology, sim.spec, sim.update_bytes, list(compute)
         )
-        trace = schedule_trace(sim.topology, sim.update_bytes)
-        vectorized = replay_iteration(trace, sim.spec, list(compute))
+        args = (sim.topology, sim.spec, sim.update_bytes, list(compute))
+        vectorized = replay_iteration(*args)
         with scalar_booking():
-            scalar = replay_iteration(trace, sim.spec, list(compute))
+            scalar = replay_iteration(*args)
         assert_bit_identical(event, vectorized, "event vs vectorized")
         assert_bit_identical(event, scalar, "event vs scalar")
 
     @given(clusters())
     @settings(max_examples=10, deadline=None)
     def test_one_trace_retimes_any_compute_profile(self, cluster):
-        """The trace is canonical: built once from the topology, it
-        replays bit-identically under compute profiles it never saw."""
+        """The schedule is canonical: derived from the topology alone, it
+        replays bit-identically under any compute profile."""
         sim, compute = cluster
-        trace = schedule_trace(sim.topology, sim.update_bytes)
         for scale in (0.0, 1.0, 3.5):
             times = [t * scale for t in compute]
             event = event_driven_iteration(
                 sim.topology, sim.spec, sim.update_bytes, list(times)
             )
-            replayed = replay_iteration(trace, sim.spec, list(times))
+            replayed = replay_iteration(
+                sim.topology, sim.spec, sim.update_bytes, list(times)
+            )
             assert_bit_identical(event, replayed, f"scale={scale}")
 
     @given(clusters(), st.integers(min_value=1, max_value=50_000))
@@ -220,9 +219,9 @@ class TestReplayDifferential:
         sim, _ = cluster
         with reference_engine():
             event = sim.iteration(batch)
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         replayed = sim.iteration(batch)
-        schedule.TRACES.clear()
+        schedule.TIMINGS.clear()
         assert_bit_identical(event, replayed, "iteration() vs reference")
 
 
@@ -231,8 +230,9 @@ class TestTraceMatchesSimulation:
     @settings(max_examples=40, deadline=None)
     def test_trace_lists_the_sends_the_simulation_issues(self, cluster):
         """Gather/reduce sends match as multisets (the replayer re-sorts
-        them by start instant); broadcast order and every aggregation
-        point's contributor set match exactly."""
+        them by start instant, and their receivers' contributor sets are
+        what quorum windows close over); broadcast order matches
+        exactly."""
         sim, compute = cluster
         with SendLog().attached() as log:
             event_driven_iteration(
@@ -240,13 +240,101 @@ class TestTraceMatchesSimulation:
             )
         gather, reduce_, broadcast = log.phases
         trace = schedule_trace(sim.topology, sim.update_bytes)
-        assert sorted(trace.gather_sends) == sorted(gather)
-        assert sorted(trace.reduce_sends) == sorted(reduce_)
-        assert list(trace.broadcast_sends) == broadcast
-        for phase, sends in ((GATHER_PHASE, gather), (REDUCE_PHASE, reduce_)):
-            feeders = defaultdict(set)
-            for src, dst, _ in sends:
-                feeders[dst].add(src)
-            assert {
-                p.node_id: set(p.senders) for p in trace.points_for(phase)
-            } == feeders
+        assert sorted(trace[0]) == sorted(gather)
+        assert sorted(trace[1]) == sorted(reduce_)
+        assert list(trace[2]) == broadcast
+
+
+
+QUORUM_RULES = (None, QuorumConfig(0.5, 1e-3), QuorumConfig(0.75, 5e-3))
+
+
+@st.composite
+def iteration_pairs(draw):
+    """Inputs of two iterations that differ in exactly the drawn one, or
+    in nothing. Every cluster has a Delta, so its master can move."""
+    nodes = draw(st.integers(min_value=2, max_value=10))
+    groups = draw(st.integers(min_value=1, max_value=nodes - 1))
+    spec = ClusterSpec(nodes, groups, network=draw(network_configs))
+    first = {
+        "topology": assign_roles(nodes, groups),
+        "spec": spec,
+        "update_bytes": draw(update_sizes),
+        "quorum": draw(st.sampled_from(QUORUM_RULES)),
+        "compute": draw(
+            st.lists(st.floats(0.0, 0.05), min_size=nodes, max_size=nodes)
+        ),
+    }
+    changed = draw(st.sampled_from(
+        ["roles", "groups", "update_bytes", "spec", "quorum", "compute", None]
+    ))
+    second = dict(first)
+    topology = first["topology"]
+    if changed == "roles":
+        deltas = [r.node_id for r in topology.roles if r.role == ROLE_DELTA]
+        second["topology"] = rebuild_topology(
+            topology, range(nodes), prefer_master=draw(st.sampled_from(deltas))
+        )
+    elif changed == "groups":
+        other = draw(st.integers(1, nodes).filter(lambda g: g != groups))
+        second["topology"] = assign_roles(nodes, other)
+    elif changed == "update_bytes":
+        second["update_bytes"] += 1
+    elif changed == "spec":
+        latency = spec.network.latency_s + 1e-6
+        network = dataclasses.replace(spec.network, latency_s=latency)
+        second["spec"] = dataclasses.replace(spec, network=network)
+    elif changed == "quorum":
+        second["quorum"] = draw(
+            st.sampled_from([q for q in QUORUM_RULES if q != first["quorum"]])
+        )
+    elif changed == "compute":
+        node = draw(st.integers(0, nodes - 1))
+        second["compute"] = [
+            t + 1e-3 * (n == node) for n, t in enumerate(first["compute"])
+        ]
+    return changed, first, second
+
+
+def memoised_iteration(inputs, batch):
+    sim = ClusterSimulator(
+        inputs["spec"],
+        lambda node_id, samples: inputs["compute"][node_id],
+        update_bytes=inputs["update_bytes"],
+        topology=inputs["topology"],
+    )
+    return sim.iteration(batch, quorum=inputs["quorum"])
+
+
+class TestTimingMemoKey:
+    @given(iteration_pairs(), st.integers(min_value=1, max_value=50_000))
+    @settings(max_examples=40, deadline=None)
+    def test_second_iteration_replays_iff_an_input_differs(
+        self, pair, batch
+    ):
+        """The timing table keys on roles, groups, update size, spec,
+        quorum rule and per-node compute times: a second simulator that
+        differs in any one of them replays, and gets the event-driven
+        reference's timing for its own inputs; one that differs in
+        nothing is served the first one's timing."""
+        changed, first, second = pair
+        schedule.TIMINGS.clear()
+        with mock.patch.object(
+            schedule, "replay_iteration", wraps=schedule.replay_iteration
+        ) as replay:
+            earlier = memoised_iteration(first, batch)
+            later = memoised_iteration(second, batch)
+        schedule.TIMINGS.clear()
+        event = event_driven_iteration(
+            second["topology"],
+            second["spec"],
+            second["update_bytes"],
+            second["compute"],
+            second["quorum"],
+        )
+        assert_bit_identical(event, later, f"{changed} changed")
+        if changed is None:
+            assert replay.call_count == 1
+            assert_bit_identical(earlier, later, "memo hit")
+        else:
+            assert replay.call_count == 2, f"{changed} changed, memo hit"

@@ -227,28 +227,22 @@ def event_driven_iteration(
     )
 
 
-def _reference_replay(trace, spec, compute_times, quorum=None):
-    return event_driven_iteration(
-        trace.topology(), spec, trace.update_bytes, compute_times, quorum
-    )
-
-
 @contextmanager
 def reference_engine():
     """Run every :meth:`ClusterSimulator.iteration` in the block on the
     event-driven reference instead of replay.
 
-    Substitutes ``schedule.replay_iteration`` and empties
-    ``schedule.TRACES``, so no replayed timing memoised before the block
-    is served inside it; on exit it restores both, so no reference timing
-    memoised inside the block is served after it.
+    Substitutes ``schedule.replay_iteration`` (the two share a signature)
+    and empties ``schedule.TIMINGS``, so no replayed timing memoised
+    before the block is served inside it; on exit it restores both, so no
+    reference timing memoised inside the block is served after it.
     """
-    replay, traces = schedule.replay_iteration, dict(schedule.TRACES)
-    schedule.replay_iteration = _reference_replay
-    schedule.TRACES.clear()
+    replay, timings = schedule.replay_iteration, dict(schedule.TIMINGS)
+    schedule.replay_iteration = event_driven_iteration
+    schedule.TIMINGS.clear()
     try:
         yield
     finally:
         schedule.replay_iteration = replay
-        schedule.TRACES.clear()
-        schedule.TRACES.update(traces)
+        schedule.TIMINGS.clear()
+        schedule.TIMINGS.update(timings)

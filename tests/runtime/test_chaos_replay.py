@@ -1,5 +1,5 @@
 """Faulted clusters replay: a fault-injected clone or a chaos run goes
-through the same schedule table and replayer as a healthy cluster, and
+through the same timing table and replayer as a healthy cluster, and
 its faults still cost time."""
 
 import numpy as np
@@ -22,9 +22,9 @@ from repro.runtime.recovery import FaultToleranceConfig, chaos_train
 
 @pytest.fixture(autouse=True)
 def fresh_table():
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
     yield
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
 
 
 def make_sim(nodes=8, groups=2):
@@ -49,19 +49,19 @@ def count_replays(monkeypatch):
 
 class TestFaultedReplay:
     def test_faulted_clone_replays_slower(self, monkeypatch):
-        """A healthy run fills the schedule table first; a faulted clone
-        of the same topology then re-times that trace under its own
-        spec and compute times, and pays for its faults."""
+        """A healthy run fills the timing table first; a faulted clone
+        of the same topology then replays under its own spec and compute
+        times into the same table, and pays for its faults."""
         healthy = make_sim()
         fast = healthy.iteration(8_000)
-        assert len(schedule.TRACES) == 1
+        assert len(schedule.TIMINGS) == 1
         calls = count_replays(monkeypatch)
         faulted = apply_faults(
             healthy, FaultSpec(straggler={1: 3.0}, link_quality={2: 0.5})
         )
         slow = faulted.iteration(8_000)
         assert calls == [1]
-        assert len(schedule.TRACES) == 1  # one topology, one trace
+        assert len(schedule.TIMINGS) == 1  # one topology, one table
         assert slow.total_s > fast.total_s
 
 
@@ -109,16 +109,17 @@ class TestChaosTrainInterplay:
         )
 
     def test_faulted_chaos_run_replays(self, monkeypatch):
-        """A crash re-forms the hierarchy; the chaos run replays both the
-        full and the re-formed topology from the schedule table."""
+        """A crash re-forms the hierarchy; the chaos run replays the full
+        and the re-formed topology once each, and serves every other
+        iteration from the timing table."""
         calls = count_replays(monkeypatch)
         timeline = FaultTimeline(crashes=(NodeCrash(node_id=3, at_s=0.01),))
         result = self._run(timeline)
         assert result.iterations > 0
-        assert len(calls) == len(schedule.TRACES) >= 2
+        assert len(calls) == len(schedule.TIMINGS) >= 2
 
     def test_healthy_chaos_run_may_replay(self):
         """A healthy chaos run goes through the memoised/replayed path."""
         result = self._run(FaultTimeline())
         assert result.iterations > 0
-        assert len(schedule.TRACES) >= 1
+        assert len(schedule.TIMINGS) >= 1

@@ -89,7 +89,7 @@ def cluster_lines(quorums):
                 for spread in SPREADS:
                     sim, compute = _simulator(nodes, groups, spread)
                     label = (nodes, groups, quorum, spread)
-                    schedule.TRACES.clear()
+                    schedule.TIMINGS.clear()
                     replayed = sim.iteration(1024, quorum=quorum)
                     event = event_driven_iteration(
                         sim.topology, sim.spec, UPDATE_BYTES, compute, quorum
@@ -98,7 +98,7 @@ def cluster_lines(quorums):
                     lines.append(_timing_repr(replayed))
                     lines.append(repr(label) + " event")
                     lines.append(_timing_repr(event))
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
     return lines
 
 

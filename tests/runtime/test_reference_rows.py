@@ -16,16 +16,16 @@ from tests.test_golden import result_payload
 
 
 def _memoised_timings():
-    return sum(len(timings) for _, timings in schedule.TRACES.values())
+    return sum(map(len, schedule.TIMINGS.values()))
 
 
 def _on_both_engines(study):
     """``study()`` on the reference engine, then on replay from an empty
-    schedule table; each leg must have run cluster iterations."""
+    timing table; each leg must have run cluster iterations."""
     with reference_engine():
         reference = study()
         assert _memoised_timings() > 0
-    schedule.TRACES.clear()
+    schedule.TIMINGS.clear()
     shipped = study()
     assert _memoised_timings() > 0
     return reference, shipped

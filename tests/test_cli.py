@@ -118,6 +118,30 @@ class TestChaosCommand:
         assert "invalid choice" in capsys.readouterr().err
 
 
+COUNT_FLAGS = [
+    ("plan", "--minibatch"), ("rtl", "--rows"), ("rtl", "--columns"),
+    *[("train", f) for f in ("--nodes", "--threads", "--epochs", "--samples")],
+    *[
+        ("chaos", f)
+        for f in ("--nodes", "--groups", "--threads", "--epochs", "--samples")
+    ],
+    ("chaos", "--checkpoint-every"),
+]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command,flag", COUNT_FLAGS)
+    def test_below_one_exits_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "stock", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         import subprocess

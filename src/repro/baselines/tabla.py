@@ -64,21 +64,12 @@ class TablaModel:
             rows = max(1, pes // columns)
             point = DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
             return planner.evaluate(dfg, point, minibatch, density)
-        rows = 1
-        options = []
-        while rows < self.chip.row_max:
-            options.append(rows)
-            rows *= 2
-        options.append(self.chip.row_max)
-        points = [
-            DesignPoint(threads=1, rows_per_thread=rows, columns=columns)
-            for rows in options
-        ]
-        # Each candidate is timed once; the first of equally fast wins.
+        # One thread at every row option of the Planner's own sweep. Each
+        # candidate is timed once; the first of equally fast wins.
         timed = [
             (plan.seconds_for(minibatch), plan)
             for plan in planner.evaluate_points(
-                dfg, points, minibatch, density
+                dfg, planner._design_points(1), minibatch, density
             )
         ]
         return functools.reduce(

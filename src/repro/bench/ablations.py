@@ -10,23 +10,17 @@ via :data:`ABLATIONS`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..core.system import CosmicSystem, platform_for
 from ..hw.spec import XILINX_VU9P
-from ..ml.benchmarks import BENCHMARKS, Benchmark, benchmark
 from ..planner.estimator import FLAT, TREE, CostParams
 from ..planner.plan import Planner
 from ..runtime.faults import FaultSpec, apply_faults
 from ..runtime.network import NetworkConfig
 from ..runtime.threads import PoolConfig
+from .figures import _benches
 from .results import ExperimentResult, geomean
-
-
-def _benches(names: Optional[Iterable[str]]) -> List[Benchmark]:
-    if names is None:
-        return list(BENCHMARKS)
-    return [benchmark(n) for n in names]
 
 
 def ablate_interconnect(

@@ -25,18 +25,16 @@ PLATFORMS = ("fpga", "pasic-f", "pasic-g", "gpu")
 
 
 def _benches(names: Optional[Iterable[str]] = None) -> List[Benchmark]:
+    """The named benchmarks (default: all of Table 1), in that order.
+
+    Every figure and ablation is a plain loop over these: the whole
+    reproduction runs in about a second on one core, and a thread pool
+    over the benchmarks measured slower end to end
+    (``docs/performance.md``).
+    """
     if names is None:
         return list(BENCHMARKS)
     return [benchmark(n) for n in names]
-
-
-def _per_bench(names: Optional[Iterable[str]], point_fn, *args) -> List:
-    """``point_fn(bench, *args)`` for every benchmark, in benchmark order.
-
-    A plain loop on purpose: the whole reproduction runs in about a
-    second on one core, and a thread pool over these points measured
-    slower end to end than this loop (``docs/performance.md``)."""
-    return [point_fn(b, *args) for b in _benches(names)]
 
 
 def _system(bench: Benchmark, kind: str, nodes: int,
@@ -149,21 +147,16 @@ def table3() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _epoch_point(b: Benchmark, nodes: Sequence[int]):
-    spark_b = {n: SparkModel(n).epoch_seconds(b) for n in nodes}
-    system = _system(b, "fpga", nodes[0])
-    cosmic_b = {n: system.epoch_seconds(nodes=n) for n in nodes}
-    return b.name, spark_b, cosmic_b
-
-
 def _epoch_grid(
     names: Optional[Iterable[str]], nodes: Sequence[int]
 ) -> Tuple[Dict[str, Dict[int, float]], Dict[str, Dict[int, float]]]:
+    """Spark and FPGA-CoSMIC epoch seconds per benchmark and node count."""
     spark: Dict[str, Dict[int, float]] = {}
     cosmic: Dict[str, Dict[int, float]] = {}
-    for name, spark_b, cosmic_b in _per_bench(names, _epoch_point, nodes):
-        spark[name] = spark_b
-        cosmic[name] = cosmic_b
+    for b in _benches(names):
+        spark[b.name] = {n: SparkModel(n).epoch_seconds(b) for n in nodes}
+        system = _system(b, "fpga", nodes[0])
+        cosmic[b.name] = {n: system.epoch_seconds(nodes=n) for n in nodes}
     return spark, cosmic
 
 
@@ -251,19 +244,6 @@ def figure8(
 # ---------------------------------------------------------------------------
 
 
-def _figure9_point(b: Benchmark, nodes: int):
-    epochs = {
-        kind: _system(b, kind, nodes).epoch_seconds()
-        for kind in PLATFORMS
-    }
-    return {
-        "name": b.name,
-        "pasic_f_x": epochs["fpga"] / epochs["pasic-f"],
-        "pasic_g_x": epochs["fpga"] / epochs["pasic-g"],
-        "gpu_x": epochs["fpga"] / epochs["gpu"],
-    }
-
-
 def figure9(
     names: Optional[Iterable[str]] = None, nodes: int = 3
 ) -> ExperimentResult:
@@ -278,29 +258,20 @@ def figure9(
             "geomean_gpu_x": 1.5,
         },
     )
-    for row in _per_bench(names, _figure9_point, nodes):
-        result.add_row(**row)
+    for b in _benches(names):
+        epochs = {
+            kind: _system(b, kind, nodes).epoch_seconds()
+            for kind in PLATFORMS
+        }
+        result.add_row(
+            name=b.name,
+            pasic_f_x=epochs["fpga"] / epochs["pasic-f"],
+            pasic_g_x=epochs["fpga"] / epochs["pasic-g"],
+            gpu_x=epochs["fpga"] / epochs["gpu"],
+        )
     for col in ("pasic_f_x", "pasic_g_x", "gpu_x"):
         result.summary[f"geomean_{col}"] = geomean(result.column(col))
     return result
-
-
-def _figure10_point(b: Benchmark, samples: int):
-    # Computation-only: each chip streams from its own off-chip memory at
-    # full rate (no host/PCIe ceiling — that belongs to the system-level
-    # Figure 9).
-    times = {
-        kind: platform_for(b, kind, ingest_cap=False).compute_seconds(
-            samples
-        )
-        for kind in PLATFORMS
-    }
-    return {
-        "name": b.name,
-        "pasic_f_x": times["fpga"] / times["pasic-f"],
-        "pasic_g_x": times["fpga"] / times["pasic-g"],
-        "gpu_x": times["fpga"] / times["gpu"],
-    }
 
 
 def figure10(
@@ -319,28 +290,28 @@ def figure10(
             "acoustic_gpu_x": 12.8,
         },
     )
-    for row in _per_bench(names, _figure10_point, samples):
-        result.add_row(**row)
-        if row["name"] in ("mnist", "acoustic"):
-            result.summary[f"{row['name']}_gpu_x"] = row["gpu_x"]
+    for b in _benches(names):
+        # Computation-only: each chip streams from its own off-chip memory
+        # at full rate (no host/PCIe ceiling — that belongs to the
+        # system-level Figure 9).
+        times = {
+            kind: platform_for(b, kind, ingest_cap=False).compute_seconds(
+                samples
+            )
+            for kind in PLATFORMS
+        }
+        gpu_x = times["fpga"] / times["gpu"]
+        result.add_row(
+            name=b.name,
+            pasic_f_x=times["fpga"] / times["pasic-f"],
+            pasic_g_x=times["fpga"] / times["pasic-g"],
+            gpu_x=gpu_x,
+        )
+        if b.name in ("mnist", "acoustic"):
+            result.summary[f"{b.name}_gpu_x"] = gpu_x
     for col in ("pasic_f_x", "pasic_g_x", "gpu_x"):
         result.summary[f"geomean_{col}"] = geomean(result.column(col))
     return result
-
-
-def _figure11_point(b: Benchmark, nodes: int):
-    perf_per_watt = {}
-    for kind in PLATFORMS:
-        system = _system(b, kind, nodes)
-        epoch = system.epoch_seconds()
-        perf_per_watt[kind] = 1.0 / (epoch * system.system_power_watts())
-    gpu = perf_per_watt["gpu"]
-    return {
-        "name": b.name,
-        "fpga_x": perf_per_watt["fpga"] / gpu,
-        "pasic_f_x": perf_per_watt["pasic-f"] / gpu,
-        "pasic_g_x": perf_per_watt["pasic-g"] / gpu,
-    }
 
 
 def figure11(
@@ -357,8 +328,19 @@ def figure11(
             "geomean_pasic_g_x": 8.2,
         },
     )
-    for row in _per_bench(names, _figure11_point, nodes):
-        result.add_row(**row)
+    for b in _benches(names):
+        perf_per_watt = {}
+        for kind in PLATFORMS:
+            system = _system(b, kind, nodes)
+            epoch = system.epoch_seconds()
+            perf_per_watt[kind] = 1.0 / (epoch * system.system_power_watts())
+        gpu = perf_per_watt["gpu"]
+        result.add_row(
+            name=b.name,
+            fpga_x=perf_per_watt["fpga"] / gpu,
+            pasic_f_x=perf_per_watt["pasic-f"] / gpu,
+            pasic_g_x=perf_per_watt["pasic-g"] / gpu,
+        )
     for col in ("fpga_x", "pasic_f_x", "pasic_g_x"):
         result.summary[f"geomean_{col}"] = geomean(result.column(col))
     return result
@@ -367,17 +349,6 @@ def figure11(
 # ---------------------------------------------------------------------------
 # Figures 12-14: mini-batch sensitivity and speedup sources
 # ---------------------------------------------------------------------------
-
-
-def _figure12_point(b: Benchmark, minibatches: Sequence[int], nodes: int):
-    spark = SparkModel(nodes)
-    base = spark.epoch_seconds(b, 10_000)
-    system = _system(b, "fpga", nodes)
-    row = {"name": b.name}
-    for mb in minibatches:
-        row[f"spark_b{mb}"] = base / spark.epoch_seconds(b, mb)
-        row[f"cosmic_b{mb}"] = base / system.epoch_seconds(mb)
-    return row
 
 
 def figure12(
@@ -395,7 +366,14 @@ def figure12(
         + [f"cosmic_b{b}" for b in minibatches],
         paper={"geomean_gap_b500": 16.8, "geomean_gap_b100000": 9.1},
     )
-    for row in _per_bench(names, _figure12_point, minibatches, nodes):
+    for b in _benches(names):
+        spark = SparkModel(nodes)
+        base = spark.epoch_seconds(b, 10_000)
+        system = _system(b, "fpga", nodes)
+        row = {"name": b.name}
+        for mb in minibatches:
+            row[f"spark_b{mb}"] = base / spark.epoch_seconds(b, mb)
+            row[f"cosmic_b{mb}"] = base / system.epoch_seconds(mb)
         result.add_row(**row)
     for mb in (minibatches[0], minibatches[-1]):
         gaps = [
@@ -404,15 +382,6 @@ def figure12(
         ]
         result.summary[f"geomean_gap_b{mb}"] = geomean(gaps)
     return result
-
-
-def _figure13_point(b: Benchmark, minibatches: Sequence[int], nodes: int):
-    system = _system(b, "fpga", nodes)
-    row = {"name": b.name}
-    for mb in minibatches:
-        timing = system.iteration(mb)
-        row[f"compute_frac_b{mb}"] = timing.compute_fraction
-    return row
 
 
 def figure13(
@@ -427,24 +396,19 @@ def figure13(
         ["name"] + [f"compute_frac_b{b}" for b in minibatches],
         paper={"mean_frac_b500": 0.12, "mean_frac_b100000": 0.95},
     )
-    for row in _per_bench(names, _figure13_point, minibatches, nodes):
-        result.add_row(**row)
+    for b in _benches(names):
+        system = _system(b, "fpga", nodes)
+        result.add_row(
+            name=b.name,
+            **{
+                f"compute_frac_b{mb}": system.iteration(mb).compute_fraction
+                for mb in minibatches
+            },
+        )
     for mb in (minibatches[0], minibatches[-1]):
         col = result.column(f"compute_frac_b{mb}")
         result.summary[f"mean_frac_b{mb}"] = sum(col) / len(col)
     return result
-
-
-def _figure14_point(b: Benchmark, nodes: int):
-    spark = SparkModel(nodes).iteration(b, 10_000 * nodes)
-    timing = _system(b, "fpga", nodes).iteration(10_000)
-    fpga_x = spark.compute_s / timing.compute_s
-    spark_rest = spark.total_s - spark.compute_s
-    cosmic_rest = max(1e-9, timing.total_s - timing.compute_s)
-    return {
-        "name": b.name, "fpga_x": fpga_x,
-        "syssw_x": spark_rest / cosmic_rest,
-    }
 
 
 def figure14(
@@ -458,8 +422,16 @@ def figure14(
         ["name", "fpga_x", "syssw_x"],
         paper={"geomean_fpga_x": 20.7, "geomean_syssw_x": 28.4},
     )
-    for row in _per_bench(names, _figure14_point, nodes):
-        result.add_row(**row)
+    for b in _benches(names):
+        spark = SparkModel(nodes).iteration(b, 10_000 * nodes)
+        timing = _system(b, "fpga", nodes).iteration(10_000)
+        spark_rest = spark.total_s - spark.compute_s
+        cosmic_rest = max(1e-9, timing.total_s - timing.compute_s)
+        result.add_row(
+            name=b.name,
+            fpga_x=spark.compute_s / timing.compute_s,
+            syssw_x=spark_rest / cosmic_rest,
+        )
     result.summary["geomean_fpga_x"] = geomean(result.column("fpga_x"))
     result.summary["geomean_syssw_x"] = geomean(result.column("syssw_x"))
     return result
@@ -468,33 +440,6 @@ def figure14(
 # ---------------------------------------------------------------------------
 # Figures 15 & 16: resource sensitivity and design-space exploration
 # ---------------------------------------------------------------------------
-
-
-def _figure15_point(
-    b: Benchmark, pe_counts: Sequence[int], bandwidth_x: Sequence[float]
-):
-    dfg = b.translate().dfg
-    row = {"name": b.name}
-    base = None
-    for pes in pe_counts:
-        chip = XILINX_VU9P.scaled(
-            dsp_slices=pes * XILINX_VU9P.dsp_per_pe,
-            max_rows=max(1, pes // XILINX_VU9P.columns),
-        )
-        plan = Planner(chip).plan(dfg, 10_000, b.density)
-        tput = plan.samples_per_second
-        base = base or tput
-        row[f"pe{pes}"] = tput / base
-    base = None
-    for x in bandwidth_x:
-        chip = XILINX_VU9P.scaled(
-            bandwidth_bytes=XILINX_VU9P.bandwidth_bytes * x
-        )
-        plan = Planner(chip).plan(dfg, 10_000, b.density)
-        tput = plan.samples_per_second
-        base = base or tput
-        row[f"bw{x}x"] = tput / base
-    return row
 
 
 def figure15(
@@ -511,7 +456,28 @@ def figure15(
         + [f"pe{p}" for p in pe_counts]
         + [f"bw{x}x" for x in bandwidth_x],
     )
-    for row in _per_bench(names, _figure15_point, pe_counts, bandwidth_x):
+    for b in _benches(names):
+        dfg = b.translate().dfg
+        row = {"name": b.name}
+        base = None
+        for pes in pe_counts:
+            chip = XILINX_VU9P.scaled(
+                dsp_slices=pes * XILINX_VU9P.dsp_per_pe,
+                max_rows=max(1, pes // XILINX_VU9P.columns),
+            )
+            plan = Planner(chip).plan(dfg, 10_000, b.density)
+            tput = plan.samples_per_second
+            base = base or tput
+            row[f"pe{pes}"] = tput / base
+        base = None
+        for x in bandwidth_x:
+            chip = XILINX_VU9P.scaled(
+                bandwidth_bytes=XILINX_VU9P.bandwidth_bytes * x
+            )
+            plan = Planner(chip).plan(dfg, 10_000, b.density)
+            tput = plan.samples_per_second
+            base = base or tput
+            row[f"bw{x}x"] = tput / base
         result.add_row(**row)
     compute_bound = ("mnist", "acoustic", "movielens", "netflix")
     scale_col = f"pe{pe_counts[-1]}"
@@ -530,16 +496,6 @@ def figure15(
     return result
 
 
-def _figure16_point(b: Benchmark):
-    planner = Planner(XILINX_VU9P)
-    sweep = planner.sweep(b.translate().dfg, 10_000, b.density)
-    base = sweep["T1xR1"].seconds_for(10_000)
-    return b.name, {
-        label: base / plan.seconds_for(10_000)
-        for label, plan in sweep.items()
-    }
-
-
 def figure16(
     names: Iterable[str] = ("mnist", "movielens", "stock", "tumor"),
 ) -> ExperimentResult:
@@ -550,15 +506,20 @@ def figure16(
         "Design space exploration, speedup over T1xR1",
         ["name", "point", "speedup"],
     )
-    for name, speedups in _per_bench(names, _figure16_point):
+    for b in _benches(names):
+        sweep = Planner(XILINX_VU9P).sweep(
+            b.translate().dfg, 10_000, b.density
+        )
+        base = sweep["T1xR1"].seconds_for(10_000)
         best_label, best_speed = None, 0.0
-        for label, speedup in speedups.items():
-            result.add_row(name=name, point=label, speedup=speedup)
+        for label, plan in sweep.items():
+            speedup = base / plan.seconds_for(10_000)
+            result.add_row(name=b.name, point=label, speedup=speedup)
             if speedup > best_speed:
                 best_label, best_speed = label, speedup
-        result.summary[f"{name}_best"] = best_speed
-        result.rows.append(
-            {"name": name, "point": f"best={best_label}", "speedup": best_speed}
+        result.summary[f"{b.name}_best"] = best_speed
+        result.add_row(
+            name=b.name, point=f"best={best_label}", speedup=best_speed
         )
     return result
 
@@ -566,15 +527,6 @@ def figure16(
 # ---------------------------------------------------------------------------
 # Figure 17: CoSMIC vs TABLA
 # ---------------------------------------------------------------------------
-
-
-def _figure17_point(b: Benchmark):
-    return {
-        "name": b.name,
-        "speedup": cosmic_vs_tabla_speedup(
-            b.translate().dfg, density=b.density
-        ),
-    }
 
 
 def figure17(names: Optional[Iterable[str]] = None) -> ExperimentResult:
@@ -586,8 +538,13 @@ def figure17(names: Optional[Iterable[str]] = None) -> ExperimentResult:
         ["name", "speedup"],
         paper={"geomean_speedup": 3.9},
     )
-    for row in _per_bench(names, _figure17_point):
-        result.add_row(**row)
+    for b in _benches(names):
+        result.add_row(
+            name=b.name,
+            speedup=cosmic_vs_tabla_speedup(
+                b.translate().dfg, density=b.density
+            ),
+        )
     result.summary["geomean_speedup"] = geomean(result.column("speedup"))
     return result
 

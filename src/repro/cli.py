@@ -39,6 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    from .ml.benchmarks import benchmark_names
+
+    # The Table 1 names; an unknown one is an argparse error (exit 2).
+    names = benchmark_names()
+
     sub.add_parser("benchmarks", help="list the Table 1 benchmarks")
 
     exp = sub.add_parser("experiment", help="regenerate a table or figure")
@@ -48,20 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("id", help="e.g. interconnect, mapping, or 'all'")
 
     plan = sub.add_parser("plan", help="show the Planner's design")
-    plan.add_argument("benchmark")
+    plan.add_argument("benchmark", choices=names, metavar="benchmark")
     plan.add_argument(
         "--chip", default="fpga", choices=["fpga", "pasic-f", "pasic-g"]
     )
     plan.add_argument("--minibatch", type=count, default=10_000)
 
     rtl = sub.add_parser("rtl", help="emit generated RTL for one thread")
-    rtl.add_argument("benchmark")
+    rtl.add_argument("benchmark", choices=names, metavar="benchmark")
     rtl.add_argument("--target", default="fpga", choices=["fpga", "pasic"])
     rtl.add_argument("--rows", type=count, default=2)
     rtl.add_argument("--columns", type=count, default=4)
 
     train = sub.add_parser("train", help="train the scaled benchmark")
-    train.add_argument("benchmark")
+    train.add_argument("benchmark", choices=names, metavar="benchmark")
     train.add_argument("--nodes", type=count, default=4)
     train.add_argument("--threads", type=count, default=2)
     train.add_argument("--epochs", type=count, default=5)
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="train under an injected fault scenario"
     )
-    chaos.add_argument("benchmark")
+    chaos.add_argument("benchmark", choices=names, metavar="benchmark")
     chaos.add_argument(
         "--scenario", default="master-crash", choices=list(SCENARIOS)
     )
@@ -113,10 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = args.command
     if command == "benchmarks":
         return _cmd_benchmarks()
-    if command == "experiment":
-        return _cmd_experiment(args.id)
-    if command == "ablation":
-        return _cmd_ablation(args.id)
+    if command in ("experiment", "ablation"):
+        return _cmd_run(command, args.id)
     if command == "plan":
         return _cmd_plan(args.benchmark, args.chip, args.minibatch)
     if command == "rtl":
@@ -137,41 +140,26 @@ def _cmd_benchmarks() -> int:
     return 0
 
 
-def _cmd_experiment(exp_id: str) -> int:
-    from .bench.figures import EXPERIMENTS
+def _cmd_run(command: str, run_id: str) -> int:
+    """``experiment`` or ``ablation``: print one result, or ``all``."""
+    if command == "experiment":
+        from .bench.figures import EXPERIMENTS as registry
+    else:
+        from .bench.ablations import ABLATIONS as registry
 
-    if exp_id == "all":
-        for fn in EXPERIMENTS.values():
+    if run_id == "all":
+        for fn in registry.values():
             print(fn().to_table())
             print()
         return 0
-    if exp_id not in EXPERIMENTS:
+    if run_id not in registry:
         print(
-            f"unknown experiment {exp_id!r}; choose from "
-            f"{', '.join(EXPERIMENTS)} or 'all'",
+            f"unknown {command} {run_id!r}; choose from "
+            f"{', '.join(registry)} or 'all'",
             file=sys.stderr,
         )
         return 2
-    print(EXPERIMENTS[exp_id]().to_table())
-    return 0
-
-
-def _cmd_ablation(abl_id: str) -> int:
-    from .bench.ablations import ABLATIONS
-
-    if abl_id == "all":
-        for fn in ABLATIONS.values():
-            print(fn().to_table())
-            print()
-        return 0
-    if abl_id not in ABLATIONS:
-        print(
-            f"unknown ablation {abl_id!r}; choose from "
-            f"{', '.join(ABLATIONS)} or 'all'",
-            file=sys.stderr,
-        )
-        return 2
-    print(ABLATIONS[abl_id]().to_table())
+    print(registry[run_id]().to_table())
     return 0
 
 

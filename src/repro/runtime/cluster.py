@@ -167,14 +167,14 @@ class ClusterSimulator:
         Every iteration replays the cluster's schedule
         (:mod:`repro.runtime.schedule`), which is derived from the
         topology, and the replayed timing is memoised in
-        :data:`~repro.runtime.schedule.TIMINGS` by (roles, groups,
-        update size), then by (spec, quorum rule, per-node compute
-        times). The compute model is still invoked once per node per call
-        (it may be stateful, e.g. straggler injection); different compute
-        times mean a fresh replay. Faults need no other path: degraded
-        links and stragglers change the spec and the compute times, and a
-        crash or re-hierarchy arrives as a new ``topology``, each part of
-        the key. Replayed results are bit-identical to the event-driven
+        :data:`~repro.runtime.schedule.TIMINGS` by (roles, update size),
+        then by (spec, quorum rule, per-node compute times); each role
+        carries its group. The compute model is still invoked once per
+        node per call (it may be stateful, e.g. straggler injection);
+        different compute times mean a fresh replay. Faults need no other
+        path: degraded links and stragglers change the spec and the
+        compute times, and a crash or re-hierarchy arrives as a new
+        ``topology``, each part of the key. Replayed results are bit-identical to the event-driven
         reference simulation in the tests, enforced by the differential
         property suites.
         """
@@ -185,7 +185,7 @@ class ClusterSimulator:
             for role in topo.roles
         ]
         timings = schedule.TIMINGS.setdefault(
-            (tuple(topo.roles), topo.groups, self.update_bytes), {}
+            (tuple(topo.roles), self.update_bytes), {}
         )
         memo = (self.spec, quorum, tuple(compute_times))
         timing = timings.get(memo)

@@ -21,8 +21,8 @@ This module implements that split:
   :class:`SigmaPipeline` objects in the exact (arrival, insertion) order
   an event loop would dispatch them.
 
-Replayed timings live in :data:`TIMINGS`, one table per (roles, groups,
-model size), so a figure sweep replays each (minibatch, NetworkConfig)
+Replayed timings live in :data:`TIMINGS`, one table per (roles, model
+size), so a figure sweep replays each (minibatch, NetworkConfig)
 point of a topology once.
 
 The gather and reduce sends name, per Sigma/master aggregation point,
@@ -58,8 +58,9 @@ from .network import NetworkConfig
 from .threads import SigmaPipeline
 
 #: Replayed iteration timings, keyed by everything that shapes the
-#: schedule: ``(roles, groups, update_bytes) -> {(ClusterSpec,
-#: QuorumConfig or None, compute_times): IterationTiming}``. Only
+#: schedule: ``(roles, update_bytes) -> {(ClusterSpec, QuorumConfig or
+#: None, compute_times): IterationTiming}``; every role carries its
+#: group, so the group count needs no place in the key. Only
 #: :meth:`ClusterSimulator.iteration` reads or writes it; figure sweeps
 #: share entries across the fresh simulators they build. Nested, so a
 #: topology's roles tuple is held once, not in every timing's key.

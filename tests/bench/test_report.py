@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.report import (
     generate_results,
-    render_markdown,
     render_text,
     write_report,
 )
@@ -34,30 +33,9 @@ class TestRenderers:
         assert "mnist" in text
         assert "Table 1" in text
 
-    def test_markdown_table_syntax(self, results):
-        md = render_markdown(results)
-        assert md.startswith("## Table 1")
-        assert "| name |" in md or "| name " in md
-        assert "|---|" in md
-
-    def test_markdown_summary_with_paper_values(self):
-        md = render_markdown(generate_results(["figure17"]))
-        assert "**geomean_speedup**" in md
-        assert "(paper: 3.9)" in md
-
 
 class TestWrite:
     def test_writes_text_file(self, tmp_path):
         out = write_report(tmp_path / "report.txt", ["table1"])
         assert out.exists()
         assert "mnist" in out.read_text()
-
-    def test_writes_markdown_file(self, tmp_path):
-        out = write_report(
-            tmp_path / "report.md", ["figure17"], fmt="markdown"
-        )
-        assert out.read_text().startswith("## Figure 17")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report(tmp_path / "x", ["table1"], fmt="html")

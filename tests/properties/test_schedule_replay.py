@@ -312,9 +312,10 @@ class TestTimingMemoKey:
     def test_second_iteration_replays_iff_an_input_differs(
         self, pair, batch
     ):
-        """The timing table keys on roles, groups, update size, spec,
-        quorum rule and per-node compute times: a second simulator that
-        differs in any one of them replays, and gets the event-driven
+        """The timing table keys on roles (each naming its group), update
+        size, spec, quorum rule and per-node compute times, so a second
+        simulator with another group count has other roles. One that
+        differs in any one input replays, and gets the event-driven
         reference's timing for its own inputs; one that differs in
         nothing is served the first one's timing."""
         changed, first, second = pair

@@ -17,7 +17,7 @@ def fresh_table():
 
 
 def table_key(sim):
-    return (tuple(sim.topology.roles), sim.topology.groups, sim.update_bytes)
+    return (tuple(sim.topology.roles), sim.update_bytes)
 
 
 def spy_replays(monkeypatch):

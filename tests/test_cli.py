@@ -51,9 +51,6 @@ class TestPlanCommand:
         assert main(["plan", "stock", "--chip", "pasic-g"]) == 0
         assert "P-ASIC-G" in capsys.readouterr().out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["plan", "bert"])
 
 
 class TestRtlCommand:
@@ -127,6 +124,18 @@ COUNT_FLAGS = [
     ],
     ("chaos", "--checkpoint-every"),
 ]
+
+
+class TestUnknownBenchmark:
+    @pytest.mark.parametrize("command", ["plan", "rtl", "train", "chaos"])
+    def test_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "bert"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument benchmark: invalid choice" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCountFlags:

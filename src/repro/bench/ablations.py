@@ -16,7 +16,7 @@ from ..core.system import CosmicSystem, platform_for
 from ..hw.spec import XILINX_VU9P
 from ..planner.estimator import FLAT, TREE, CostParams
 from ..planner.plan import Planner
-from ..runtime.faults import FaultSpec, apply_faults
+from ..runtime.cluster import ClusterSimulator
 from ..runtime.network import NetworkConfig
 from ..runtime.threads import PoolConfig
 from .figures import _benches
@@ -191,16 +191,16 @@ def ablate_straggler(
     )
     for b in _benches(names):
         platform = platform_for(b, "fpga")
-        system = CosmicSystem(b, platform, nodes)
+        healthy = CosmicSystem(b, platform, nodes).cluster()
         base = None
         row = {"name": b.name}
         for factor in factors:
-            sim = apply_faults(
-                system.cluster(),
-                FaultSpec.single_straggler(nodes - 1, factor)
-                if factor > 1
-                else None,
-            )
+
+            def compute(node_id, samples, factor=factor):
+                seconds = platform.compute_seconds(samples)
+                return seconds * factor if node_id == nodes - 1 else seconds
+
+            sim = ClusterSimulator(healthy.spec, compute, healthy.update_bytes)
             total = sim.iteration(10_000 * nodes).total_s
             base = base or total
             row[f"x{factor:g}"] = total / base
@@ -224,12 +224,12 @@ def ablate_sync_vs_async(
         f"{nodes}-node batch time with one {straggler_factor:g}x straggler",
         ["name", "sync_ms", "async_ms", "async_gain_x"],
     )
-    faults = FaultSpec.single_straggler(nodes - 1, straggler_factor)
     for b in _benches(names):
         platform = platform_for(b, "fpga")
         compute = {i: platform.compute_seconds(10_000) for i in range(nodes)}
-        sync = sync_batch_seconds(compute, b.model_bytes(), faults=faults)
-        asyn = async_batch_seconds(compute, b.model_bytes(), faults=faults)
+        compute[nodes - 1] *= straggler_factor
+        sync = sync_batch_seconds(compute, b.model_bytes())
+        asyn = async_batch_seconds(compute, b.model_bytes())
         result.add_row(
             name=b.name,
             sync_ms=1e3 * sync,

@@ -21,8 +21,11 @@ def generate_results(
     experiments: Optional[Iterable[str]] = None,
     include_ablations: bool = False,
 ) -> List[ExperimentResult]:
-    """Run the selected experiments (default: all paper figures/tables)."""
+    """Run the selected experiments (default: all paper figures/tables),
+    then, with ``include_ablations``, every ablation not already listed."""
     names = list(experiments) if experiments is not None else list(EXPERIMENTS)
+    if include_ablations:
+        names += [name for name in ABLATIONS if name not in names]
     results = []
     for name in names:
         if name in EXPERIMENTS:
@@ -31,8 +34,6 @@ def generate_results(
             results.append(ABLATIONS[name]())
         else:
             raise KeyError(f"unknown experiment {name!r}")
-    if include_ablations and experiments is None:
-        results.extend(fn() for fn in ABLATIONS.values())
     return results
 
 

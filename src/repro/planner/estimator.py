@@ -16,10 +16,9 @@ The model charges, per macro-operation of the DFG:
   structural difference behind Figure 17), plus broadcast of scalars
   produced by one PE and consumed by a vector operation.
 
-One-hot / sparse DATA inputs (the collaborative-filtering encodings) can
-be annotated with a density in ``[0, 1]``; work gated by a sparse operand
-is scaled accordingly, matching how the memory interface only streams the
-encoded non-zeros.
+Compute is always dense: the static schedule cannot skip zeros. A
+sparse (one-hot) DATA input's density thins only the words the memory
+interface streams (:func:`effective_data_words`).
 """
 
 from __future__ import annotations
@@ -86,12 +85,12 @@ class NodeCost(NamedTuple):
     design point."""
 
     nid: int
-    #: Scalar applications, thinned by the density of a sparse operand.
-    space: float
+    #: Scalar applications.
+    space: int
     #: ALU cycles per application.
     cycles: int
     reduce: bool
-    #: Partials a reduction merges (after density); 1 for element-wise ops.
+    #: Partials a reduction merges; 1 for element-wise ops.
     width: int
     #: Outputs a reduction produces; their merges pipeline.
     out_count: int
@@ -102,8 +101,8 @@ class NodeCost(NamedTuple):
 class CostProfile:
     """The design-point-independent part of the estimate, for one DFG.
 
-    Built in one topological walk of the DFG under fixed cost parameters
-    and density annotations; :meth:`estimate` then costs any (PEs, rows)
+    Built in one topological walk of the DFG under fixed cost
+    parameters; :meth:`estimate` then costs any (PEs, rows)
     point with only the tiling, merge, broadcast and shuffle arithmetic,
     once per point: an estimate depends on nothing else, so it is
     memoised on the profile. The Planner keeps one profile per (graph,
@@ -111,38 +110,21 @@ class CostProfile:
     count, ``max_rows`` or bandwidth share their estimates.
     """
 
-    def __init__(
-        self,
-        dfg: ir.Dfg,
-        params: CostParams = CostParams(),
-        density: Optional[Mapping[str, float]] = None,
-    ):
-        density = density or {}
+    def __init__(self, dfg: ir.Dfg, params: CostParams = CostParams()):
         self.params = params
-        # Density per value id: sparse operands gate the work they feed;
-        # a reduction's output is dense again regardless of input zeros.
-        densities: Dict[int, float] = {}
-        for value in dfg.values.values():
-            if value.producer is None:
-                densities[value.vid] = (
-                    float(density[value.name])
-                    if value.category == ir.DATA and value.name in density
-                    else 1.0
-                )
         nodes: List[NodeCost] = []
         for node in dfg.topo_order():
             info = op_info(node.op)
-            factor = min((densities[vid] for vid in node.inputs), default=1.0)
-            densities[node.output] = 1.0 if info.reduce else factor
             width = out_count = 1
             if info.reduce:
-                width = math.prod(dfg.extents[a] for a in node.reduce_axes)
-                width = max(1, math.ceil(width * factor))
+                width = max(
+                    1, math.prod(dfg.extents[a] for a in node.reduce_axes)
+                )
                 out_count = max(1, dfg.size(dfg.values[node.output]))
             nodes.append(
                 NodeCost(
                     node.nid,
-                    dfg.node_iter_space(node) * factor,
+                    dfg.node_iter_space(node),
                     info.cycles,
                     info.reduce,
                     width,
@@ -216,7 +198,6 @@ def estimate_thread_cycles(
     n_pe: int,
     rows: int,
     params: CostParams = CostParams(),
-    density: Optional[Mapping[str, float]] = None,
 ) -> ThreadEstimate:
     """Cycles for one thread to evaluate the gradient DFG on one sample.
 
@@ -225,9 +206,8 @@ def estimate_thread_cycles(
         n_pe: PEs allocated to the thread (rows x columns).
         rows: PE rows of the thread (tree-bus depth across rows).
         params: interconnect/mapping model.
-        density: optional DATA-input name -> density annotation.
     """
-    return CostProfile(dfg, params, density).estimate(n_pe, rows)
+    return CostProfile(dfg, params).estimate(n_pe, rows)
 
 
 def _broadcasts(dfg: ir.Dfg, node: ir.Node) -> int:

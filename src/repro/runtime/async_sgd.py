@@ -9,21 +9,19 @@ arrive. :func:`async_batch_seconds` prices a global batch without the
 barrier — nodes pipeline independently, so a straggler only reduces its
 own contribution instead of stalling everyone — and
 :func:`sync_batch_seconds` is its barrier counterpart; the sync-vs-async
-ablation compares the two.
+ablation compares the two. A straggler is a longer entry in the
+``compute_seconds`` map.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
-from .faults import FaultSpec
+from typing import Mapping
 
 
 def async_batch_seconds(
     compute_seconds: Mapping[int, float],
     update_bytes: int,
     network_bps: float = 1e9,
-    faults: Optional[FaultSpec] = None,
 ) -> float:
     """Wall time for one global batch without the aggregation barrier.
 
@@ -36,44 +34,27 @@ def async_batch_seconds(
         compute_seconds: node id -> seconds for its local batch share.
         update_bytes: model update size on the wire.
         network_bps: per-node line rate.
-        faults: optional straggler/link fault spec.
     """
     if not compute_seconds:
         raise ValueError("need at least one node")
-    faults = faults or FaultSpec()
     wire = update_bytes * 8.0 / network_bps
-    periods = {}
-    for node, base in compute_seconds.items():
-        compute = base * faults.compute_factor(node)
-        send = wire * faults.network_factor(node) + faults.expected_retransmit_s(
-            node
-        )
-        periods[node] = max(compute, send)
+    periods = [max(compute, wire) for compute in compute_seconds.values()]
     # One global batch = every node contributes its share once; with no
     # barrier, contributions overlap fully, so the batch completes when
     # the mean period elapses (rate-weighted), bounded by reality: at
     # least one full period of some node must pass.
-    rates = [1.0 / p for p in periods.values()]
+    rates = [1.0 / p for p in periods]
     batch_time = len(periods) / sum(rates)  # harmonic mean of periods
-    return max(batch_time, min(periods.values()))
+    return max(batch_time, min(periods))
 
 
 def sync_batch_seconds(
     compute_seconds: Mapping[int, float],
     update_bytes: int,
     network_bps: float = 1e9,
-    faults: Optional[FaultSpec] = None,
 ) -> float:
     """The synchronous counterpart: the barrier means max, not mean."""
     if not compute_seconds:
         raise ValueError("need at least one node")
-    faults = faults or FaultSpec()
     wire = update_bytes * 8.0 / network_bps
-    worst = 0.0
-    for node, base in compute_seconds.items():
-        compute = base * faults.compute_factor(node)
-        send = wire * faults.network_factor(node) + faults.expected_retransmit_s(
-            node
-        )
-        worst = max(worst, compute + send)
-    return worst
+    return max(compute + wire for compute in compute_seconds.values())

@@ -170,13 +170,13 @@ class ClusterSimulator:
         :data:`~repro.runtime.schedule.TIMINGS` by (roles, update size),
         then by (spec, quorum rule, per-node compute times); each role
         carries its group. The compute model is still invoked once per
-        node per call (it may be stateful, e.g. straggler injection);
-        different compute times mean a fresh replay. Faults need no other
-        path: degraded links and stragglers change the spec and the
-        compute times, and a crash or re-hierarchy arrives as a new
-        ``topology``, each part of the key. Replayed results are bit-identical to the event-driven
-        reference simulation in the tests, enforced by the differential
-        property suites.
+        node per call (it may be stateful); different compute times mean
+        a fresh replay. Faults need no other path: a degraded link is a
+        slower ``spec.network``, a straggler a compute model that charges
+        its node more time, and a crash or re-hierarchy arrives as a new
+        ``topology``, each part of the key. Replayed results are
+        bit-identical to the event-driven reference simulation in the
+        tests, enforced by the differential property suites.
         """
         topo = self.topology
         per_node = max(1, batch_samples // topo.nodes)

@@ -1,124 +1,24 @@
-"""Fault and variability injection for the cluster simulation.
+"""Failure schedules for the fault-tolerant cluster runtime.
 
-The paper evaluates a healthy cluster; any production deployment of a
-synchronous-aggregation design must also answer "what does one slow or
-flaky node cost?". This module injects three deterministic, seedable
-fault classes into :class:`repro.runtime.cluster.ClusterSimulator`:
-
-* **stragglers** — a node's accelerator/host runs slower by a factor
-  (thermal throttling, a noisy co-tenant, a degraded DIMM);
-* **degraded links** — a node's NIC sustains a fraction of line rate
-  (auto-negotiation fallback, a bad cable);
-* **transient drops** — a fraction of a node's messages need a
-  retransmit, adding a timeout penalty.
-
-Because the aggregation in Eq. 3b is a barrier, iteration time is the max
-over nodes — a single straggler is expected to dominate, which the
-ablation benchmarks quantify.
-
-Beyond degradation, the module also models *failure*: a
-:class:`FaultTimeline` is a seedable, deterministic schedule of node
+The paper evaluates a healthy cluster; a production deployment of a
+synchronous-aggregation design must also survive parts of it going away.
+A :class:`FaultTimeline` is a seedable, deterministic schedule of node
 crashes (permanent or crash-then-recover) and network partitions, keyed
 by node id and simulated time. The fault-tolerant runtime
 (:mod:`repro.runtime.recovery`) consumes the timeline to drive heartbeat
 detection, Sigma failover, and checkpoint-based recovery.
+
+A slow node or a slow link needs no type of its own: a straggler is a
+compute model that returns longer times for that node, and a degraded
+link is a :class:`~repro.runtime.network.NetworkConfig` with less
+bandwidth or more latency. :class:`~repro.runtime.cluster.ClusterSimulator`
+takes both directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Declarative fault assignment for a cluster.
-
-    Attributes map node id -> severity:
-        straggler: compute-time multiplier (>1 is slower).
-        link_quality: fraction of NIC line rate the node sustains (0-1].
-        drop_rate: probability a message needs one retransmit.
-        retransmit_timeout_s: the penalty per retransmitted message.
-    """
-
-    straggler: Dict[int, float] = field(default_factory=dict)
-    link_quality: Dict[int, float] = field(default_factory=dict)
-    drop_rate: Dict[int, float] = field(default_factory=dict)
-    retransmit_timeout_s: float = 200e-3  # TCP RTO floor
-
-    def __post_init__(self):
-        for node, factor in self.straggler.items():
-            if factor < 1.0:
-                raise ValueError(
-                    f"straggler factor for node {node} must be >= 1"
-                )
-        for node, quality in self.link_quality.items():
-            if not 0.0 < quality <= 1.0:
-                raise ValueError(
-                    f"link quality for node {node} must be in (0, 1]"
-                )
-        for node, rate in self.drop_rate.items():
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(
-                    f"drop rate for node {node} must be in [0, 1); a rate "
-                    "of 1 would mean every retransmit also drops, i.e. an "
-                    "unreachable node — use a FaultTimeline crash for that"
-                )
-        if not self.retransmit_timeout_s > 0.0:
-            raise ValueError(
-                "retransmit timeout must be positive (a zero or negative "
-                f"timeout makes drops free), got {self.retransmit_timeout_s}"
-            )
-
-    def compute_factor(self, node_id: int) -> float:
-        return self.straggler.get(node_id, 1.0)
-
-    def network_factor(self, node_id: int) -> float:
-        """Effective wire-time multiplier for the node's messages."""
-        quality = self.link_quality.get(node_id, 1.0)
-        return 1.0 / quality
-
-    def expected_retransmit_s(self, node_id: int) -> float:
-        """Expected extra latency per message from transient drops."""
-        rate = self.drop_rate.get(node_id, 0.0)
-        if rate <= 0:
-            return 0.0
-        # Geometric retries: rate/(1-rate) expected retransmits.
-        return self.retransmit_timeout_s * rate / (1.0 - rate)
-
-    @classmethod
-    def single_straggler(cls, node_id: int, factor: float) -> "FaultSpec":
-        """The canonical experiment: one node ``factor``x slower."""
-        return cls(straggler={node_id: factor})
-
-    @classmethod
-    def uniform_jitter(
-        cls, nodes: int, sigma: float, seed: int = 0
-    ) -> "FaultSpec":
-        """Log-normal per-node compute variability (fleet heterogeneity)."""
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        factors = np.exp(np.abs(rng.normal(0.0, sigma, size=nodes)))
-        return cls(
-            straggler={i: float(max(1.0, f)) for i, f in enumerate(factors)}
-        )
-
-
-def faulty_compute(compute_seconds, faults: FaultSpec):
-    """Wrap a ``(node_id, samples) -> seconds`` model with stragglers."""
-
-    def wrapped(node_id: int, samples: int) -> float:
-        return compute_seconds(node_id, samples) * faults.compute_factor(
-            node_id
-        )
-
-    return wrapped
-
-
-# ---------------------------------------------------------------------------
-# Fault timeline: crashes, recoveries, and partitions over simulated time.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -217,14 +117,6 @@ class FaultTimeline:
     def isolated(self, a: int, b: int, t: float) -> bool:
         """True when a partition separates ``a`` from ``b`` at ``t``."""
         return any(p.separates(a, b, t) for p in self.partitions)
-
-    def reachable(self, a: int, b: int, t: float) -> bool:
-        """Both endpoints up and no partition across the path."""
-        return (
-            self.alive(a, t)
-            and self.alive(b, t)
-            and not self.isolated(a, b, t)
-        )
 
     def up(self, node_id: int, t: float, anchor: int) -> bool:
         """Is ``node_id`` usable from ``anchor``'s (the master's) side?"""
@@ -331,41 +223,3 @@ class FaultTimeline:
             crashes.append(NodeCrash(node, at, recover))
         return cls(crashes=tuple(crashes))
 
-
-def apply_faults(simulator, faults: Optional[FaultSpec]):
-    """Return a fault-injected clone of a ClusterSimulator.
-
-    Stragglers wrap the compute model; link degradation scales the wire
-    bandwidth of the cluster's network config (conservatively applying
-    the worst degraded node to the shared aggregation paths, since the
-    Sigma's receive schedule serialises on the slowest sender). The clone
-    replays like any simulator: its degraded spec and straggler compute
-    times are part of the iteration memo key.
-    """
-    from .cluster import ClusterSimulator
-
-    if faults is None:
-        return simulator
-    spec = simulator.spec
-    worst_link = max(
-        (faults.network_factor(r.node_id) for r in simulator.topology.roles),
-        default=1.0,
-    )
-    worst_retry = max(
-        (
-            faults.expected_retransmit_s(r.node_id)
-            for r in simulator.topology.roles
-        ),
-        default=0.0,
-    )
-    network = replace(
-        spec.network,
-        bandwidth_bps=spec.network.bandwidth_bps / worst_link,
-        latency_s=spec.network.latency_s + worst_retry,
-    )
-    return ClusterSimulator(
-        replace(spec, network=network),
-        faulty_compute(simulator._compute_seconds, faults),
-        simulator.update_bytes,
-        topology=simulator.topology,
-    )

@@ -35,9 +35,10 @@ changed (the withheld-send pass). The window sorts contributions by
 a result.
 
 Replay is the only iteration engine. Faults reach it as inputs it
-already takes: :func:`~repro.runtime.faults.apply_faults` changes the
-network config and the compute model, and a crash or re-hierarchy hands
-the simulator a new topology, which gets its own timing table. The
+already takes: a degraded link is a slower network config, a straggler
+a compute model that charges one node more time, and a crash or
+re-hierarchy hands the simulator a new topology, which gets its own
+timing table. The
 event-driven simulation lives in the tests
 (``tests/runtime/event_reference.py``) as the reference: the
 differential property suites (``tests/properties/test_schedule_replay.py``

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.bench import report
 from repro.bench.report import (
     generate_results,
     render_text,
     write_report,
 )
+from repro.bench.results import ExperimentResult
 
 
 class TestGenerate:
@@ -17,6 +19,21 @@ class TestGenerate:
     def test_ablation_by_name(self):
         results = generate_results(["mapping"])
         assert results[0].experiment.startswith("Ablation")
+
+    def test_ablations_added_to_a_selection(self, monkeypatch):
+        """``include_ablations`` appends every ablation not already
+        listed, after the selection, whether or not one is given."""
+        stubs = {
+            name: (lambda name=name: ExperimentResult(name, "", ["name"]))
+            for name in ("mapping", "straggler")
+        }
+        monkeypatch.setattr(report, "ABLATIONS", stubs)
+        results = generate_results(["table1", "straggler"], True)
+        assert [r.experiment for r in results] == [
+            "Table 1",
+            "straggler",
+            "mapping",
+        ]
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):

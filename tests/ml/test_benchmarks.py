@@ -103,7 +103,7 @@ class TestTranslations:
             b = benchmark(name)
             dfg = b.translate().dfg
             from repro.planner.estimator import estimate_thread_cycles
-            est = estimate_thread_cycles(dfg, 256, 16, density=b.density)
+            est = estimate_thread_cycles(dfg, 256, 16)
             return est.work_cycles / max(1.0, b.bytes_per_sample())
 
         assert intensity("mnist") > 10 * intensity("stock")

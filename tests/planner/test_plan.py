@@ -54,9 +54,9 @@ def _count_profiles(monkeypatch):
     built = []
     init = CostProfile.__init__
 
-    def counting_init(self, dfg, params=CostParams(), density=None):
+    def counting_init(self, dfg, params=CostParams()):
         built.append((dfg, params))
-        init(self, dfg, params, density)
+        init(self, dfg, params)
 
     monkeypatch.setattr(CostProfile, "__init__", counting_init)
     return built

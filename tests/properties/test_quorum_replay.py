@@ -25,7 +25,6 @@ from repro.runtime.cluster import (
     QuorumConfig,
 )
 from repro.runtime.director import assign_roles, rebuild_topology
-from repro.runtime.faults import FaultSpec, apply_faults
 from repro.runtime.network import NetworkConfig
 from repro.runtime.schedule import replay_iteration
 from tests.properties.test_schedule_replay import scalar_booking
@@ -81,14 +80,14 @@ def clusters(draw):
 
 @st.composite
 def faulted_clusters(draw):
-    """A cluster re-formed over a random survivor set, its
-    fault-injected clone, and the compute time the clone charges each
-    survivor.
+    """A cluster re-formed over a random survivor set, its faulted
+    clone, and the compute time the clone charges each survivor.
 
     The survivors keep their original, non-contiguous node ids; losing
     the master or a Sigma promotes a survivor, and ``prefer_master`` can
-    promote any survivor to master. Stragglers and link qualities are
-    drawn per node, as :func:`apply_faults` takes them."""
+    promote any survivor to master. A straggler multiplier is drawn per
+    node into the clone's compute times, and a degraded link divides the
+    clone's bandwidth."""
     nodes = draw(st.integers(min_value=1, max_value=12))
     groups = draw(st.integers(min_value=1, max_value=nodes))
     alive = draw(
@@ -115,20 +114,27 @@ def faulted_clusters(draw):
         update_bytes=draw(update_sizes),
         topology=topology,
     )
-    ids = st.sampled_from(range(nodes))
-    faults = FaultSpec(
-        straggler=draw(
-            st.dictionaries(ids, st.sampled_from([1.0, 1.5, 3.0, 20.0]))
-        ),
-        link_quality=draw(
-            st.dictionaries(ids, st.sampled_from([0.1, 0.5, 0.9, 1.0]))
-        ),
+    straggler = draw(
+        st.lists(
+            st.sampled_from([1.0, 1.5, 3.0, 20.0]),
+            min_size=nodes,
+            max_size=nodes,
+        )
     )
-    times = [
-        compute[r.node_id] * faults.compute_factor(r.node_id)
-        for r in topology.roles
-    ]
-    return healthy, apply_faults(healthy, faults), times
+    slowed = [c * f for c, f in zip(compute, straggler)]
+    network = healthy.spec.network
+    divisor = draw(st.sampled_from([1.0, 1 / 0.9, 2.0, 10.0]))
+    degraded = dataclasses.replace(
+        network, bandwidth_bps=network.bandwidth_bps / divisor
+    )
+    faulted = ClusterSimulator(
+        dataclasses.replace(healthy.spec, network=degraded),
+        lambda node_id, samples: slowed[node_id],
+        healthy.update_bytes,
+        topology=topology,
+    )
+    times = [slowed[r.node_id] for r in topology.roles]
+    return healthy, faulted, times
 
 
 def assert_bit_identical(a: IterationTiming, b: IterationTiming, label: str):

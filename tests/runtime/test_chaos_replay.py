@@ -1,6 +1,6 @@
-"""Faulted clusters replay: a fault-injected clone or a chaos run goes
-through the same timing table and replayer as a healthy cluster, and
-its faults still cost time."""
+"""Faulted clusters replay: a clone with a straggler and a slower link,
+or a chaos run, goes through the same timing table and replayer as a
+healthy cluster, and its faults still cost time."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,8 @@ from repro.dsl.parser import parse
 from repro.runtime import schedule
 from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 from repro.runtime.director import HeartbeatConfig
-from repro.runtime.faults import (
-    FaultSpec,
-    FaultTimeline,
-    NodeCrash,
-    apply_faults,
-)
-from repro.runtime.network import RetryPolicy
+from repro.runtime.faults import FaultTimeline, NodeCrash
+from repro.runtime.network import NetworkConfig, RetryPolicy
 from repro.runtime.recovery import FaultToleranceConfig, chaos_train
 
 
@@ -56,8 +51,13 @@ class TestFaultedReplay:
         fast = healthy.iteration(8_000)
         assert len(schedule.TIMINGS) == 1
         calls = count_replays(monkeypatch)
-        faulted = apply_faults(
-            healthy, FaultSpec(straggler={1: 3.0}, link_quality={2: 0.5})
+        faulted = ClusterSimulator(
+            ClusterSpec(
+                nodes=8, groups=2, network=NetworkConfig(bandwidth_bps=5e8)
+            ),
+            lambda node_id, samples: 3e-3 if node_id == 1 else 1e-3,
+            update_bytes=100_000,
+            topology=healthy.topology,
         )
         slow = faulted.iteration(8_000)
         assert calls == [1]

@@ -12,10 +12,11 @@ from repro.runtime.director import (
     rebuild_topology,
     rehierarchy_seconds,
 )
-from repro.runtime.faults import FaultSpec, FaultTimeline, faulty_compute
+from repro.runtime.faults import FaultTimeline
 from repro.runtime.network import RetryPolicy
 from repro.runtime.recovery import (
     SCENARIOS,
+    ChaosResult,
     FaultToleranceConfig,
     chaos_train,
     scenario_timeline,
@@ -53,6 +54,12 @@ UPDATE_BYTES = 100_000
 
 def flat_compute(node_id, samples):
     return 5e-3
+
+
+def straggler_compute(node_id, samples):
+    """:func:`flat_compute` with node 7 running 20x slower."""
+    seconds = flat_compute(node_id, samples)
+    return 20.0 * seconds if node_id == 7 else seconds
 
 
 def iteration_seconds():
@@ -208,10 +215,7 @@ class TestQuorum:
 
     def test_straggler_dropped_and_iteration_shortened(self):
         healthy = iteration_seconds()
-        slow = faulty_compute(
-            flat_compute, FaultSpec.single_straggler(7, 20.0)
-        )
-        sim = ClusterSimulator(SPEC, slow, UPDATE_BYTES)
+        sim = ClusterSimulator(SPEC, straggler_compute, UPDATE_BYTES)
         quorum = QuorumConfig(fraction=0.5, deadline_s=2 * healthy)
         q = sim.iteration(64, quorum=quorum)
         barrier = sim.iteration(64)
@@ -232,15 +236,12 @@ class TestQuorum:
     def test_dropped_shards_change_the_mathematics(self, problem):
         it_s = iteration_seconds()
         quorum = QuorumConfig(fraction=0.5, deadline_s=2 * it_s)
-        straggler = faulty_compute(
-            flat_compute, FaultSpec.single_straggler(7, 20.0)
-        )
         translation, feeds = problem
         degraded = chaos_train(
             translation,
             feeds,
             SPEC,
-            straggler,
+            straggler_compute,
             UPDATE_BYTES,
             config=ft_config(it_s, quorum=quorum),
             epochs=1,
@@ -254,6 +255,17 @@ class TestQuorum:
             degraded.loss_history
         )]
         assert degraded.final_loss < degraded.loss_history[0]
+
+
+class TestChaosResult:
+    def test_throughput_retained(self):
+        """The healthy/faulted time ratio; 0 when either time is not
+        positive."""
+        res = ChaosResult(model={}, simulated_seconds=4.0)
+        assert res.throughput_retained(3.0) == 0.75
+        assert res.throughput_retained(0.0) == 0.0
+        assert res.throughput_retained(-1.0) == 0.0
+        assert ChaosResult(model={}).throughput_retained(3.0) == 0.0
 
 
 class TestChaosTrain:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 import numpy as np
 
@@ -181,23 +181,13 @@ class MimdTimingModel:
         self.drain_words = int(drain_words)
 
     @classmethod
-    def for_plan(
-        cls,
-        plan: AcceleratorPlan,
-        stream_words_per_sample: Optional[float] = None,
-    ) -> MimdTimingModel:
+    def for_plan(cls, plan: AcceleratorPlan) -> MimdTimingModel:
         """The timing model of the design ``plan`` chose; each sample
-        streams ``stream_words_per_sample`` words (default: the plan's
-        own per-sample data words)."""
-        words = (
-            stream_words_per_sample
-            if stream_words_per_sample is not None
-            else plan.data_words_per_sample
-        )
+        streams the plan's per-sample data words."""
         return cls(
             threads=plan.design.threads,
             compute_cycles=int(math.ceil(plan.cycles_per_sample)),
-            sample_words=int(math.ceil(words)),
+            sample_words=int(math.ceil(plan.data_words_per_sample)),
             columns=plan.design.columns,
             preload_words=plan.model_words,
             drain_words=plan.gradient_words,

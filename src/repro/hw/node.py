@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -44,19 +44,12 @@ class NodeResult:
 class NodeAccelerator:
     """The multi-threaded accelerator of one Delta/Sigma node."""
 
-    def __init__(
-        self,
-        translation: Translation,
-        plan: AcceleratorPlan,
-        stream_words_per_sample: Optional[float] = None,
-    ):
+    def __init__(self, translation: Translation, plan: AcceleratorPlan):
         self._translation = translation
         self._interp = Interpreter(translation.dfg)
         self.plan = plan
         self.threads = plan.design.threads
-        self._timing = MimdTimingModel.for_plan(
-            plan, stream_words_per_sample
-        )
+        self._timing = MimdTimingModel.for_plan(plan)
 
     def process_partition(
         self,

@@ -33,6 +33,23 @@ class NetworkConfig:
     per_chunk_overhead_s: float = 5e-6
     chunk_bytes: int = 64 * 1024
 
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("bandwidth_bps", self.bandwidth_bps > 0, "> 0"),
+            ("latency_s", self.latency_s >= 0, ">= 0"),
+            (
+                "per_message_overhead_s",
+                self.per_message_overhead_s >= 0,
+                ">= 0",
+            ),
+            ("per_chunk_overhead_s", self.per_chunk_overhead_s >= 0, ">= 0"),
+            ("chunk_bytes", self.chunk_bytes >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
+
     def wire_seconds(self, nbytes: int) -> float:
         return nbytes * 8.0 / self.bandwidth_bps
 

@@ -409,9 +409,8 @@ def replay_iteration(
         broadcast_done = max(broadcast_done, last_arrival)
 
     total = broadcast_done + spec.management_overhead_s
-    agg_busy = sum(
-        p.aggregation.busy_seconds() for p in pipes.values()
-    ) + master_pipe.aggregation.busy_seconds()
+    agg_busy = sum(sum(p.agg_busy) for p in pipes.values())
+    agg_busy += sum(master_pipe.agg_busy)
     sigma_rx_busy = sum(
         ledger.rx_busy.get(s.node_id, 0.0) for s in sigmas
     )

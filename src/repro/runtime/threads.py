@@ -1,4 +1,5 @@
-"""Internally-managed thread pools and the circular buffer (Section 3).
+"""The Sigma node's receive pipeline: two thread pools joined by a
+circular buffer (Section 3).
 
 The Sigma-node system software avoids generic OS thread management by
 keeping two fixed pools: the Networking Pool copies received chunks from
@@ -6,14 +7,16 @@ kernel socket buffers into a Circular Buffer, and the Aggregation Pool
 consumes chunks from it, updating the Aggregation Buffer. Networking
 threads are producers, aggregation threads consumers; the circular buffer
 bounds memory and provides backpressure while letting communication and
-computation overlap.
+computation overlap. :class:`SigmaPipeline` keeps the state of all three
+as plain fields and books chunks on them in one loop,
+:meth:`~SigmaPipeline.on_chunks`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,117 +35,57 @@ class PoolConfig:
     aggregate_bytes_per_s: float = 4e9
     wakeup_overhead_s: float = 2e-6  # epoll event dispatch, no thread spawn
 
-
-class WorkerPool:
-    """A fixed set of workers, each serially reusable.
-
-    ``free[i]`` is when worker ``i`` next becomes free and ``busy[i]`` the
-    seconds it has worked. A work item goes to the first worker with the
-    smallest ``max(free, earliest)`` and starts then (FCFS in call order).
-    """
-
-    def __init__(self, name: str, workers: int):
-        if workers < 1:
-            raise ValueError("a pool needs at least one worker")
-        self.name = name
-        self.free: List[float] = [0.0] * workers
-        self.busy: List[float] = [0.0] * workers
-
-    def dispatch(self, earliest: float, duration: float) -> float:
-        """Run one work item on the first worker free; returns finish time."""
-        free = self.free
-        best, start = 0, free[0]
-        if earliest > start:
-            start = earliest
-        for i in range(1, len(free)):
-            t = free[i]
-            if earliest > t:
-                t = earliest
-            if t < start:
-                best, start = i, t
-        done = start + duration
-        free[best] = done
-        self.busy[best] += duration
-        return done
-
-    @property
-    def size(self) -> int:
-        return len(self.free)
-
-    def busy_seconds(self) -> float:
-        return sum(self.busy)
-
-
-class CircularBuffer:
-    """Bounded producer-consumer staging between the two pools.
-
-    Tracks occupancy over simulated time: a producer finishing a copy at
-    time ``t`` must wait until the consumer has freed enough space. The
-    buffer is deliberately small — "the Circular Buffer reduces the memory
-    required for aggregating partial results from multiple sources while
-    enabling overlap between communication and computation".
-    """
-
-    def __init__(self, capacity_bytes: int):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        #: (free_time, nbytes) chunks currently occupying space, sorted
-        self._occupied: list = []
-        self._used = 0
-        self.peak_used = 0
-        self.stall_seconds = 0.0
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    def reserve(self, when: float, nbytes: int, free_time: float) -> float:
-        """Claim ``nbytes`` at or after ``when``; returns the actual time.
-
-        ``free_time`` is when the consumer will release this chunk. If the
-        buffer is full, the producer stalls until enough chunks drain.
-        """
-        if nbytes > self.capacity_bytes:
-            raise ValueError("chunk larger than the whole circular buffer")
-        occupied = self._occupied
-        used = self._used
-        start = when
-        k = 0  # occupied[:k] has drained by ``start``
-        while True:
-            while k < len(occupied) and occupied[k][0] <= start:
-                used -= occupied[k][1]
-                k += 1
-            if used + nbytes <= self.capacity_bytes:
-                break
-            # Everything due by ``start`` has drained, so the next chunk
-            # frees strictly later: the producer stalls until then.
-            next_free = occupied[k][0]
-            self.stall_seconds += next_free - start
-            start = next_free
-        del occupied[:k]
-        insort(occupied, (free_time, nbytes))
-        used += nbytes
-        self._used = used
-        if used > self.peak_used:
-            self.peak_used = used
-        return start
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("networking_threads", self.networking_threads >= 1, ">= 1"),
+            ("aggregation_threads", self.aggregation_threads >= 1, ">= 1"),
+            ("copy_bytes_per_s", self.copy_bytes_per_s > 0, "> 0"),
+            ("aggregate_bytes_per_s", self.aggregate_bytes_per_s > 0, "> 0"),
+            ("wakeup_overhead_s", self.wakeup_overhead_s >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 class SigmaPipeline:
-    """The receive-copy-aggregate pipeline of a Sigma node (Figure 2)."""
+    """The receive-copy-aggregate pipeline of a Sigma node (Figure 2).
+
+    Each pool is a fixed set of serially reusable workers: ``net_free[i]``
+    (``agg_free[i]``) is when networking (aggregation) worker ``i`` next
+    becomes free and ``net_busy[i]`` (``agg_busy[i]``) the seconds it has
+    worked. A work item goes to the first worker with the smallest
+    ``max(free, earliest)`` (the lowest index wins ties) and starts then.
+
+    The circular buffer holds at most ``capacity_bytes``; ``occupied`` is
+    its sorted ``(free_time, nbytes)`` chunks and ``used_bytes`` their
+    total. A copy must claim its chunk's space when it starts: while the
+    buffer is full the producer stalls (``stall_seconds``) until enough
+    chunks drain. The buffer is deliberately small — "the Circular Buffer
+    reduces the memory required for aggregating partial results from
+    multiple sources while enabling overlap between communication and
+    computation".
+    """
 
     def __init__(self, config: PoolConfig, buffer_bytes: int = 4 * 1024 * 1024):
+        if buffer_bytes <= 0:
+            raise ValueError(
+                f"buffer_bytes must be positive, got {buffer_bytes}"
+            )
         self.config = config
-        self.networking = WorkerPool("net", config.networking_threads)
-        self.aggregation = WorkerPool("agg", config.aggregation_threads)
-        self.buffer = CircularBuffer(buffer_bytes)
-        self._aggregated_until = 0.0
+        self.net_free = [0.0] * config.networking_threads
+        self.net_busy = [0.0] * config.networking_threads
+        self.agg_free = [0.0] * config.aggregation_threads
+        self.agg_busy = [0.0] * config.aggregation_threads
+        self.capacity_bytes = buffer_bytes
+        self.occupied: List[Tuple[float, int]] = []
+        self.used_bytes = 0
+        self.peak_used = 0
+        self.stall_seconds = 0.0
+        #: Time the last chunk so far was folded into the aggregate.
+        self.drained_at = 0.0
         self.bytes_aggregated = 0
-
-    def on_chunk(self, arrival: float, nbytes: int) -> float:
-        """Process one received chunk; returns its aggregation finish time."""
-        return self.on_chunks((arrival,), (nbytes,))[0]
 
     def on_chunks(
         self, arrivals: Sequence[float], sizes: Sequence[int]
@@ -153,27 +96,26 @@ class SigmaPipeline:
         For each chunk, the Incoming Network Handler catches the epoll
         event, a networking thread copies the chunk into the circular
         buffer (stalling while it is full), and an aggregation thread
-        folds it into the aggregation buffer. This is
-        :meth:`WorkerPool.dispatch` and :meth:`CircularBuffer.reserve`
-        inlined, with the same float operations in the same order.
+        folds it into the aggregation buffer. A chunk larger than the
+        whole buffer raises ``ValueError`` once its copy is booked; the
+        chunks before it keep their effect.
         """
         cfg = self.config
         copy_rate = cfg.copy_bytes_per_s
         agg_rate = cfg.aggregate_bytes_per_s
         wakeup = cfg.wakeup_overhead_s
-        net_free = self.networking.free
-        net_busy = self.networking.busy
-        agg_free = self.aggregation.free
-        agg_busy = self.aggregation.busy
+        net_free = self.net_free
+        net_busy = self.net_busy
+        agg_free = self.agg_free
+        agg_busy = self.agg_busy
         net_rest = range(1, len(net_free))
         agg_rest = range(1, len(agg_free))
-        buf = self.buffer
-        capacity = buf.capacity_bytes
-        occupied = buf._occupied
-        used = buf._used
-        peak = buf.peak_used
-        stall = buf.stall_seconds
-        until = self._aggregated_until
+        capacity = self.capacity_bytes
+        occupied = self.occupied
+        used = self.used_bytes
+        peak = self.peak_used
+        stall = self.stall_seconds
+        until = self.drained_at
         total = self.bytes_aggregated
         out = []
         try:
@@ -236,10 +178,10 @@ class SigmaPipeline:
                 total += nbytes
                 out.append(agg_done)
         finally:
-            buf._used = used
-            buf.peak_used = peak
-            buf.stall_seconds = stall
-            self._aggregated_until = until
+            self.used_bytes = used
+            self.peak_used = peak
+            self.stall_seconds = stall
+            self.drained_at = until
             self.bytes_aggregated = total
         return out
 
@@ -251,12 +193,12 @@ class SigmaPipeline:
         and goes straight to an aggregation worker.
         """
         agg_s = nbytes / self.config.aggregate_bytes_per_s
-        agg_done = self.aggregation.dispatch(ready, agg_s)
-        self._aggregated_until = max(self._aggregated_until, agg_done)
+        agg_free = self.agg_free
+        # First worker with the earliest start, as in ``on_chunks``.
+        best = min(range(len(agg_free)), key=lambda i: max(agg_free[i], ready))
+        agg_done = max(agg_free[best], ready) + agg_s
+        agg_free[best] = agg_done
+        self.agg_busy[best] += agg_s
+        self.drained_at = max(self.drained_at, agg_done)
         self.bytes_aggregated += nbytes
         return agg_done
-
-    @property
-    def drained_at(self) -> float:
-        """Time the last chunk so far was folded into the aggregate."""
-        return self._aggregated_until

@@ -6,24 +6,18 @@ stream. The reference below is the per-chunk method chain it replaced —
 ``Resource`` workers picked with ``min(key=...)``, and a buffer deque
 re-sorted on every reservation — kept only here. Every finish time and
 every piece of pipeline state must agree bit for bit (compared through
-``repr``), including after an oversized chunk raises mid-stream; the
-public ``WorkerPool.dispatch`` and ``CircularBuffer.reserve`` are held to
-the same reference.
+``repr``), including after an oversized chunk raises mid-stream, and
+including a local partial folded by :meth:`SigmaPipeline.fold_local`
+before the stream.
 """
 
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.events import Resource
-from repro.runtime.threads import (
-    CircularBuffer,
-    PoolConfig,
-    SigmaPipeline,
-    WorkerPool,
-)
+from repro.runtime.threads import PoolConfig, SigmaPipeline
 
 
 class _RefPool:
@@ -117,17 +111,16 @@ class _RefPipeline:
 
 
 def _state(pipe):
-    buf = pipe.buffer
     return repr(
         (
-            pipe.networking.free,
-            pipe.networking.busy,
-            pipe.aggregation.free,
-            pipe.aggregation.busy,
-            list(buf._occupied),
-            buf.used_bytes,
-            buf.peak_used,
-            buf.stall_seconds,
+            pipe.net_free,
+            pipe.net_busy,
+            pipe.agg_free,
+            pipe.agg_busy,
+            pipe.occupied,
+            pipe.used_bytes,
+            pipe.peak_used,
+            pipe.stall_seconds,
             pipe.drained_at,
             pipe.bytes_aggregated,
         )
@@ -224,61 +217,14 @@ class TestOnChunksMatchesPerChunkReference:
         assert isinstance(want_err, ValueError)
 
     def test_single_chunk_is_the_one_element_stream(self):
+        """Calling ``on_chunks`` once per chunk leaves the same finishes
+        and state as one call over the whole stream."""
         cfg = PoolConfig(networking_threads=1, aggregation_threads=1)
         a = SigmaPipeline(cfg, buffer_bytes=100_000)
         b = SigmaPipeline(cfg, buffer_bytes=100_000)
         chunks = [(0.0, 65_536), (0.0, 65_536), (1e-6, 30_000)]
-        singles = [a.on_chunk(t, n) for t, n in chunks]
+        singles = [a.on_chunks((t,), (n,))[0] for t, n in chunks]
         stream = b.on_chunks([t for t, _ in chunks], [n for _, n in chunks])
         assert repr(singles) == repr(stream)
         assert _state(a) == _state(b)
-        assert a.buffer.stall_seconds > 0.0
-
-
-class TestComponentsMatchReference:
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 1e-6, 1e-3]),
-                st.sampled_from([1e-9, 1e-6, 1e-3]),
-            ),
-            max_size=40,
-        ),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_worker_pool_dispatch(self, workers, items):
-        pool, ref = WorkerPool("p", workers), _RefPool(workers)
-        got = [pool.dispatch(t, d) for t, d in items]
-        want = [ref.dispatch(t, d) for t, d in items]
-        assert repr(got) == repr(want)
-        assert repr((pool.free, pool.busy_seconds())) == repr(
-            (
-                [w.free_at for w in ref.workers],
-                sum(w.busy_seconds for w in ref.workers),
-            )
-        )
-
-    @given(
-        st.sampled_from([10, 100, 1000]),
-        st.lists(
-            st.tuples(gaps, st.integers(min_value=1, max_value=1000), gaps),
-            max_size=40,
-        ),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_circular_buffer_reserve(self, capacity, items):
-        buf, ref = CircularBuffer(capacity), _RefBuffer(capacity)
-        when = 0.0
-        for gap, nbytes, hold in items:
-            when += gap
-            try:
-                got = buf.reserve(when, nbytes, when + hold)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    ref.reserve(when, nbytes, when + hold)
-                continue
-            assert repr(got) == repr(ref.reserve(when, nbytes, when + hold))
-        assert repr(
-            (buf._occupied, buf.used_bytes, buf.peak_used, buf.stall_seconds)
-        ) == repr((list(ref.occupied), ref.used, ref.peak, ref.stall))
+        assert a.stall_seconds > 0.0

@@ -38,7 +38,9 @@ class _Feeder:
         self.done = 0.0
 
     def __call__(self, time: float, nbytes: int):
-        self.done = max(self.done, self._pipeline.on_chunk(time, nbytes))
+        self.done = max(
+            self.done, self._pipeline.on_chunks((time,), (nbytes,))[0]
+        )
 
 
 def event_driven_iteration(
@@ -204,9 +206,8 @@ def event_driven_iteration(
     loop.run()
 
     total = broadcast_done + spec.management_overhead_s
-    agg_busy = sum(
-        p.aggregation.busy_seconds() for p in pipelines.values()
-    ) + master_pipe.aggregation.busy_seconds()
+    agg_busy = sum(sum(p.agg_busy) for p in pipelines.values())
+    agg_busy += sum(master_pipe.agg_busy)
     sigma_rx_busy = sum(
         network.nic(s.node_id).rx.busy_seconds for s in topo.sigmas()
     )

@@ -129,3 +129,29 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
+
+
+class TestNetworkConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth_bps", 0.0),
+            ("bandwidth_bps", -1e9),
+            ("bandwidth_bps", float("nan")),
+            ("chunk_bytes", 0),
+            ("latency_s", -1e-6),
+            ("per_message_overhead_s", -1e-6),
+            ("per_chunk_overhead_s", -1e-6),
+        ],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: value})
+
+    def test_boundary_values_are_valid(self):
+        NetworkConfig(
+            latency_s=0.0,
+            per_message_overhead_s=0.0,
+            per_chunk_overhead_s=0.0,
+            chunk_bytes=1,
+        )

@@ -1,26 +1,31 @@
 """Bit-identity of the Sigma receive pipeline and the cluster timings.
 
-The digest below was recorded from the commit *before* the Sigma
-pipeline's per-chunk method chain (``WorkerPool.dispatch`` over
-``Resource`` objects, a re-sorted ``CircularBuffer`` deque) became one
-loop per chunk stream. The rewrite must not move a single float: any
-change to a dispatch tie, to the buffer's drain order, or to the order
-of the additions shows up here. It covers both simulators (schedule
-replay, and the event-driven reference ``event_driven_iteration``) over
-a node/group/quorum/straggler grid, plus direct pipeline streams through
-a buffer small enough that producers stall.
+Two committed texts pin every float the Sigma pipeline and the cluster
+simulators produce: any change to a dispatch tie, to the buffer's drain
+order, or to the order of the additions shows up as a changed line. They
+cover both simulators (schedule replay, and the event-driven reference
+``event_driven_iteration``) over a node/group/quorum/straggler grid,
+plus direct :meth:`SigmaPipeline.on_chunks` streams through a buffer
+small enough that producers stall.
 
-The pin is split in two. The barrier digest covers every cluster
-without a quorum plus the direct pipeline streams; it changes only with
-a deliberate change to the pipeline model. The quorum digest covers the
-clusters that close aggregation windows under a :class:`QuorumConfig`;
-it is the one to re-record when the quorum rule itself changes, and
-the barrier digest must survive that change untouched.
+``tests/golden/pipeline_barrier.txt`` holds ``barrier_text()``: every
+cluster without a quorum, plus the direct pipeline streams. It changes
+only with a deliberate change to the pipeline model.
+``tests/golden/pipeline_quorum.txt`` holds ``quorum_text()``: the
+clusters that close aggregation windows under a :class:`QuorumConfig`.
+It is the one to re-record when the quorum rule itself changes, and the
+barrier text must survive that change untouched. A mismatch fails with
+the first differing lines. If a change is intended, regenerate both,
+review the diff, and commit it::
+
+    PYTHONPATH=src:. python -c "import sys; from tests.runtime.test_pipeline_bit_identity import barrier_text; sys.stdout.write(barrier_text())" > tests/golden/pipeline_barrier.txt
+    PYTHONPATH=src:. python -c "import sys; from tests.runtime.test_pipeline_bit_identity import quorum_text; sys.stdout.write(quorum_text())" > tests/golden/pipeline_quorum.txt
 """
 
 import dataclasses
-import hashlib
+import difflib
 import random
+from pathlib import Path
 
 from repro.runtime import schedule
 from repro.runtime.cluster import (
@@ -33,17 +38,7 @@ from repro.runtime.director import default_groups
 from repro.runtime.threads import PoolConfig, SigmaPipeline
 from tests.runtime.event_reference import event_driven_iteration
 
-#: SHA-256 of ``barrier_text()`` (clusters without a quorum, plus the
-#: direct pipeline streams), recorded at the parent commit.
-BARRIER_DIGEST = (
-    "ba37ef081814eb75e71b6bd64c4010d908a30132968f125726c8f8b99ddd5acb"
-)
-
-#: SHA-256 of ``quorum_text()`` (clusters under each of ``QUORUMS``),
-#: recorded at the parent commit.
-QUORUM_DIGEST = (
-    "62f076de4431e2aa0440d4b61c5435512eae015a48c2b5c3d684e380e1e89370"
-)
+GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
 NODES = (4, 8, 16, 32, 64)
 QUORUMS = (
@@ -125,17 +120,18 @@ def pipeline_lines():
                 aggregate_bytes_per_s=2e8,  # slow consumer: stalls
             )
             pipe = SigmaPipeline(cfg, buffer_bytes=256 * 1024)
-            finishes = [
-                pipe.on_chunk(t, n) for t, n in _stream(seed, 120)
-            ]
+            stream = _stream(seed, 120)
+            finishes = pipe.on_chunks(
+                [t for t, _ in stream], [n for _, n in stream]
+            )
             lines.append(repr((workers, seed, finishes)))
             lines.append(
                 repr(
                     (
-                        pipe.buffer.stall_seconds,
-                        pipe.buffer.peak_used,
-                        pipe.networking.busy_seconds(),
-                        pipe.aggregation.busy_seconds(),
+                        pipe.stall_seconds,
+                        pipe.peak_used,
+                        sum(pipe.net_busy),
+                        sum(pipe.agg_busy),
                         pipe.drained_at,
                     )
                 )
@@ -162,16 +158,31 @@ def test_streams_stall_the_producer():
         ),
         buffer_bytes=256 * 1024,
     )
-    for t, n in _stream(0, 120):
-        pipe.on_chunk(t, n)
-    assert pipe.buffer.stall_seconds > 0.0
+    stream = _stream(0, 120)
+    pipe.on_chunks([t for t, _ in stream], [n for _, n in stream])
+    assert pipe.stall_seconds > 0.0
 
 
-def test_pipeline_and_cluster_timings_match_parent_digest():
-    digest = hashlib.sha256(barrier_text().encode()).hexdigest()
-    assert digest == BARRIER_DIGEST
+def _assert_matches_golden(text, name):
+    want = (GOLDEN_DIR / name).read_text()
+    if text == want:
+        return
+    diff = difflib.unified_diff(
+        want.splitlines(),
+        text.splitlines(),
+        f"tests/golden/{name}",
+        "now",
+        lineterm="",
+    )
+    raise AssertionError(
+        f"{name} moved; first differing lines:\n"
+        + "\n".join(list(diff)[:20])
+    )
 
 
-def test_quorum_timings_match_parent_digest():
-    digest = hashlib.sha256(quorum_text().encode()).hexdigest()
-    assert digest == QUORUM_DIGEST
+def test_pipeline_and_cluster_timings_match_golden():
+    _assert_matches_golden(barrier_text(), "pipeline_barrier.txt")
+
+
+def test_quorum_timings_match_golden():
+    _assert_matches_golden(quorum_text(), "pipeline_quorum.txt")

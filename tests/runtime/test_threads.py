@@ -1,74 +1,125 @@
-"""Tests for thread pools, the circular buffer, and the Sigma pipeline."""
+"""Tests for the Sigma pipeline: its two worker pools, its circular
+buffer, and the overlap they give together."""
 
 import pytest
 
-from repro.runtime.threads import (
-    CircularBuffer,
-    PoolConfig,
-    SigmaPipeline,
-    WorkerPool,
-)
+from repro.runtime.threads import PoolConfig, SigmaPipeline
+
+
+def _stream(pipe, chunks):
+    """Feed ``(arrival, nbytes)`` chunks; returns their finish times."""
+    return pipe.on_chunks([t for t, _ in chunks], [n for _, n in chunks])
+
+
+class TestPoolConfig:
+    # Thread counts: TestWorkerPool.test_rejects_empty_pool.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("copy_bytes_per_s", 0.0),
+            ("aggregate_bytes_per_s", -4e9),
+            ("aggregate_bytes_per_s", float("nan")),
+            ("wakeup_overhead_s", -1e-6),
+        ],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PoolConfig(**{field: value})
 
 
 class TestWorkerPool:
+    """Dispatch on the pools: a work item goes to the first worker with
+    the earliest start. ``fold_local`` books one aggregation of
+    ``nbytes / aggregate_bytes_per_s`` seconds, so a rate of 1 byte/s
+    makes each byte one second of work."""
+
+    def _pipe(self, **pools):
+        return SigmaPipeline(PoolConfig(aggregate_bytes_per_s=1.0, **pools))
+
     def test_parallel_up_to_size(self):
-        pool = WorkerPool("p", 2)
-        a = pool.dispatch(0.0, 1.0)
-        b = pool.dispatch(0.0, 1.0)
-        c = pool.dispatch(0.0, 1.0)
+        pipe = self._pipe()
+        a = pipe.fold_local(0.0, 1)
+        b = pipe.fold_local(0.0, 1)
+        c = pipe.fold_local(0.0, 1)
         assert a == 1.0 and b == 1.0
         assert c == 2.0  # third item waits for a worker
+        # The networking pool follows the same rule: one-second copies.
+        net = self._pipe(copy_bytes_per_s=1.0, wakeup_overhead_s=0.0)
+        _stream(net, [(0.0, 1), (0.0, 1), (0.0, 1)])
+        assert net.net_free == [2.0, 1.0]
 
     def test_reuses_earliest_free_worker(self):
-        pool = WorkerPool("p", 2)
-        pool.dispatch(0.0, 5.0)
-        pool.dispatch(0.0, 1.0)
-        assert pool.dispatch(0.0, 1.0) == 2.0
+        pipe = self._pipe()
+        pipe.fold_local(0.0, 5)
+        pipe.fold_local(0.0, 1)
+        assert pipe.fold_local(0.0, 1) == 2.0
 
     def test_rejects_empty_pool(self):
-        with pytest.raises(ValueError):
-            WorkerPool("p", 0)
+        with pytest.raises(ValueError, match="networking_threads"):
+            SigmaPipeline(PoolConfig(networking_threads=0))
+        with pytest.raises(ValueError, match="aggregation_threads"):
+            SigmaPipeline(PoolConfig(aggregation_threads=0))
 
     def test_busy_seconds(self):
-        pool = WorkerPool("p", 2)
-        pool.dispatch(0.0, 1.0)
-        pool.dispatch(0.0, 2.0)
-        assert pool.busy_seconds() == 3.0
+        pipe = self._pipe()
+        pipe.fold_local(0.0, 1)
+        pipe.fold_local(0.0, 2)
+        assert sum(pipe.agg_busy) == 3.0
+        assert sum(pipe.net_busy) == 0.0  # a local partial skips the copy
 
 
 class TestCircularBuffer:
+    """Backpressure in a 100-byte buffer. With no wake-up cost, a chunk
+    claims its space when its copy starts and frees it when its
+    aggregation ends."""
+
+    def _pipe(self, copy_bytes_per_s, aggregate_bytes_per_s):
+        cfg = PoolConfig(
+            copy_bytes_per_s=copy_bytes_per_s,
+            aggregate_bytes_per_s=aggregate_bytes_per_s,
+            wakeup_overhead_s=0.0,
+        )
+        return SigmaPipeline(cfg, buffer_bytes=100)
+
     def test_reserve_when_space(self):
-        buf = CircularBuffer(100)
-        assert buf.reserve(0.0, 60, free_time=5.0) == 0.0
-        assert buf.used_bytes == 60
+        pipe = self._pipe(10.0, 10.0)
+        assert _stream(pipe, [(0.0, 60)]) == [12.0]  # 6 s copy, 6 s fold
+        assert pipe.used_bytes == 60
+        assert pipe.occupied == [(12.0, 60)]
+        assert pipe.stall_seconds == 0.0
 
     def test_backpressure_stalls_producer(self):
-        buf = CircularBuffer(100)
-        buf.reserve(0.0, 80, free_time=10.0)
-        start = buf.reserve(1.0, 80, free_time=20.0)
-        assert start == 10.0  # waited for the first chunk to drain
-        assert buf.stall_seconds == pytest.approx(9.0)
+        # 80 bytes: a 1 s copy and a 10 s fold. The first chunk holds its
+        # space until t=11, so the second copy, free to start at t=1,
+        # stalls 10 s; it lands at 12 and is folded by 22.
+        pipe = self._pipe(80.0, 8.0)
+        assert _stream(pipe, [(0.0, 80), (1.0, 80)]) == [11.0, 22.0]
+        assert pipe.stall_seconds == 10.0
 
     def test_drain_frees_space(self):
-        buf = CircularBuffer(100)
-        buf.reserve(0.0, 50, free_time=1.0)
-        assert buf.reserve(2.0, 80, free_time=3.0) == 2.0
-        assert buf.used_bytes == 80
+        pipe = self._pipe(10.0, 10.0)
+        _stream(pipe, [(0.0, 50)])  # frees at t=10
+        assert _stream(pipe, [(20.0, 80)]) == [36.0]
+        assert pipe.used_bytes == 80
+        assert pipe.occupied == [(36.0, 80)]
+        assert pipe.stall_seconds == 0.0
 
     def test_peak_tracking(self):
-        buf = CircularBuffer(100)
-        buf.reserve(0.0, 40, free_time=10.0)
-        buf.reserve(0.0, 40, free_time=10.0)
-        assert buf.peak_used == 80
+        pipe = self._pipe(10.0, 1.0)
+        _stream(pipe, [(0.0, 40), (0.0, 40)])
+        assert pipe.peak_used == 80
+        _stream(pipe, [(1000.0, 10)])  # after both drained
+        assert pipe.used_bytes == 10
+        assert pipe.peak_used == 80
 
     def test_oversized_chunk_rejected(self):
-        buf = CircularBuffer(100)
+        pipe = self._pipe(10.0, 10.0)
         with pytest.raises(ValueError):
-            buf.reserve(0.0, 200, free_time=1.0)
+            _stream(pipe, [(0.0, 200)])
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CircularBuffer(0)
+        with pytest.raises(ValueError, match="buffer_bytes"):
+            SigmaPipeline(PoolConfig(), buffer_bytes=0)
 
 
 class TestSigmaPipeline:
@@ -79,23 +130,20 @@ class TestSigmaPipeline:
         pipe = SigmaPipeline(cfg)
         chunk = 64 * 1024
         sequential = 2 * chunk / 1e6  # copy then aggregate, no overlap
-        finish = 0.0
         arrivals = [i * chunk / 1e6 for i in range(8)]
-        for t in arrivals:
-            finish = max(finish, pipe.on_chunk(t, chunk))
+        finish = max(_stream(pipe, [(t, chunk) for t in arrivals]))
         # 8 chunks, overlapped: far less than 8x the sequential time.
         assert finish < 8 * sequential * 0.75
 
     def test_aggregation_tracks_bytes(self):
         pipe = SigmaPipeline(PoolConfig())
-        pipe.on_chunk(0.0, 1000)
-        pipe.on_chunk(0.0, 2000)
+        _stream(pipe, [(0.0, 1000), (0.0, 2000)])
         assert pipe.bytes_aggregated == 3000
 
     def test_drained_at_monotonic(self):
         pipe = SigmaPipeline(PoolConfig())
-        t1 = pipe.on_chunk(0.0, 64 * 1024)
-        t2 = pipe.on_chunk(t1, 64 * 1024)
+        (t1,) = _stream(pipe, [(0.0, 64 * 1024)])
+        (t2,) = _stream(pipe, [(t1, 64 * 1024)])
         assert pipe.drained_at == max(t1, t2)
 
     def test_limited_pool_becomes_bottleneck(self):
@@ -111,11 +159,9 @@ class TestSigmaPipeline:
             copy_bytes_per_s=1e6,
             aggregate_bytes_per_s=1e5,
         )
+
         def run(cfg):
-            pipe = SigmaPipeline(cfg)
-            finish = 0.0
-            for i in range(8):
-                finish = max(finish, pipe.on_chunk(i * 0.01, 32 * 1024))
-            return finish
+            chunks = [(i * 0.01, 32 * 1024) for i in range(8)]
+            return max(_stream(SigmaPipeline(cfg), chunks))
 
         assert run(fast) < run(slow)

@@ -4,8 +4,8 @@ Matches the evaluation cluster (Section 7.1): TP-Link gigabit NICs on a
 24-port switch with full-duplex ports and a 48 Gbps backplane — so the
 switch itself never saturates and contention happens at the endpoints'
 NICs. Messages are chunked (socket-buffer sized) so that a Sigma node's
-aggregation pipeline can start on the first chunk, exactly the
-producer-consumer overlap the circular buffer enables (Figure 2).
+aggregation pipeline can start on the first chunk: the producer-consumer
+overlap of its networking and aggregation pools (Figure 2).
 """
 
 from __future__ import annotations

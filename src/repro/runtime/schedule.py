@@ -17,9 +17,10 @@ This module implements that split:
   parameters. NIC bookings are evaluated with NumPy over the chunk
   arrays (``np.add.accumulate`` is a strictly sequential left-to-right
   reduction, so every float lands bit-identical to the scalar
-  chunk-by-chunk arithmetic); chunk callbacks feed the real
-  :class:`SigmaPipeline` objects in the exact (arrival, insertion) order
-  an event loop would dispatch them.
+  chunk-by-chunk arithmetic). Each Sigma's chunks go to its real
+  :class:`SigmaPipeline` in booking order, which is the order an event
+  loop would dispatch them: a receiver's RX cursor only moves forward,
+  so its arrivals never decrease within a phase and need no sort.
 
 Replayed timings live in :data:`TIMINGS`, one table per (roles, model
 size), so a figure sweep replays each (minibatch, NetworkConfig)
@@ -206,47 +207,36 @@ def _feed_phase(
     """Book every send of one gather/reduce phase, then feed each Sigma
     its chunks in event-loop order.
 
-    ``sends`` is ``(start, src, dst, nbytes)`` in issue order. Chunk
-    events are globally sorted by ``(arrival, insertion counter)`` —
-    exactly the heap order of an event loop — and each Sigma's chunks,
-    in that order, go to its real :class:`SigmaPipeline` as one
-    :meth:`~SigmaPipeline.on_chunks` stream (a pipeline's state depends
-    only on its own chunks). Returns each sender's partial-complete time:
-    when its last chunk was folded, which the quorum window judges.
+    ``sends`` is ``(start, src, dst, nbytes)`` in issue order, one per
+    sender. Each send's chunks are appended to its receiver's stream as
+    they are booked, and each stream goes to that Sigma's real
+    :class:`SigmaPipeline` as one :meth:`~SigmaPipeline.on_chunks` call.
+    Booking order is the event loop's ``(arrival, insertion counter)``
+    order for each receiver, so no sort is needed: a chunk's arrival is
+    its receiver's new RX cursor, which never moves back, and a
+    pipeline's state depends only on its own chunks. Returns each
+    sender's partial-complete time: when its last chunk was folded,
+    which the quorum window judges.
     """
-    arrivals: List[float] = []
-    sizes: List[int] = []
-    senders: List[int] = []
-    sigmas: List[int] = []
     plans: Dict[int, tuple] = {}
-    done: Dict[int, float] = {}
+    streams: Dict[int, Tuple[List[float], List[int]]] = {}
+    slices: List[Tuple[int, int, int, int]] = []
     for start, src, dst, nbytes in sends:
         if nbytes not in plans:
             plans[nbytes] = _chunk_plan(cfg, nbytes)
         send_arrivals, _ = _book_send(
             ledger, cfg, src, dst, start, plans[nbytes]
         )
+        arrivals, sizes = streams.setdefault(dst, ([], []))
+        lo = len(arrivals)
+        slices.append((src, dst, lo, lo + len(send_arrivals)))
         arrivals.extend(send_arrivals)
         sizes.extend(plans[nbytes][0])
-        senders.extend([src] * len(send_arrivals))
-        sigmas.extend([dst] * len(send_arrivals))
-        done[src] = 0.0
-    if not arrivals:
-        return done
-    # Stable argsort by arrival == the event loop's (time, insertion
-    # counter) heap order; chunks were appended in issue order.
-    streams: Dict[int, List[int]] = {}
-    for idx in np.argsort(np.array(arrivals), kind="stable").tolist():
-        streams.setdefault(sigmas[idx], []).append(idx)
-    for sigma, stream in streams.items():
-        finishes = pipes[sigma].on_chunks(
-            [arrivals[i] for i in stream], [sizes[i] for i in stream]
-        )
-        for idx, agg_done in zip(stream, finishes):
-            sender = senders[idx]
-            if agg_done > done[sender]:
-                done[sender] = agg_done
-    return done
+    finishes = {
+        dst: pipes[dst].on_chunks(arrivals, sizes)
+        for dst, (arrivals, sizes) in streams.items()
+    }
+    return {src: max(finishes[dst][lo:hi]) for src, dst, lo, hi in slices}
 
 
 def replay_iteration(

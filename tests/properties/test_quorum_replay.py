@@ -9,10 +9,13 @@ tolerances. The same holds for faulted clusters (stragglers, degraded
 links, re-formed hierarchies), with or without a quorum rule. The edge
 cases the window rule can hit are pinned deterministically: drop-none
 (``fraction=1.0`` degenerates to the barrier), drop-all-but-K (a tiny
-deadline), and a deadline landing exactly on an arrival.
+deadline), and a deadline landing exactly on an arrival. Last, the
+invariant replay's per-Sigma feed rests on: within a phase, each
+receiver's chunk arrivals are non-decreasing in booking order.
 """
 
 import dataclasses
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +233,78 @@ class TestFaultedReplayDifferential:
         schedule.TIMINGS.clear()
         event = reference(sim, times, rule)
         assert_bit_identical(event, replayed, "faulted iteration()")
+
+
+@st.composite
+def gbe_clusters(draw):
+    """Replay's inputs for a drawn cluster moved onto a 1, 10 or 100 GbE
+    network (the faster the link, the closer chunks from different
+    senders land at one receiver), with a straggler multiplier drawn per
+    node into its compute times."""
+    sim, compute = draw(clusters())
+    network = dataclasses.replace(
+        sim.spec.network,
+        bandwidth_bps=draw(st.sampled_from([1e9, 1e10, 1e11])),
+    )
+    straggler = draw(
+        st.lists(
+            st.sampled_from([1.0, 1.5, 3.0, 20.0]),
+            min_size=len(compute),
+            max_size=len(compute),
+        )
+    )
+    return (
+        sim.topology,
+        dataclasses.replace(sim.spec, network=network),
+        sim.update_bytes,
+        [c * f for c, f in zip(compute, straggler)],
+    )
+
+
+def booked_arrivals(inputs, rule):
+    """Replay one iteration; returns, for each gather/reduce phase booked
+    (probe and withheld-send passes included), every receiver's chunk
+    arrivals in booking order."""
+    phases = []
+    current = None
+    feed, book = schedule._feed_phase, schedule._book_send
+
+    def feed_phase(*args):
+        nonlocal current
+        current = {}
+        phases.append(current)
+        try:
+            return feed(*args)
+        finally:
+            current = None
+
+    def book_send(ledger, cfg, src, dst, start, plan):
+        arrivals, last = book(ledger, cfg, src, dst, start, plan)
+        if current is not None:
+            current.setdefault(dst, []).extend(arrivals)
+        return arrivals, last
+
+    with mock.patch.object(schedule, "_feed_phase", feed_phase):
+        with mock.patch.object(schedule, "_book_send", book_send):
+            replay_iteration(*inputs, quorum=rule)
+    return phases
+
+
+class TestPerReceiverArrivalOrder:
+    @given(gbe_clusters(), st.none() | quorum_rules)
+    @settings(max_examples=60, deadline=None)
+    def test_booking_order_is_arrival_order(self, inputs, rule):
+        """Replay feeds each Sigma its chunks in booking order with no
+        sort. That is the event loop's (arrival, insertion) order only
+        because a chunk's arrival is its receiver's RX cursor, which
+        never moves back: within every phase, each receiver's arrivals
+        must be non-decreasing in booking order."""
+        phases = booked_arrivals(inputs, rule)
+        assert phases, "no gather phase was booked"
+        for phase in phases:
+            for dst, arrivals in phase.items():
+                ordered = all(a <= b for a, b in zip(arrivals, arrivals[1:]))
+                assert ordered, f"receiver {dst}: {arrivals} out of order"
 
 
 class TestQuorumWindowEdges:

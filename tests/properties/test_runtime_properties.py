@@ -1,7 +1,5 @@
-"""Property-based tests on runtime invariants: event ordering, buffer
-semantics, NIC serialisation, and aggregation correctness."""
-
-import math
+"""Property-based tests on runtime invariants: event ordering, NIC
+serialisation, and aggregation correctness."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from repro.runtime.cluster import ClusterSimulator, ClusterSpec
 from repro.runtime.director import assign_roles
 from repro.runtime.events import EventLoop, Resource
 from repro.runtime.network import Network
-from repro.runtime.threads import PoolConfig, SigmaPipeline
 from repro.runtime.trainer import DistributedTrainer
 
 LINREG = """
@@ -56,51 +53,6 @@ class TestEventLoopProperties:
         intervals.sort()
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert s2 >= e1 - 1e-9
-
-
-class TestCircularBufferProperties:
-    @given(
-        st.integers(min_value=1, max_value=64),
-        st.sampled_from([1.0, 10.0, 100.0]),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=16),
-                st.floats(min_value=0.0, max_value=1.0),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-    )
-    def test_occupancy_never_exceeds_capacity(self, capacity, rate, chunks):
-        pipe = SigmaPipeline(
-            PoolConfig(copy_bytes_per_s=rate, aggregate_bytes_per_s=rate),
-            buffer_bytes=capacity,
-        )
-        clock = 0.0
-        for size, gap in chunks:
-            if size > capacity:
-                continue
-            clock += gap
-            pipe.on_chunks((clock,), (size,))
-            assert pipe.used_bytes == sum(n for _, n in pipe.occupied)
-            assert pipe.used_bytes <= capacity
-            assert pipe.peak_used <= capacity
-
-    @given(st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=20))
-    def test_fifo_progress(self, sizes):
-        """Producers always eventually make progress (no deadlock), also
-        when every chunk lands at once on a full buffer."""
-        cfg = PoolConfig(copy_bytes_per_s=100.0, aggregate_bytes_per_s=20.0)
-        burst = SigmaPipeline(cfg, buffer_bytes=10)
-        finishes = burst.on_chunks([0.0] * len(sizes), sizes)
-        assert len(finishes) == len(sizes)
-        assert all(math.isfinite(t) and t > 0.0 for t in finishes)
-        paced = SigmaPipeline(cfg, buffer_bytes=10)
-        clock = 0.0
-        for size in sizes:
-            (finish,) = paced.on_chunks((clock,), (size,))
-            assert clock < finish < math.inf
-            clock = finish + 0.01
 
 
 class TestNetworkProperties:

@@ -1,12 +1,13 @@
 """Bit-identity of the Sigma receive pipeline and the cluster timings.
 
 Two committed texts pin every float the Sigma pipeline and the cluster
-simulators produce: any change to a dispatch tie, to the buffer's drain
-order, or to the order of the additions shows up as a changed line. They
-cover both simulators (schedule replay, and the event-driven reference
+simulators produce: any change to a dispatch tie or to the order of the
+additions shows up as a changed line. They cover both simulators
+(schedule replay, and the event-driven reference
 ``event_driven_iteration``) over a node/group/quorum/straggler grid,
-plus direct :meth:`SigmaPipeline.on_chunks` streams through a buffer
-small enough that producers stall.
+plus direct :meth:`SigmaPipeline.on_chunks` streams with a consumer slow
+enough that chunks queue for an aggregation worker; for those the text
+records every worker's free time and busy seconds in both pools.
 
 ``tests/golden/pipeline_barrier.txt`` holds ``barrier_text()``: every
 cluster without a quorum, plus the direct pipeline streams. It changes
@@ -117,9 +118,9 @@ def pipeline_lines():
             cfg = PoolConfig(
                 networking_threads=workers,
                 aggregation_threads=workers,
-                aggregate_bytes_per_s=2e8,  # slow consumer: stalls
+                aggregate_bytes_per_s=2e8,  # slow consumer: queues
             )
-            pipe = SigmaPipeline(cfg, buffer_bytes=256 * 1024)
+            pipe = SigmaPipeline(cfg)
             stream = _stream(seed, 120)
             finishes = pipe.on_chunks(
                 [t for t, _ in stream], [n for _, n in stream]
@@ -128,10 +129,10 @@ def pipeline_lines():
             lines.append(
                 repr(
                     (
-                        pipe.stall_seconds,
-                        pipe.peak_used,
-                        sum(pipe.net_busy),
-                        sum(pipe.agg_busy),
+                        pipe.net_free,
+                        pipe.net_busy,
+                        pipe.agg_free,
+                        pipe.agg_busy,
                         pipe.drained_at,
                     )
                 )
@@ -147,20 +148,27 @@ def quorum_text():
     return "\n".join(cluster_lines(QUORUMS))
 
 
-def test_streams_stall_the_producer():
-    """The direct streams must exercise backpressure, or the pin would
-    not cover the buffer's stall arithmetic."""
-    pipe = SigmaPipeline(
-        PoolConfig(
-            networking_threads=1,
-            aggregation_threads=1,
-            aggregate_bytes_per_s=2e8,
-        ),
-        buffer_bytes=256 * 1024,
+def test_streams_queue_for_an_aggregation_worker():
+    """The direct streams must make chunks wait in the aggregation pool,
+    or the pin would not cover its wait path: with one worker per pool,
+    some chunk starts folding after its copy has landed."""
+    cfg = PoolConfig(
+        networking_threads=1,
+        aggregation_threads=1,
+        aggregate_bytes_per_s=2e8,
     )
     stream = _stream(0, 120)
-    pipe.on_chunks([t for t, _ in stream], [n for _, n in stream])
-    assert pipe.stall_seconds > 0.0
+    finishes = SigmaPipeline(cfg).on_chunks(
+        [t for t, _ in stream], [n for _, n in stream]
+    )
+    landed = 0.0  # the one networking worker's free time
+    waited = 0
+    for (arrival, nbytes), finish in zip(stream, finishes):
+        start = max(landed, arrival + cfg.wakeup_overhead_s)
+        landed = start + nbytes / cfg.copy_bytes_per_s
+        fold_start = finish - nbytes / cfg.aggregate_bytes_per_s
+        waited += fold_start > landed + 1e-9
+    assert waited > 0
 
 
 def _assert_matches_golden(text, name):

@@ -1,5 +1,5 @@
-"""Tests for the Sigma pipeline: its two worker pools, its circular
-buffer, and the overlap they give together."""
+"""Tests for the Sigma pipeline: its two worker pools and the overlap
+they give together."""
 
 import pytest
 
@@ -66,60 +66,6 @@ class TestWorkerPool:
         pipe.fold_local(0.0, 2)
         assert sum(pipe.agg_busy) == 3.0
         assert sum(pipe.net_busy) == 0.0  # a local partial skips the copy
-
-
-class TestCircularBuffer:
-    """Backpressure in a 100-byte buffer. With no wake-up cost, a chunk
-    claims its space when its copy starts and frees it when its
-    aggregation ends."""
-
-    def _pipe(self, copy_bytes_per_s, aggregate_bytes_per_s):
-        cfg = PoolConfig(
-            copy_bytes_per_s=copy_bytes_per_s,
-            aggregate_bytes_per_s=aggregate_bytes_per_s,
-            wakeup_overhead_s=0.0,
-        )
-        return SigmaPipeline(cfg, buffer_bytes=100)
-
-    def test_reserve_when_space(self):
-        pipe = self._pipe(10.0, 10.0)
-        assert _stream(pipe, [(0.0, 60)]) == [12.0]  # 6 s copy, 6 s fold
-        assert pipe.used_bytes == 60
-        assert pipe.occupied == [(12.0, 60)]
-        assert pipe.stall_seconds == 0.0
-
-    def test_backpressure_stalls_producer(self):
-        # 80 bytes: a 1 s copy and a 10 s fold. The first chunk holds its
-        # space until t=11, so the second copy, free to start at t=1,
-        # stalls 10 s; it lands at 12 and is folded by 22.
-        pipe = self._pipe(80.0, 8.0)
-        assert _stream(pipe, [(0.0, 80), (1.0, 80)]) == [11.0, 22.0]
-        assert pipe.stall_seconds == 10.0
-
-    def test_drain_frees_space(self):
-        pipe = self._pipe(10.0, 10.0)
-        _stream(pipe, [(0.0, 50)])  # frees at t=10
-        assert _stream(pipe, [(20.0, 80)]) == [36.0]
-        assert pipe.used_bytes == 80
-        assert pipe.occupied == [(36.0, 80)]
-        assert pipe.stall_seconds == 0.0
-
-    def test_peak_tracking(self):
-        pipe = self._pipe(10.0, 1.0)
-        _stream(pipe, [(0.0, 40), (0.0, 40)])
-        assert pipe.peak_used == 80
-        _stream(pipe, [(1000.0, 10)])  # after both drained
-        assert pipe.used_bytes == 10
-        assert pipe.peak_used == 80
-
-    def test_oversized_chunk_rejected(self):
-        pipe = self._pipe(10.0, 10.0)
-        with pytest.raises(ValueError):
-            _stream(pipe, [(0.0, 200)])
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError, match="buffer_bytes"):
-            SigmaPipeline(PoolConfig(), buffer_bytes=0)
 
 
 class TestSigmaPipeline:

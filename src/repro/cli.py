@@ -124,10 +124,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_plan(args.benchmark, args.chip, args.minibatch)
     if command == "rtl":
         return _cmd_rtl(args.benchmark, args.target, args.rows, args.columns)
-    if command == "train":
-        return _cmd_train(args)
-    if command == "chaos":
-        return _cmd_chaos(args)
+    if command in ("train", "chaos"):
+        try:
+            return _cmd_train(args) if command == "train" else _cmd_chaos(args)
+        except ValueError as exc:
+            # Flag values argparse cannot judge one at a time: fewer
+            # samples than one global mini-batch, more groups than nodes.
+            print(f"repro {command}: error: {exc}", file=sys.stderr)
+            return 2
     if command == "perf":
         return _cmd_perf(args)
     return 2  # pragma: no cover - argparse enforces the choices

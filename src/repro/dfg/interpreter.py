@@ -58,6 +58,19 @@ def _batch_sum(per_sample: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.array(per_sample, dtype=np.float64), axis=0)
 
 
+def sample_count(feeds: Mapping[str, np.ndarray]) -> int:
+    """The length of the leading sample axis that every feed shares."""
+    for name, value in feeds.items():
+        if np.ndim(value) == 0:
+            raise ValueError(
+                f"feed {name!r} is 0-d; every feed needs a leading sample axis"
+            )
+    counts = {np.shape(v)[0] for v in feeds.values()}
+    if len(counts) != 1:
+        raise ValueError("all feeds must share one leading sample axis")
+    return counts.pop()
+
+
 class Interpreter:
     """Evaluates a :class:`repro.dfg.ir.Dfg` on NumPy arrays.
 

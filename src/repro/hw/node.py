@@ -20,7 +20,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ..dfg.interpreter import Interpreter
+from ..dfg.interpreter import Interpreter, sample_count
 from ..dfg.translate import Translation
 from ..planner.plan import AcceleratorPlan
 from .accelerator import MimdBatchResult, MimdTimingModel
@@ -62,7 +62,7 @@ class NodeAccelerator:
             feeds: DATA inputs with a leading sample axis (the partition).
             model: current MODEL parameters (broadcast to every thread).
         """
-        samples = _sample_count(feeds)
+        samples = sample_count(feeds)
         if samples < 1:
             raise ValueError("partition must contain at least one sample")
         sizes = [len(s) for s in np.array_split(range(samples), self.threads)]
@@ -96,10 +96,3 @@ class NodeAccelerator:
         """Timing-only query (used by the cluster simulation)."""
         timing = self._timing.run_batch(samples)
         return timing.total_cycles / self.plan.chip.frequency_hz
-
-
-def _sample_count(feeds: Mapping[str, np.ndarray]) -> int:
-    counts = {np.asarray(v).shape[0] for v in feeds.values()}
-    if len(counts) != 1:
-        raise ValueError("all partition feeds must share one sample axis")
-    return counts.pop()

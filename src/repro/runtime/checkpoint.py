@@ -3,9 +3,9 @@
 The fault-tolerant runtime (:func:`repro.runtime.recovery.chaos_train`)
 snapshots the master's state every ``checkpoint_every`` iterations; when
 the master dies, its promoted replacement restores the latest snapshot
-and recomputes the lost iterations. The RNG state is the one at the
-start of the snapshot's epoch, so the restore replays that epoch's
-shuffle and continues bit-identically.
+and recomputes the lost iterations. ``epoch`` and ``rng_state`` locate
+the run's :class:`~repro.runtime.trainer.BatchSchedule`; its ``rewind``
+redraws that epoch's shuffle, so the run continues bit-identically.
 """
 
 from __future__ import annotations

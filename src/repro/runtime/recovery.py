@@ -51,7 +51,7 @@ from .director import (
 )
 from .faults import FaultTimeline
 from .network import RetryPolicy
-from .trainer import DistributedTrainer, Feeds, LossFn, _sample_count
+from .trainer import DistributedTrainer, Feeds, LossFn, TrainingResult
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,13 @@ class RecoveryEvent:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(TrainingResult):
     """Outcome of a fault-injected training run."""
 
-    model: Dict[str, np.ndarray]
-    loss_history: List[float] = field(default_factory=list)
-    iterations: int = 0
-    simulated_seconds: float = 0.0
     events: List[RecoveryEvent] = field(default_factory=list)
     dropped_partials: int = 0
     checkpoints_taken: int = 0
     topology: Optional[Topology] = None
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_history[-1] if self.loss_history else float("nan")
 
     @property
     def time_to_recovery_s(self) -> float:
@@ -136,38 +128,18 @@ def chaos_train(
 ) -> ChaosResult:
     """Train under an injected fault timeline, with full recovery.
 
-    The functional mathematics run through
-    :meth:`DistributedTrainer.step` over the surviving workers each
-    iteration; the timing runs through :class:`ClusterSimulator` over
-    the current (possibly re-formed) topology. With an empty timeline
-    and no quorum the run is bit-identical to ``DistributedTrainer.train``.
+    Each iteration steps ``DistributedTrainer.train``'s schedule through
+    :meth:`DistributedTrainer.step` over the surviving workers; the
+    timing runs through :class:`ClusterSimulator` over the current
+    (possibly re-formed) topology. With an empty timeline and no quorum
+    the run is bit-identical to ``DistributedTrainer.train``.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
     trainer = DistributedTrainer(
-        translation,
-        nodes=spec.nodes,
-        threads_per_node=threads_per_node,
-        seed=seed,
+        translation, spec.nodes, threads_per_node, seed=seed
     )
-    rng = trainer._rng
-    samples = _sample_count(feeds)
-    if minibatch_per_worker is None:
-        minibatch_per_worker = max(1, translation.minibatch // trainer.workers)
-    global_batch = minibatch_per_worker * trainer.workers
-    iters_per_epoch = len(range(0, samples - global_batch + 1, global_batch))
-    if iters_per_epoch == 0:
-        raise ValueError(
-            f"dataset of {samples} samples is smaller than one global "
-            f"mini-batch of {global_batch}"
-        )
-    total_iterations = epochs * iters_per_epoch
-    mu = (
-        translation.learning_rate
-        if learning_rate is None
-        else learning_rate
+    model, mu, schedule = trainer.prepare(
+        feeds, epochs, minibatch_per_worker, mode, model, learning_rate
     )
-    model = dict(model) if model else trainer.initial_model()
 
     base_topo = assign_roles(spec.nodes, spec.groups)
     base_ids = {r.node_id for r in base_topo.roles}
@@ -191,33 +163,24 @@ def chaos_train(
             )
         )
 
-    def snapshot(iterations: int, epoch: int, rng_state) -> Checkpoint:
+    def snapshot(iterations: int) -> Checkpoint:
         return Checkpoint(
             model={k: np.array(v) for k, v in model.items()},
             iterations=iterations,
-            epoch=epoch,
-            rng_state=rng_state,
+            epoch=schedule.epoch,
+            rng_state=schedule.epoch_state,
         )
 
-    last_ckpt = snapshot(0, 0, rng.bit_generator.state)
+    last_ckpt = snapshot(0)
 
     def timing_for(topology: Topology):
         return ClusterSimulator(
             spec, compute_seconds, update_bytes, topology=topology
-        ).iteration(global_batch, quorum=config.quorum)
+        ).iteration(schedule.global_batch, quorum=config.quorum)
 
     clock = 0.0
     it = 0
-    epoch = -1
-    epoch_rng_state = None
-    order = None
-
-    while it < total_iterations:
-        this_epoch, in_epoch = divmod(it, iters_per_epoch)
-        if this_epoch != epoch:
-            epoch = this_epoch
-            epoch_rng_state = rng.bit_generator.state
-            order = rng.permutation(samples)
+    while it < epochs * schedule.per_epoch:
         timing = timing_for(topo)
         iteration_end = clock + timing.total_s
 
@@ -255,23 +218,15 @@ def chaos_train(
             recompute_s = 0.0
             if master_died:
                 # The authoritative model state died with the master:
-                # the promoted Sigma restores the latest checkpoint and
-                # the cluster recomputes the lost iterations.
+                # the promoted Sigma restores the latest checkpoint (its
+                # shuffle too) and the cluster recomputes the lost ones.
                 rollback = it - last_ckpt.iterations
-                model.clear()
                 model.update(
                     {k: np.array(v) for k, v in last_ckpt.model.items()}
                 )
                 del result.loss_history[last_ckpt.iterations:]
-                rng.bit_generator.state = last_ckpt.rng_state
                 it = last_ckpt.iterations
-                # Replay the checkpoint epoch's shuffle from the restored
-                # state; if the checkpoint sat exactly on an epoch
-                # boundary, this also advances the RNG past the finished
-                # epoch so the next epoch's draw stays bit-identical.
-                epoch = last_ckpt.epoch
-                epoch_rng_state = last_ckpt.rng_state
-                order = rng.permutation(samples)
+                schedule.rewind(last_ckpt.epoch, last_ckpt.rng_state)
                 recompute_s = rollback * timing_for(topo).total_s
             kind = (
                 "partition"
@@ -296,7 +251,7 @@ def chaos_train(
             continue  # the interrupted iteration is redone, not counted
 
         # -- a clean iteration: functional step over the survivors ----------
-        batch = order[in_epoch * global_batch : (in_epoch + 1) * global_batch]
+        batch = schedule.batch(it)
         nodes_in_order = [
             r.node_id for r in sorted(topo.roles, key=lambda r: r.node_id)
         ]
@@ -314,7 +269,7 @@ def chaos_train(
         if loss_fn is not None:
             result.loss_history.append(loss_fn(model, feeds))
         if it % config.checkpoint_every == 0:
-            last_ckpt = snapshot(it, epoch, epoch_rng_state)
+            last_ckpt = snapshot(it)
             result.checkpoints_taken += 1
 
         # -- rejoins: recovered nodes re-enter at iteration boundaries ------

@@ -171,7 +171,8 @@ def _book_send(
     with ``np.add.accumulate`` — sequential, hence bit-identical to the
     chunk-by-chunk scalar chain. A one-chunk message does the same sums
     without NumPy. The shared RX recurrence interleaves a max with an
-    add, so it stays a scalar scan.
+    add, so it stays a scalar scan; its cursor never moves back, so the
+    last arrival is the final ``rx_free``.
     """
     sizes, wires, wires_list = plan
     cursor0 = start + cfg.per_message_overhead_s
@@ -195,7 +196,7 @@ def _book_send(
         rx_busy += w
     ledger.rx_free[dst] = rx_free
     ledger.rx_busy[dst] = rx_busy
-    return arrivals, max(cursor0, max(arrivals))
+    return arrivals, max(cursor0, rx_free)
 
 
 def _feed_phase(

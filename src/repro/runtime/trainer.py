@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..dfg import ir
-from ..dfg.interpreter import Interpreter
+from ..dfg.interpreter import Interpreter, sample_count
 from ..dfg.translate import Translation
 from .cluster import ClusterSimulator, IterationTiming
 
@@ -47,6 +47,37 @@ class TrainingResult:
     @property
     def final_loss(self) -> float:
         return self.loss_history[-1] if self.loss_history else float("nan")
+
+
+class BatchSchedule:
+    """Which samples each iteration steps on, for ``train`` and
+    ``chaos_train`` alike: iteration ``it`` takes slice
+    ``it % per_epoch`` of its epoch's shuffle, drawn from ``rng`` when
+    the epoch is first reached. ``epoch`` (the epoch drawn last) and
+    ``epoch_state`` (the RNG state its draw began from) are what a
+    checkpoint keeps."""
+
+    def __init__(self, samples: int, global_batch: int, rng):
+        self.samples = samples
+        self.global_batch = global_batch
+        self.per_epoch = samples // global_batch
+        self._rng = rng
+        self.rewind(0, rng.bit_generator.state)
+
+    def batch(self, it: int) -> np.ndarray:
+        epoch, slot = divmod(it, self.per_epoch)
+        if epoch != self.epoch:
+            self.rewind(epoch, self._rng.bit_generator.state)
+        start = slot * self.global_batch
+        return self._order[start : start + self.global_batch]
+
+    def rewind(self, epoch: int, rng_state: dict) -> None:
+        """Draw ``epoch``'s shuffle from ``rng_state``; the RNG ends past
+        that draw, where the next epoch's shuffle begins."""
+        self._rng.bit_generator.state = rng_state
+        self.epoch = epoch
+        self.epoch_state = rng_state
+        self._order = self._rng.permutation(self.samples)
 
 
 class DistributedTrainer:
@@ -83,6 +114,39 @@ class DistributedTrainer:
         return model
 
     # -- training ------------------------------------------------------------
+    def prepare(
+        self,
+        feeds: Feeds,
+        epochs: int,
+        minibatch_per_worker: Optional[int],
+        mode: str,
+        model: Optional[Dict[str, np.ndarray]],
+        learning_rate: Optional[float],
+    ) -> Tuple[Dict[str, np.ndarray], float, BatchSchedule]:
+        """Check a run's arguments; return its starting model (a copy of
+        ``model``, default zeros), its ``mu`` and its batch schedule,
+        which shuffles with this trainer's RNG."""
+        if mode not in ("minibatch", "local_sgd"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {epochs}")
+        samples = sample_count(feeds)
+        if minibatch_per_worker is None:
+            minibatch_per_worker = max(
+                1, self._translation.minibatch // self.workers
+            )
+        global_batch = minibatch_per_worker * self.workers
+        if samples < global_batch:
+            raise ValueError(
+                f"dataset of {samples} samples is smaller than one global "
+                f"mini-batch of {global_batch}"
+            )
+        if learning_rate is None:
+            learning_rate = self._translation.learning_rate
+        model = dict(model) if model else self.initial_model()
+        schedule = BatchSchedule(samples, global_batch, self._rng)
+        return model, learning_rate, schedule
+
     def train(
         self,
         feeds: Feeds,
@@ -109,47 +173,27 @@ class DistributedTrainer:
             max_iterations: stop after this many iterations, mid-epoch
                 if need be.
         """
-        if mode not in ("minibatch", "local_sgd"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {epochs}")
-        samples = _sample_count(feeds)
-        if minibatch_per_worker is None:
-            minibatch_per_worker = max(
-                1, self._translation.minibatch // self.workers
-            )
-        mu = (
-            self._translation.learning_rate
-            if learning_rate is None
-            else learning_rate
+        model, mu, schedule = self.prepare(
+            feeds, epochs, minibatch_per_worker, mode, model, learning_rate
         )
-        global_batch = minibatch_per_worker * self.workers
-        model = dict(model) if model else self.initial_model()
         result = TrainingResult(model=model)
-
-        stopped = False
-        for _ in range(epochs):
-            order = self._rng.permutation(samples)
-            for start in range(0, samples - global_batch + 1, global_batch):
-                batch = order[start : start + global_batch]
-                self.step(model, feeds, batch, self.workers, mu, mode=mode)
-                result.iterations += 1
-                if loss_fn is not None:
-                    result.loss_history.append(loss_fn(model, feeds))
-                if (
-                    max_iterations is not None
-                    and result.iterations >= max_iterations
-                ):
-                    stopped = True
-                    break
-            if stopped:
-                break
-
-        if self._cluster is not None and result.iterations:
-            timing = self._cluster.iteration(global_batch)
+        iterations = epochs * schedule.per_epoch
+        if max_iterations is not None:
+            if max_iterations < 1:
+                raise ValueError(
+                    f"max_iterations must be at least 1, got {max_iterations}"
+                )
+            iterations = min(iterations, max_iterations)
+        for it in range(iterations):
+            batch = schedule.batch(it)
+            self.step(model, feeds, batch, self.workers, mu, mode=mode)
+            if loss_fn is not None:
+                result.loss_history.append(loss_fn(model, feeds))
+        result.iterations = iterations
+        if self._cluster is not None:
+            timing = self._cluster.iteration(schedule.global_batch)
             result.iteration_timing = timing
-            result.simulated_seconds = timing.total_s * result.iterations
-        result.model = model
+            result.simulated_seconds = timing.total_s * iterations
         return result
 
     def step(
@@ -238,15 +282,3 @@ class DistributedTrainer:
                 model[name] = stack.mean(axis=0)
             else:
                 model[name] = model[name] + (stack - model[name]).sum(axis=0)
-
-
-def _sample_count(feeds: Feeds) -> int:
-    for name, value in feeds.items():
-        if np.ndim(value) == 0:
-            raise ValueError(
-                f"feed {name!r} is 0-d; every feed needs a leading sample axis"
-            )
-    counts = {np.shape(v)[0] for v in feeds.values()}
-    if len(counts) != 1:
-        raise ValueError("all feeds must share one leading sample axis")
-    return counts.pop()

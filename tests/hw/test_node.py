@@ -81,6 +81,13 @@ class TestFunctional:
                 {"x": np.zeros((4, 16)), "y": np.zeros(5)}, {"w": np.zeros(16)}
             )
 
+    def test_rejects_0d_feed(self, node):
+        accel, _ = node
+        with pytest.raises(ValueError, match="'y' is 0-d"):
+            accel.process_partition(
+                {"x": np.ones((4, 16)), "y": np.float64(1)}, {"w": np.zeros(16)}
+            )
+
 
 class TestTiming:
     def test_seconds_scale_with_partition(self, node):

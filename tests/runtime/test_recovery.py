@@ -1,5 +1,7 @@
 """Fault-tolerant runtime: detection, failover, quorum, and recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def ft_config(iteration_s, **kwargs):
     )
 
 
-def run_chaos(problem, timeline, config, seed=5, **kwargs):
+def run_chaos(problem, timeline, config, seed=5, epochs=2, **kwargs):
     translation, feeds = problem
     return chaos_train(
         translation,
@@ -91,7 +93,7 @@ def run_chaos(problem, timeline, config, seed=5, **kwargs):
         UPDATE_BYTES,
         timeline=timeline,
         config=config,
-        epochs=2,
+        epochs=epochs,
         minibatch_per_worker=8,
         loss_fn=mse,
         seed=seed,
@@ -282,16 +284,86 @@ class TestChaosTrain:
                 epochs=epochs,
             )
 
-    def test_healthy_run_matches_plain_trainer(self, problem):
+    def test_unknown_mode_rejected_before_pricing(self, problem, monkeypatch):
+        def priced(*args, **kwargs):
+            raise AssertionError("a cluster iteration was priced")
+
+        monkeypatch.setattr(ClusterSimulator, "iteration", priced)
+        with pytest.raises(ValueError, match="unknown mode 'magic'"):
+            run_chaos(
+                problem, FaultTimeline(), FaultToleranceConfig(), mode="magic"
+            )
+
+    @pytest.mark.parametrize(
+        "mode,threads",
+        [
+            ("minibatch", 1),
+            ("minibatch", 2),
+            ("local_sgd", 1),
+            ("local_sgd", 2),
+        ],
+    )
+    def test_healthy_run_matches_plain_trainer(self, problem, mode, threads):
         translation, feeds = problem
         config = ft_config(iteration_seconds())
-        res = run_chaos(problem, FaultTimeline(), config, seed=5)
-        plain = DistributedTrainer(translation, nodes=8, seed=5).train(
-            feeds, epochs=2, minibatch_per_worker=8, loss_fn=mse
+        res = run_chaos(
+            problem,
+            FaultTimeline(),
+            config,
+            seed=5,
+            mode=mode,
+            threads_per_node=threads,
+        )
+        plain = DistributedTrainer(
+            translation, nodes=8, threads_per_node=threads, seed=5
+        ).train(
+            feeds, epochs=2, minibatch_per_worker=8, loss_fn=mse, mode=mode
         )
         assert res.events == []
         assert res.loss_history == plain.loss_history
         np.testing.assert_array_equal(res.model["w"], plain.model["w"])
+        assert res.iterations == plain.iterations
+
+    def test_rollback_onto_epoch_boundary_keeps_shuffles(
+        self, problem, monkeypatch
+    ):
+        """A master crash whose checkpoint sits exactly on an epoch
+        boundary: every recomputed iteration, and every later one,
+        steps on the same samples as the healthy run's iteration with
+        the same index."""
+        it_s = iteration_seconds()
+        per_epoch = 512 // 64  # samples // global batch
+        config = dataclasses.replace(
+            ft_config(it_s), checkpoint_every=per_epoch
+        )
+        step = DistributedTrainer.step
+        batches = []
+
+        def spy(self, model, feeds, batch, *args, **kwargs):
+            batches.append(batch.copy())
+            return step(self, model, feeds, batch, *args, **kwargs)
+
+        monkeypatch.setattr(DistributedTrainer, "step", spy)
+        healthy = run_chaos(problem, FaultTimeline(), config, epochs=3)
+        healthy_batches = batches[:]
+        batches.clear()
+        master = assign_roles(8, 2).master.node_id
+        timeline = FaultTimeline.from_iterations(
+            it_s, crashes={master: per_epoch + 2.4}
+        )
+        res = run_chaos(problem, timeline, config, epochs=3)
+
+        assert healthy.iterations == res.iterations == 3 * per_epoch
+        (event,) = res.events
+        assert event.promoted_master is not None
+        assert event.rollback_iterations > 0
+        # Steps before the crash, then the run again from the checkpoint.
+        crashed_at = per_epoch + event.rollback_iterations
+        assert len(batches) == crashed_at + 2 * per_epoch
+        for it in range(crashed_at):
+            np.testing.assert_array_equal(batches[it], healthy_batches[it])
+        for it, batch in enumerate(batches[crashed_at:], start=per_epoch):
+            np.testing.assert_array_equal(batch, healthy_batches[it])
 
     def test_master_kill_recovers_within_bounds(self, problem):
         it_s = iteration_seconds()

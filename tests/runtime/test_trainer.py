@@ -193,6 +193,27 @@ class TestMechanics:
                 {"x": np.ones((4, 8)), "y": np.ones(4)}, epochs=epochs
             )
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (
+                {"minibatch_per_worker": 8},
+                "dataset of 4 samples is smaller than one global "
+                "mini-batch of 8",
+            ),
+            (
+                {"minibatch_per_worker": 2, "max_iterations": 0},
+                "max_iterations must be at least 1",
+            ),
+        ],
+        ids=["small-dataset", "max-iterations-0"],
+    )
+    def test_run_without_an_iteration_rejected(self, kwargs, match):
+        t = translate(parse(LINREG), {"n": 8})
+        trainer = DistributedTrainer(t, nodes=1, threads_per_node=1)
+        with pytest.raises(ValueError, match=match):
+            trainer.train({"x": np.ones((4, 8)), "y": np.ones(4)}, **kwargs)
+
     def test_invalid_topology_rejected(self):
         t = translate(parse(LINREG), {"n": 8})
         with pytest.raises(ValueError):

@@ -151,6 +151,36 @@ class TestCountFlags:
         assert "Traceback" not in captured.err
 
 
+class TestFlagCombinations:
+    """Flag values argparse accepts one by one but the run cannot use."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["train", "stock", "--samples", "4", "--nodes", "8"],
+                "dataset of 4 samples is smaller than one global "
+                "mini-batch of 16",
+            ),
+            (
+                ["chaos", "stock", "--samples", "4", "--nodes", "8"],
+                "dataset of 4 samples is smaller than one global "
+                "mini-batch of 8",
+            ),
+            (
+                ["chaos", "stock", "--nodes", "1"],
+                "cannot split 1 nodes into 2 groups",
+            ),
+        ],
+        ids=["train-samples", "chaos-samples", "chaos-groups"],
+    )
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro {argv[0]}: error: {message}\n"
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         import subprocess

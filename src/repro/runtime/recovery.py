@@ -333,30 +333,34 @@ def scenario_timeline(
 
     Fault instants are keyed to ``iteration_s`` (a healthy iteration's
     simulated duration) so every scenario strikes a few iterations into
-    the run regardless of the modelled hardware.
+    the run regardless of the modelled hardware. Every scenario but
+    ``healthy`` and ``flaky`` (which spares the master) faults a node,
+    so on a single-node cluster it raises ``ValueError``.
     """
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}"
         )
+    if name == "healthy":
+        return FaultTimeline()
+    if name != "flaky" and topology.nodes == 1:
+        raise ValueError(
+            f"scenario {name!r} needs at least 2 nodes: a single-node "
+            "cluster has no other node to fault"
+        )
     master = topology.master.node_id
+    others = [r.node_id for r in topology.roles if r.node_id != master]
     deltas = [r.node_id for r in topology.roles if r.sigma_id != r.node_id]
     other_sigmas = [
         s.node_id for s in topology.sigmas() if s.node_id != master
     ]
-    if name == "healthy":
-        return FaultTimeline()
     if name == "delta-crash":
-        victim = deltas[-1] if deltas else _any_non_master(topology)
+        victim = deltas[-1] if deltas else others[0]
         return FaultTimeline.from_iterations(
             iteration_s, crashes={victim: 3.4}
         )
     if name == "sigma-crash":
-        victim = (
-            other_sigmas[0]
-            if other_sigmas
-            else (deltas[-1] if deltas else master)
-        )
+        victim = other_sigmas[0] if other_sigmas else deltas[-1]
         return FaultTimeline.from_iterations(
             iteration_s, crashes={victim: 3.4}
         )
@@ -365,7 +369,7 @@ def scenario_timeline(
             iteration_s, crashes={master: 3.4}
         )
     if name == "crash-recover":
-        victim = deltas[-1] if deltas else _any_non_master(topology)
+        victim = deltas[-1] if deltas else others[0]
         return FaultTimeline.from_iterations(
             iteration_s, crashes={victim: 2.4}, recoveries={victim: 6.7}
         )
@@ -389,10 +393,3 @@ def scenario_timeline(
         spare=(master,),
     )
 
-
-def _any_non_master(topology: Topology) -> int:
-    master = topology.master.node_id
-    others = [r.node_id for r in topology.roles if r.node_id != master]
-    if not others:
-        raise ValueError("a single-node cluster has nothing to kill")
-    return others[0]

@@ -14,13 +14,13 @@ This module implements that split:
   build them.
 * :func:`replay_iteration` derives those sends from the topology and
   re-times them under per-node compute times and :class:`NetworkConfig`
-  parameters. NIC bookings are evaluated with NumPy over the chunk
-  arrays (``np.add.accumulate`` is a strictly sequential left-to-right
-  reduction, so every float lands bit-identical to the scalar
-  chunk-by-chunk arithmetic). Each Sigma's chunks go to its real
-  :class:`SigmaPipeline` in booking order, which is the order an event
-  loop would dispatch them: a receiver's RX cursor only moves forward,
-  so its arrivals never decrease within a phase and need no sort.
+  parameters. NIC booking is one scalar loop per message, doing the
+  chunk-by-chunk arithmetic of :meth:`Network.send` in the same order,
+  so every float is bit-identical to it. Each send goes to its Sigma's
+  real :class:`SigmaPipeline` as it is booked, which is the order an
+  event loop would dispatch its chunks: a receiver's RX cursor only
+  moves forward, so its arrivals never decrease within a phase and
+  need no sort.
 
 Replayed timings live in :data:`TIMINGS`, one table per (roles, model
 size), so a figure sweep replays each (minibatch, NetworkConfig)
@@ -52,8 +52,6 @@ exactly the sends it issues.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .director import Topology
 from .network import NetworkConfig
@@ -120,20 +118,21 @@ def schedule_trace(
 
 
 def _chunk_plan(cfg: NetworkConfig, nbytes: int):
-    """Chunk sizes and per-chunk wire durations for one message.
+    """Chunk sizes and per-chunk wire durations for one message, as lists.
 
     Mirrors the chunking loop in :meth:`Network.send`: full chunks first,
-    a trailing partial chunk last. The wire array is computed with the
-    exact operation order of ``wire_seconds(chunk) + per_chunk_overhead``.
+    a trailing partial chunk last. Each distinct chunk size gets one wire
+    time, with the exact operation order of ``wire_seconds(chunk) +
+    per_chunk_overhead``.
     """
+
+    def wire(size):
+        return size * 8.0 / cfg.bandwidth_bps + cfg.per_chunk_overhead_s
+
     full, rem = divmod(nbytes, cfg.chunk_bytes)
     sizes = [cfg.chunk_bytes] * full + ([rem] if rem else [])
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    wires = sizes_arr * 8.0 / cfg.bandwidth_bps + cfg.per_chunk_overhead_s
-    # float64 -> Python float round-trips bit-exactly; the scalar RX scan
-    # and the busy accounting run over the list to skip per-element NumPy
-    # scalar boxing.
-    return sizes, wires, wires.tolist()
+    wires = [wire(cfg.chunk_bytes)] * full + ([wire(rem)] if rem else [])
+    return sizes, wires
 
 
 class _NicLedger:
@@ -166,34 +165,29 @@ def _book_send(
 ):
     """Book one message's chunks; returns (arrivals, last_arrival).
 
-    The TX chain is a pure left-to-right accumulation (after the first
-    chunk the sender's cursor always equals its own free time), evaluated
-    with ``np.add.accumulate`` — sequential, hence bit-identical to the
-    chunk-by-chunk scalar chain. A one-chunk message does the same sums
-    without NumPy. The shared RX recurrence interleaves a max with an
-    add, so it stays a scalar scan; its cursor never moves back, so the
-    last arrival is the final ``rx_free``.
+    One scalar loop per message. After the first chunk the sender's TX
+    cursor always equals its own free time, so each chunk just advances
+    it by its wire time; the chunk's earliest arrival is then ``tx +
+    latency - wire``, the arithmetic of :meth:`Network.send` in the same
+    order. The shared RX cursor takes the later of that and its own free
+    time, so it never moves back, and the last arrival is the final
+    ``rx_free``.
     """
-    sizes, wires, wires_list = plan
     cursor0 = start + cfg.per_message_overhead_s
-    tx_free = ledger.tx_free.get(src, 0.0)
-    t0 = cursor0 if cursor0 >= tx_free else tx_free
-    if len(sizes) == 1:
-        wire = wires_list[0]
-        ledger.tx_free[src] = t0 + wire
-        earliest = [t0 + wire + cfg.latency_s - wire]
-    else:
-        tx_starts = np.add.accumulate(np.concatenate(([t0], wires[:-1])))
-        ledger.tx_free[src] = float(tx_starts[-1]) + wires_list[-1]
-        earliest = ((tx_starts + wires + cfg.latency_s) - wires).tolist()
+    latency = cfg.latency_s
+    tx = ledger.tx_free.get(src, 0.0)
+    if cursor0 >= tx:
+        tx = cursor0
     rx_free = ledger.rx_free.get(dst, 0.0)
     rx_busy = ledger.rx_busy.get(dst, 0.0)
     arrivals = []
-    for e, w in zip(earliest, wires_list):
-        s = e if e >= rx_free else rx_free
-        rx_free = s + w
+    for w in plan[1]:
+        tx += w
+        e = tx + latency - w
+        rx_free = (e if e >= rx_free else rx_free) + w
         arrivals.append(rx_free)
         rx_busy += w
+    ledger.tx_free[src] = tx
     ledger.rx_free[dst] = rx_free
     ledger.rx_busy[dst] = rx_busy
     return arrivals, max(cursor0, rx_free)
@@ -205,39 +199,29 @@ def _feed_phase(
     sends: Sequence[Tuple[float, int, int, int]],
     pipes: Dict[int, SigmaPipeline],
 ):
-    """Book every send of one gather/reduce phase, then feed each Sigma
-    its chunks in event-loop order.
+    """Book every send of one gather/reduce phase, handing each send to
+    its Sigma's pipeline as it is booked.
 
     ``sends`` is ``(start, src, dst, nbytes)`` in issue order, one per
-    sender. Each send's chunks are appended to its receiver's stream as
-    they are booked, and each stream goes to that Sigma's real
-    :class:`SigmaPipeline` as one :meth:`~SigmaPipeline.on_chunks` call.
-    Booking order is the event loop's ``(arrival, insertion counter)``
-    order for each receiver, so no sort is needed: a chunk's arrival is
-    its receiver's new RX cursor, which never moves back, and a
-    pipeline's state depends only on its own chunks. Returns each
-    sender's partial-complete time: when its last chunk was folded,
-    which the quorum window judges.
+    sender. Each send's arrivals go straight to its receiver's real
+    :class:`SigmaPipeline` via :meth:`~SigmaPipeline.on_chunks`. Booking
+    order is the event loop's ``(arrival, insertion counter)`` order for
+    each receiver, so no sort is needed: a chunk's arrival is its
+    receiver's new RX cursor, which never moves back, and a pipeline's
+    state depends only on its own chunks, so interleaving the receivers
+    moves no float. Returns each sender's partial-complete time: when
+    the last of its chunks was folded (a short trailing chunk can finish
+    before a full one), which the quorum window judges.
     """
     plans: Dict[int, tuple] = {}
-    streams: Dict[int, Tuple[List[float], List[int]]] = {}
-    slices: List[Tuple[int, int, int, int]] = []
+    done: Dict[int, float] = {}
     for start, src, dst, nbytes in sends:
-        if nbytes not in plans:
-            plans[nbytes] = _chunk_plan(cfg, nbytes)
-        send_arrivals, _ = _book_send(
-            ledger, cfg, src, dst, start, plans[nbytes]
-        )
-        arrivals, sizes = streams.setdefault(dst, ([], []))
-        lo = len(arrivals)
-        slices.append((src, dst, lo, lo + len(send_arrivals)))
-        arrivals.extend(send_arrivals)
-        sizes.extend(plans[nbytes][0])
-    finishes = {
-        dst: pipes[dst].on_chunks(arrivals, sizes)
-        for dst, (arrivals, sizes) in streams.items()
-    }
-    return {src: max(finishes[dst][lo:hi]) for src, dst, lo, hi in slices}
+        plan = plans.get(nbytes)
+        if plan is None:
+            plan = plans[nbytes] = _chunk_plan(cfg, nbytes)
+        arrivals, _ = _book_send(ledger, cfg, src, dst, start, plan)
+        done[src] = max(pipes[dst].on_chunks(arrivals, plan[0]))
+    return done
 
 
 def replay_iteration(

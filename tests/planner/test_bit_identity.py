@@ -1,25 +1,24 @@
 """Bit-identity of the Planner's design-space costs.
 
-The digest below was recorded from the commit *before* the estimator was
-split into a per-DFG cost profile and a per-design-point estimate, when
-every design point re-walked the DFG. The split must not move a single
-float: the ops-first shuffle term is the one non-integer addend, so any
-reordering of the per-node sums shows up here. Regenerate the digest
-only for a deliberate change to the cost model.
-"""
+``tests/golden/planner_design_space.txt`` holds ``design_space_text()``:
+one line per design point, every float as its ``repr``. It was first
+recorded before the estimator was split into a per-DFG cost profile and
+a per-design-point estimate, when every design point re-walked the DFG.
+No float may move: the ops-first shuffle term is the one non-integer
+addend, so any reordering of the per-node sums shows up as a changed
+line, and a mismatch fails with the first differing lines. Regenerate
+it only for a deliberate change to the cost model, review the diff, and
+commit it::
 
-import hashlib
+    PYTHONPATH=src:. python -c "import sys; from tests.planner.test_bit_identity import design_space_text; sys.stdout.write(design_space_text())" > tests/golden/planner_design_space.txt
+"""
 
 from repro.baselines.tabla import TABLA_PARAMS, TablaModel
 from repro.hw.spec import XILINX_VU9P
 from repro.ml.benchmarks import BENCHMARKS
 from repro.planner.estimator import CostParams
 from repro.planner.plan import Planner
-
-#: SHA-256 of the canonical text below, recorded at the parent commit.
-PARENT_DIGEST = (
-    "70abae4ec6c1172da2aca31d4d476ba3f9e22f92d7e82b5eae0ef0fda744a344"
-)
+from tests.golden_diff import assert_matches_golden
 
 
 def _estimate_repr(label, plan):
@@ -60,7 +59,5 @@ def design_space_text():
     return "\n".join(lines)
 
 
-def test_design_space_costs_match_parent_digest():
-    text = design_space_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == PARENT_DIGEST
+def test_design_space_costs_match_golden():
+    assert_matches_golden(design_space_text(), "planner_design_space.txt")

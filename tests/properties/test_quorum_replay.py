@@ -182,10 +182,10 @@ class TestQuorumReplayDifferential:
     def test_replay_bit_identical_to_event_driven(self, cluster, rule):
         sim, compute = cluster
         event = reference(sim, compute, rule)
-        vectorized = replay(sim, compute, rule)
+        replayed = replay(sim, compute, rule)
         with scalar_booking():
             scalar = replay(sim, compute, rule)
-        assert_bit_identical(event, vectorized, "event vs vectorized")
+        assert_bit_identical(event, replayed, "event vs replay")
         assert_bit_identical(event, scalar, "event vs scalar")
 
     @given(

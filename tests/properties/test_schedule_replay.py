@@ -5,9 +5,11 @@ sends derived from its topology is *bit-identical* to the event-driven
 reference simulation
 (:func:`~tests.runtime.event_reference.event_driven_iteration`) — every
 float of every :class:`IterationTiming` field, compared with ``==``, no
-tolerances. Replay with its NumPy NIC booking (``schedule._book_send``)
-and replay with :func:`scalar_book_send`, the chunk-by-chunk reference
-booking below, must agree with it the same way. :func:`schedule_trace`
+tolerances. Replay with its own NIC booking (``schedule._book_send``,
+one scalar loop per message; each send goes to its Sigma's pipeline as
+it is booked) and replay with :func:`scalar_book_send`, the
+chunk-by-chunk reference booking below, must agree with it the same
+way. :func:`schedule_trace`
 must list exactly the sends the event-driven simulation issues, as
 captured by :class:`SendLog` around :class:`Network`, and the timing
 table must replay whenever any input of an iteration changes.
@@ -188,10 +190,10 @@ class TestReplayDifferential:
             sim.topology, sim.spec, sim.update_bytes, list(compute)
         )
         args = (sim.topology, sim.spec, sim.update_bytes, list(compute))
-        vectorized = replay_iteration(*args)
+        replayed = replay_iteration(*args)
         with scalar_booking():
             scalar = replay_iteration(*args)
-        assert_bit_identical(event, vectorized, "event vs vectorized")
+        assert_bit_identical(event, replayed, "event vs replay")
         assert_bit_identical(event, scalar, "event vs scalar")
 
     @given(clusters())

@@ -24,9 +24,7 @@ review the diff, and commit it::
 """
 
 import dataclasses
-import difflib
 import random
-from pathlib import Path
 
 from repro.runtime import schedule
 from repro.runtime.cluster import (
@@ -37,9 +35,8 @@ from repro.runtime.cluster import (
 )
 from repro.runtime.director import default_groups
 from repro.runtime.threads import PoolConfig, SigmaPipeline
+from tests.golden_diff import assert_matches_golden
 from tests.runtime.event_reference import event_driven_iteration
-
-GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
 NODES = (4, 8, 16, 32, 64)
 QUORUMS = (
@@ -171,26 +168,9 @@ def test_streams_queue_for_an_aggregation_worker():
     assert waited > 0
 
 
-def _assert_matches_golden(text, name):
-    want = (GOLDEN_DIR / name).read_text()
-    if text == want:
-        return
-    diff = difflib.unified_diff(
-        want.splitlines(),
-        text.splitlines(),
-        f"tests/golden/{name}",
-        "now",
-        lineterm="",
-    )
-    raise AssertionError(
-        f"{name} moved; first differing lines:\n"
-        + "\n".join(list(diff)[:20])
-    )
-
-
 def test_pipeline_and_cluster_timings_match_golden():
-    _assert_matches_golden(barrier_text(), "pipeline_barrier.txt")
+    assert_matches_golden(barrier_text(), "pipeline_barrier.txt")
 
 
 def test_quorum_timings_match_golden():
-    _assert_matches_golden(quorum_text(), "pipeline_quorum.txt")
+    assert_matches_golden(quorum_text(), "pipeline_quorum.txt")

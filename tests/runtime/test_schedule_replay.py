@@ -5,8 +5,13 @@ import pytest
 
 from repro.runtime import schedule
 from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
+from repro.runtime.director import assign_roles
 from repro.runtime.schedule import replay_iteration, schedule_trace
-from tests.runtime.event_reference import reference_engine
+from repro.runtime.threads import PoolConfig, SigmaPipeline
+from tests.runtime.event_reference import (
+    event_driven_iteration,
+    reference_engine,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -153,3 +158,30 @@ class TestEndToEnd:
         calls = spy_replays(monkeypatch)
         make_sim().iteration(8_000)
         assert len(calls) == 1
+
+
+class TestSenderDoneTime:
+    def test_done_time_is_latest_fold_not_last_chunk(self, monkeypatch):
+        """A delta's partial is complete when the last of its chunks is
+        folded, which need not be its last chunk. Here the aggregation
+        pool is slow: the full chunk folds on one worker while the
+        one-byte trailing chunk lands and folds on the other worker
+        first. Replay must still match the event-driven reference, so
+        the sender's done time has to be the max over its chunks."""
+        spec = ClusterSpec(
+            nodes=2, groups=1, pools=PoolConfig(aggregate_bytes_per_s=1e8)
+        )
+        args = (assign_roles(2, 1), spec, spec.network.chunk_bytes + 1)
+        folds = []
+        on_chunks = SigmaPipeline.on_chunks
+
+        def spy(pipe, arrivals, sizes):
+            folds.append(on_chunks(pipe, arrivals, sizes))
+            return folds[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SigmaPipeline, "on_chunks", spy)
+            replayed = replay_iteration(*args, [1e-3, 1e-3])
+        (finishes,) = folds
+        assert len(finishes) == 2 and finishes[-1] < finishes[0]
+        assert replayed == event_driven_iteration(*args, [1e-3, 1e-3])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.runtime.recovery import SCENARIOS
 
 
 class TestBenchmarksCommand:
@@ -179,6 +180,29 @@ class TestFlagCombinations:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro {argv[0]}: error: {message}\n"
+
+
+class TestSingleNodeChaos:
+    """Every chaos scenario on a one-node cluster: the ones that must
+    fault a node other than the one that exists are usage errors."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_runs_or_exits_2(self, capsys, scenario):
+        code = main(
+            ["chaos", "stock", "--nodes", "1", "--groups", "1"]
+            + ["--samples", "256", "--scenario", scenario]
+        )
+        captured = capsys.readouterr()
+        if scenario in ("healthy", "flaky"):
+            assert code == 0
+            assert "throughput kept:    100.0%" in captured.out
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro chaos: error: scenario {scenario!r} needs at least 2 "
+            "nodes: a single-node cluster has no other node to fault\n"
+        )
 
 
 class TestModuleEntry:

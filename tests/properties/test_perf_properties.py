@@ -1,9 +1,13 @@
 """Property-based tests for the perf subsystem's determinism contracts.
 
-Three invariants the whole PR rests on:
+Four invariants the perf subsystem rests on:
 
 * memoising is invisible — a plan, sweep or TABLA plan on a graph that
   has been planned before equals the same call on a fresh translation;
+* timing design points as scalars is invisible — the Planner's and
+  TABLA's choices equal the old fold over one plan per design point,
+  and a plan's step time equals the formula it had when it re-derived
+  every term per call;
 * vectorizing is invisible — the closed-form MIMD batch model equals the
   scalar reference cycle-for-cycle;
 * the interpreter's precompiled execution plans, including the einsum
@@ -11,12 +15,15 @@ Three invariants the whole PR rests on:
   path bit-for-bit, and each shard's gradient mean from one pass over
   all shards equals the mean of that shard's own per-sample gradients.
 
-Both references live only here: ``scalar_run_batch`` steps the
-round-robin memory interface one sample at a time, and
-``reference_run`` re-derives every node's op dispatch and operand
-alignment on each call, materialising every product it reduces.
+The references live only here: ``scalar_run_batch`` steps the
+round-robin memory interface one sample at a time, ``reference_run``
+re-derives every node's op dispatch and operand alignment on each call,
+materialising every product it reduces, and ``reference_plan`` and
+``reference_tabla_plan`` fold over one plan per design point, each
+timed by ``reference_seconds``.
 """
 
+import functools
 import math
 from typing import Optional, Tuple
 
@@ -24,7 +31,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.baselines.tabla import TABLA_PARAMS, TablaModel
 from repro.dfg import ir
@@ -36,26 +42,17 @@ from repro.hw.accelerator import MimdBatchResult, MimdTimingModel
 from repro.hw.spec import PASIC_F, PASIC_G, XILINX_VU9P
 from repro.ml.benchmarks import BENCHMARKS, benchmark
 from repro.planner.estimator import FLAT, CostParams
-from repro.planner.plan import Planner
+from repro.planner.plan import AcceleratorPlan, Planner
 
 SMALL_BENCHES = ("stock", "tumor", "face")
 #: mnist and movielens have fusable ``mul -> reduce_sum`` pairs.
 INTERPRETER_BENCHES = SMALL_BENCHES + ("mnist", "movielens")
 
-#: Signed zeros, subnormals, infinities, and finite magnitudes from
-#: 1e-300 to 1e300: the values the fused contraction must reproduce bit
-#: for bit.
+#: Signed zeros, subnormals and infinities: with finite magnitudes from
+#: 1e-300 to 1e300, the values the fused contraction must reproduce bit
+#: for bit (see ``numpy_edge_floats``).
 SPECIAL_FLOATS = np.array(
     [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-320]
-)
-EDGE_FLOATS = st.one_of(
-    st.sampled_from(SPECIAL_FLOATS.tolist()),
-    st.builds(
-        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(1.0, 9.99),
-        st.integers(-300, 299),
-    ),
 )
 
 
@@ -195,6 +192,7 @@ PARAMS = st.sampled_from(
         TABLA_PARAMS,
         CostParams(interconnect=FLAT),
         CostParams(mapping="ops_first"),
+        CostParams(overlap_stream=False),
     ]
 )
 
@@ -253,6 +251,91 @@ class TestCacheTransparency:
                 density,
             )
             assert shared == fresh
+
+
+def reference_seconds(plan: AcceleratorPlan, samples: int) -> float:
+    """``seconds_for`` as it was, re-deriving every term on each call."""
+    chip, design, word = plan.chip, plan.design, plan.chip.word_bytes
+    broadcast = plan.model_words * word / chip.bandwidth_bytes
+    drain = plan.gradient_words * word / chip.bandwidth_bytes
+    merge_cycles = math.ceil(plan.gradient_words / design.columns) * max(
+        1, math.ceil(math.log2(design.threads + 1))
+    )
+    io = broadcast + drain + merge_cycles / chip.frequency_hz
+    if samples <= 0:
+        return io
+    per_thread = math.ceil(samples / design.threads)
+    compute = per_thread * (plan.thread_estimate.cycles / chip.frequency_hz)
+    stream = samples * (plan.data_words_per_sample * word) / (
+        chip.bandwidth_bytes * plan.params.stream_efficiency
+    )
+    if plan.params.overlap_stream:
+        body = max(compute, stream)
+    else:
+        body = compute + stream
+    return body + io
+
+
+def reference_better(a, b) -> bool:
+    """The Planner's rule on ``(seconds, plan)`` pairs: faster wins;
+    within 1% the design with fewer PEs wins."""
+    (ta, plan_a), (tb, plan_b) = a, b
+    if ta < 0.99 * tb:
+        return True
+    if tb < 0.99 * ta:
+        return False
+    return plan_a.design.total_pes < plan_b.design.total_pes
+
+
+def reference_fold(plans, minibatch, better) -> AcceleratorPlan:
+    """Time every plan, then fold in enumeration order under ``better``."""
+    timed = [(reference_seconds(plan, minibatch), plan) for plan in plans]
+    return functools.reduce(
+        lambda best, cand: cand if better(cand, best) else best, timed
+    )[1]
+
+
+def reference_plan(chip, params, dfg, minibatch, density) -> AcceleratorPlan:
+    """``Planner.plan`` as a fold over one plan per design point."""
+    plans = Planner(chip, params).sweep(dfg, minibatch, density).values()
+    return reference_fold(plans, minibatch, reference_better)
+
+
+def reference_tabla_plan(chip, dfg, minibatch, density) -> AcceleratorPlan:
+    """``TablaModel.plan`` as a fold over one plan per row option of one
+    thread (a mini-batch of one allows one thread): strictly faster
+    wins, so the first of equals stays."""
+    planner = Planner(chip, TABLA_PARAMS)
+    plans = planner.evaluate_points(
+        dfg, planner.design_space(dfg, 1), minibatch, density
+    )
+    return reference_fold(plans, minibatch, lambda a, b: a[0] < b[0])
+
+
+class TestScalarDesignSpaceFold:
+    @given(
+        name=st.sampled_from([bench.name for bench in BENCHMARKS]),
+        chip=CHIPS,
+        params=PARAMS,
+        minibatch=st.sampled_from([1, 3, 1_000, 10_000, 100_000]),
+        density=st.sampled_from([None, {"xu": 0.25}, SHARED_BENCH.density]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plan_equals_fold_over_sweep(
+        self, name, chip, params, minibatch, density
+    ):
+        """The chosen plan is the one the old list-then-reduce picks, and
+        every plan's step time is bit-equal to the old formula."""
+        dfg = benchmark(name).translate().dfg
+        plan = Planner(chip, params).plan(dfg, minibatch, density)
+        assert plan == reference_plan(chip, params, dfg, minibatch, density)
+        tabla = TablaModel(chip).plan(dfg, minibatch, density)
+        assert tabla == reference_tabla_plan(chip, dfg, minibatch, density)
+        sweep = Planner(chip, params).sweep(dfg, minibatch, density)
+        for each in (plan, tabla, *sweep.values()):
+            for n in (0, 1, minibatch, 7 * minibatch):
+                got, expect = each.seconds_for(n), reference_seconds(each, n)
+                assert got.hex() == expect.hex(), (each.design, n)
 
 
 class TestVectorizedMimdModel:
@@ -326,33 +409,40 @@ def fusable_cases(draw):
     return dfg, draw(st.booleans()), draw(st.integers(1, 4))
 
 
-def _draw_feeds(data, dfg, batch, batch_size):
+def _draw_feeds(seed, rate, dfg, batch, batch_size):
+    """Every input of ``dfg`` from one seed, a share ``rate`` of it edge
+    floats (see ``numpy_edge_floats``)."""
+    rng = np.random.default_rng(seed)
     feeds = {}
     for value in dfg.values.values():
         if value.producer is None:
             shape = dfg.shape(value)
             if batch and value.category == ir.DATA:
                 shape = (batch_size,) + shape
-            feeds[value.name] = data.draw(
-                arrays(np.float64, shape, elements=EDGE_FLOATS)
-            )
+            feeds[value.name] = numpy_edge_floats(rng, shape, rate)
     return feeds
 
 
 class TestFusedContraction:
-    @given(case=fusable_cases(), data=st.data())
+    @given(
+        case=fusable_cases(),
+        # All edge floats, or standard normals (whose sums move with
+        # their order) among them.
+        rate=st.sampled_from([1.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_fused_matches_unfused_bit_for_bit(self, case, data):
+    def test_fused_matches_unfused_bit_for_bit(self, case, rate, seed):
         dfg, batch, batch_size = case
         interp = Interpreter(dfg)
         assert len(interp._plans[batch]) == 1
-        feeds = _draw_feeds(data, dfg, batch, batch_size)
+        feeds = _draw_feeds(seed, rate, dfg, batch, batch_size)
         # Overflow and inf * 0 are expected here; only the bits matter.
         with np.errstate(all="ignore"):
             fused = interp.run(feeds, batch=batch)["s"]
             unfused = reference_run(interp, feeds, batch=batch)["s"]
         assert fused.shape == unfused.shape
-        assert fused.tobytes() == unfused.tobytes()
+        assert fused.tobytes() == unfused.tobytes(), f"feeds seed {seed}"
 
     @pytest.mark.parametrize(
         "kind",

@@ -3,10 +3,25 @@
 import pytest
 
 from repro.baselines.gpu import GpuModel
-from repro.baselines.tabla import TablaModel, cosmic_vs_tabla_speedup
+from repro.baselines.tabla import (
+    TABLA_PARAMS, TablaModel, cosmic_vs_tabla_speedup,
+)
+from repro.dfg.translate import translate
+from repro.dsl.parser import parse
 from repro.hw.spec import XILINX_VU9P
 from repro.ml.benchmarks import benchmark
 from repro.planner.plan import Planner
+
+LINREG = """
+model_input x[n];
+model_output y;
+model w[n];
+gradient g[n];
+iterator i[0:n];
+s = sum[i](w[i] * x[i]);
+e = s - y;
+g[i] = e * x[i];
+"""
 
 
 class TestGpuModel:
@@ -64,6 +79,15 @@ class TestTabla:
         best = model.plan(dfg)
         full = model.plan(dfg, pes=XILINX_VU9P.row_max * XILINX_VU9P.columns)
         assert best.seconds_for(10_000) <= full.seconds_for(10_000) * 1.001
+
+    def test_first_of_equally_fast_rows_wins(self):
+        """Linear regression on 4 features steps exactly as fast on one
+        row as on two; TABLA keeps the first row option, the smaller."""
+        dfg = translate(parse(LINREG), {"n": 4}).dfg
+        planner = Planner(XILINX_VU9P, TABLA_PARAMS)
+        times = [t for t, _, _ in planner.step_times(dfg, 1, 1000)]
+        assert times[0] == times[1] < times[2]
+        assert TablaModel().plan(dfg, 1000).design.rows_per_thread == 1
 
     def test_no_stream_overlap(self):
         plan = TablaModel().plan(benchmark("stock").translate().dfg)

@@ -3,9 +3,9 @@
 A hardware team shipping the Constructor's RTL needs a testbench that
 drives the accelerator with known inputs and checks the gradient outputs
 against golden values. This module produces one: the stimulus is a real
-sample, the golden values come from the NumPy interpreter (which the
-cycle simulator is property-tested against), and the expected latency is
-the static schedule's makespan.
+sample, the golden values come from the cycle-level simulator (which is
+property-tested against the NumPy interpreter), and the expected latency
+is the static schedule's makespan.
 """
 
 from __future__ import annotations

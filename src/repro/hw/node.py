@@ -93,6 +93,7 @@ class NodeAccelerator:
         )
 
     def seconds_for(self, samples: int) -> float:
-        """Timing-only query (used by the cluster simulation)."""
+        """Timing-only query: the seconds :meth:`process_partition` charges
+        for ``samples``, without computing any partials."""
         timing = self._timing.run_batch(samples)
         return timing.total_cycles / self.plan.chip.frequency_hz

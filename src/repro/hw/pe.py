@@ -43,7 +43,6 @@ class Pe:
         self.has_nonlinear_unit = has_nonlinear_unit
         self.buffers = PeBuffers()
         self.ops_executed = 0
-        self.busy_until = 0
 
     def store(self, category: str, vid: int, word: float):
         """Write a word into the named buffer partition."""

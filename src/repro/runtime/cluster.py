@@ -61,7 +61,7 @@ class QuorumConfig:
             raise ValueError(
                 f"quorum fraction must be in (0, 1], got {self.fraction}"
             )
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:
             raise ValueError(
                 f"straggler deadline must be positive, got {self.deadline_s}"
             )
@@ -220,19 +220,3 @@ class ClusterSimulator:
             seconds += self.iteration(max(1, remainder)).total_s
         return seconds
 
-
-def _close_window(contributions, quorum: Optional[QuorumConfig]):
-    """Split ``(node_id, finish_s)`` contributions at the quorum window.
-
-    The window closes at the later of the K-th arrival (the quorum must
-    be met even if it means waiting past the deadline) and the straggler
-    deadline measured from the first arrival. Returns (included, dropped).
-    """
-    if quorum is None or len(contributions) <= 1:
-        return list(contributions), []
-    by_time = sorted(contributions, key=lambda c: (c[1], c[0]))
-    k = quorum.quorum(len(by_time))
-    close = max(by_time[k - 1][1], by_time[0][1] + quorum.deadline_s)
-    included = [c for c in by_time if c[1] <= close + 1e-12]
-    dropped = [c for c in by_time if c[1] > close + 1e-12]
-    return included, dropped

@@ -118,11 +118,11 @@ class HeartbeatConfig:
     timeout_s: float = 0.5
 
     def __post_init__(self):
-        if self.period_s <= 0:
+        if not self.period_s > 0:
             raise ValueError(
                 f"heartbeat period must be positive, got {self.period_s}"
             )
-        if self.timeout_s < self.period_s:
+        if not self.timeout_s >= self.period_s:
             raise ValueError(
                 f"timeout {self.timeout_s} shorter than the period "
                 f"{self.period_s} would declare healthy nodes dead between "

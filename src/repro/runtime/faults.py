@@ -35,9 +35,9 @@ class NodeCrash:
     recover_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.at_s < 0:
+        if not self.at_s >= 0:
             raise ValueError(f"crash time must be >= 0, got {self.at_s}")
-        if self.recover_s is not None and self.recover_s <= self.at_s:
+        if self.recover_s is not None and not self.recover_s > self.at_s:
             raise ValueError(
                 f"node {self.node_id} recovery at {self.recover_s} must be "
                 f"after its crash at {self.at_s}"
@@ -66,7 +66,7 @@ class Partition:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes:
             raise ValueError("a partition must isolate at least one node")
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        if not 0 <= self.start_s < self.end_s:
             raise ValueError(
                 f"partition window [{self.start_s}, {self.end_s}) is empty "
                 "or negative"
@@ -163,7 +163,7 @@ class FaultTimeline:
         ``crashes[node] = k`` downs the node ``k`` iterations in (fractions
         land mid-iteration); ``recoveries[node]`` brings it back.
         """
-        if iteration_s <= 0:
+        if not iteration_s > 0:
             raise ValueError("iteration_s must be positive")
         crashes = crashes or {}
         recoveries = recoveries or {}

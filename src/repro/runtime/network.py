@@ -69,13 +69,13 @@ class RetryPolicy:
     backoff: float = 2.0
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ValueError(
                 f"per-message timeout must be positive, got {self.timeout_s}"
             )
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValueError(
                 f"backoff factor must be >= 1 (got {self.backoff}); a "
                 "shrinking backoff would hammer a struggling peer"

@@ -26,21 +26,20 @@ Replayed timings live in :data:`TIMINGS`, one table per (roles, model
 size), so a figure sweep replays each (minibatch, NetworkConfig)
 point of a topology once.
 
-The gather and reduce sends name, per Sigma/master aggregation point,
-the contributors that feed it. That is what lets :func:`replay_iteration`
-evaluate a :class:`~repro.runtime.cluster.QuorumConfig` window closure —
-K-th arrival vs. ``deadline_s`` past the first — directly on the booked
-arrival arrays, then re-book only the downstream sends whose payload set
-changed (the withheld-send pass). The window sorts contributions by
-(finish time, node id), so the order of a contributor set never reaches
-a result.
+The gather and the reduce are one aggregation step run twice: Deltas
+into their Sigma, then Sigmas into the master (:func:`_aggregate`).
+Each receiver closes its :class:`~repro.runtime.cluster.QuorumConfig`
+window (:func:`_close_window`: K-th arrival vs. ``deadline_s`` past the
+first) on the booked arrivals, and a level with a late partial is
+booked again from its pre-level ledger without the late sends. The
+window sorts contributions by (finish time, node id), so the order of
+a contributor set never reaches a result.
 
 Replay is the only iteration engine. Faults reach it as inputs it
 already takes: a degraded link is a slower network config, a straggler
 a compute model that charges one node more time, and a crash or
 re-hierarchy hands the simulator a new topology, which gets its own
-timing table. The
-event-driven simulation lives in the tests
+timing table. The event-driven simulation lives in the tests
 (``tests/runtime/event_reference.py``) as the reference: the
 differential property suites (``tests/properties/test_schedule_replay.py``
 and ``tests/properties/test_quorum_replay.py``) assert replay is
@@ -145,9 +144,9 @@ class _NicLedger:
         self.rx_busy: Dict[int, float] = {}
 
     def clone(self) -> "_NicLedger":
-        """Snapshot for the quorum withheld-send pass: phase 3 books on a
-        copy so a window closure can roll back to the pre-phase state and
-        re-book only the surviving sends."""
+        """Snapshot for the quorum withheld-send pass: an aggregation
+        level rolls back to its pre-level copy (an empty ledger's copy
+        for the gather) and re-books only the surviving sends."""
         copy = _NicLedger()
         copy.tx_free = dict(self.tx_free)
         copy.rx_free = dict(self.rx_free)
@@ -224,6 +223,80 @@ def _feed_phase(
     return done
 
 
+def _close_window(contributions, quorum):
+    """Split ``(node_id, finish_s)`` contributions at the quorum window.
+
+    The window closes at the later of the K-th arrival (the quorum must
+    be met even if it means waiting past the deadline) and the straggler
+    deadline measured from the first arrival. Returns (included, dropped).
+    """
+    if quorum is None or len(contributions) <= 1:
+        return list(contributions), []
+    by_time = sorted(contributions, key=lambda c: (c[1], c[0]))
+    k = quorum.quorum(len(by_time))
+    close = max(by_time[k - 1][1], by_time[0][1] + quorum.deadline_s)
+    included = [c for c in by_time if c[1] <= close + 1e-12]
+    dropped = [c for c in by_time if c[1] > close + 1e-12]
+    return included, dropped
+
+
+def _aggregate(
+    ledger, cfg, pools, update_bytes, ready, sends, receivers, quorum
+):
+    """One aggregation level: Deltas into their Sigma, or Sigmas into
+    the master.
+
+    ``ready`` maps each node id to the instant its partial is ready;
+    ``sends`` lists the level's ``(src, dst, nbytes)``, issued in
+    (ready, sender) order, the simulator's sort rule. Each receiver
+    folds its own partial first (before any chunk lands), then the
+    chunks of its senders as they are booked, and closes its window per
+    :func:`_close_window`. With a ``quorum``, when some partial missed
+    its window the level is booked again from a snapshot of ``ledger``
+    taken before it, with the late sends withheld: a dropped partial's
+    bytes must never occupy the real NICs.
+
+    Returns ``(ledger, pipes, included, skipped)``: the ledger after the
+    level, each receiver's :class:`SigmaPipeline` and its included
+    ``(node_id, finish_s)`` contributions, and the withheld node ids.
+    """
+    issued = sorted(
+        ((ready[src], src, dst, nb) for src, dst, nb in sends),
+        key=lambda s: s[:2],
+    )
+    feeders: Dict[int, List[int]] = {dst: [] for dst in receivers}
+    for src, dst, _ in sends:
+        feeders[dst].append(src)
+    snapshot = ledger.clone() if quorum is not None else None
+
+    def book(ledger, skipped):
+        pipes = {dst: SigmaPipeline(pools) for dst in receivers}
+        own = {
+            dst: pipe.fold_local(ready[dst], update_bytes)
+            for dst, pipe in pipes.items()
+        }
+        done = _feed_phase(
+            ledger, cfg, [s for s in issued if s[1] not in skipped], pipes
+        )
+        included: Dict[int, list] = {}
+        late: List[int] = []
+        for dst, srcs in feeders.items():
+            included[dst], out = _close_window(
+                [(dst, own[dst])]
+                + [(src, done[src]) for src in srcs if src not in skipped],
+                quorum,
+            )
+            late.extend(node for node, _ in out)
+        return pipes, included, late
+
+    skipped = frozenset()
+    pipes, included, late = book(ledger, skipped)
+    if late:
+        ledger, skipped = snapshot, frozenset(late)
+        pipes, included, _ = book(ledger, skipped)
+    return ledger, pipes, included, skipped
+
+
 def replay_iteration(
     topology: Topology,
     spec,
@@ -236,18 +309,19 @@ def replay_iteration(
     to the full event-driven simulation of the same inputs.
 
     ``compute_times`` holds each node's accelerator seconds, in
-    ``topology.roles`` order. With a
-    :class:`~repro.runtime.cluster.QuorumConfig`, each window closure is
-    evaluated directly on the booked arrival arrays — the gather/reduce
-    phase is booked once with every listed send (the probe), the window
-    rule splits contributors at the later of the K-th arrival and
-    ``deadline_s`` past the first, and only when some partial missed the
-    window is the phase re-booked with those sends withheld (the dropped
-    bytes must never occupy the real NICs). This mirrors the event-driven
-    simulator's probe/withhold passes exactly, so every field —
-    ``contributors`` and ``dropped`` included — stays bit-identical.
+    ``topology.roles`` order. The gather and the reduce are the same
+    aggregation one level apart, so both run through :func:`_aggregate`:
+    Deltas into their Sigma, then Sigmas into the master. With a
+    :class:`~repro.runtime.cluster.QuorumConfig`, each level is booked
+    once with every listed send (the probe), each window closes at the
+    later of the K-th arrival and ``deadline_s`` past the first, and
+    only when some partial missed its window is the level re-booked from
+    its pre-level ledger with those sends withheld. This mirrors the
+    event-driven simulator's probe/withhold passes exactly, so every
+    field, ``contributors`` and ``dropped`` included, stays
+    bit-identical.
     """
-    from .cluster import IterationTiming, _close_window
+    from .cluster import IterationTiming
 
     if len(compute_times) != topology.nodes:
         raise ValueError(
@@ -258,8 +332,8 @@ def replay_iteration(
         topology, update_bytes
     )
     cfg = spec.network
-    master = topology.master
-    sigmas = topology.sigmas()
+    master_id = topology.master.node_id
+    sigma_ids = [s.node_id for s in topology.sigmas()]
 
     compute_done = {
         role.node_id: spec.management_overhead_s + seconds
@@ -267,137 +341,52 @@ def replay_iteration(
     }
     first_send = min(compute_done.values())
 
-    # Contributor sets per aggregation point, from the sends.
-    feeders_of: Dict[int, List[int]] = {}
-    for src, dst, _ in gather_sends:
-        feeders_of.setdefault(dst, []).append(src)
-    master_senders = [src for src, _, _ in reduce_sends]
-
-    # Phase 2: deltas stream partials to their group sigma. The sigma
-    # folds its own partial first (before any chunk lands), then sends
-    # are issued in (start, sender) order — the simulator's sort rule.
-    gather_all = sorted(
-        ((compute_done[src], src, dst, nb)
-         for src, dst, nb in gather_sends),
-        key=lambda s: s[:2],
+    ledger, sigma_pipes, groups, skip2 = _aggregate(
+        _NicLedger(), cfg, spec.pools, update_bytes, compute_done,
+        gather_sends, sigma_ids, quorum,
     )
-
-    def run_gather(ledger, skip):
-        pipes = {s.node_id: SigmaPipeline(spec.pools) for s in sigmas}
-        own: Dict[int, float] = {}
-        for sigma in sigmas:
-            own[sigma.group] = pipes[sigma.node_id].fold_local(
-                compute_done[sigma.node_id], update_bytes
-            )
-        sends = [s for s in gather_all if s[1] not in skip]
-        done = _feed_phase(ledger, cfg, sends, pipes)
-        return pipes, own, done
-
-    def close_groups(own, done, skip):
-        group_done: Dict[int, float] = {}
-        members: Dict[int, List[int]] = {}
-        late = set()
-        for sigma in sigmas:
-            contributions = [(sigma.node_id, own[sigma.group])] + [
-                (src, done[src])
-                for src in feeders_of.get(sigma.node_id, ())
-                if src not in skip
-            ]
-            included, out = _close_window(contributions, quorum)
-            group_done[sigma.group] = max(t for _, t in included)
-            members[sigma.group] = [node for node, _ in included]
-            late.update(node for node, _ in out)
-        return group_done, members, late
-
-    ledger = _NicLedger()
-    pipes, own, done2 = run_gather(ledger, frozenset())
-    skip2 = frozenset()
-    if quorum is not None:
-        _, _, late2 = close_groups(own, done2, skip2)
-        skip2 = frozenset(late2)
-        if skip2:
-            # Withheld-send pass: a dropped partial's bytes must never
-            # occupy the real NICs, so the phase re-books from scratch
-            # without those sends (the probe bookings are discarded).
-            ledger = _NicLedger()
-            pipes, own, done2 = run_gather(ledger, skip2)
-    group_done, group_members, _ = close_groups(own, done2, skip2)
-
-    # Phase 3: group aggregates converge on the master sigma (same
-    # window rule, judged on the arrivals booked over the post-phase-2
-    # ledger — which is exactly the event-driven probe's NIC state).
-    group_of = {r.node_id: r.group for r in topology.roles}
-    reduce_all = sorted(
-        ((group_done[group_of[src]], src, dst, nb)
-         for src, dst, nb in reduce_sends),
-        key=lambda s: s[:2],
+    sigma_done = {
+        sigma: max(t for _, t in window) for sigma, window in groups.items()
+    }
+    ledger, master_pipes, at_master, skip3 = _aggregate(
+        ledger, cfg, spec.pools, update_bytes, sigma_done,
+        reduce_sends, [master_id], quorum,
     )
-
-    def run_reduce(ledger, skip):
-        pipe = SigmaPipeline(spec.pools)
-        own_m = pipe.fold_local(group_done[master.group], update_bytes)
-        sends = [s for s in reduce_all if s[1] not in skip]
-        done = _feed_phase(ledger, cfg, sends, {master.node_id: pipe})
-        return pipe, own_m, done
-
-    def close_master(own_m, done, skip):
-        contributions = [(master.node_id, own_m)] + [
-            (src, done[src]) for src in master_senders if src not in skip
-        ]
-        return _close_window(contributions, quorum)
-
-    snapshot = ledger.clone() if quorum is not None else None
-    master_pipe, own_master, done3 = run_reduce(ledger, frozenset())
-    skip3 = frozenset()
-    if quorum is not None:
-        _, out3 = close_master(own_master, done3, skip3)
-        skip3 = frozenset(node for node, _ in out3)
-        if skip3:
-            ledger = snapshot
-            master_pipe, own_master, done3 = run_reduce(ledger, skip3)
-    included_groups, _ = close_master(own_master, done3, skip3)
-    master_done = max(t for _, t in included_groups)
-    sigma_group = {s.node_id: s.group for s in sigmas}
+    master_done = max(t for _, t in at_master[master_id])
     contributors = sorted(
-        node
-        for sigma_id, _ in included_groups
-        for node in group_members[sigma_group[sigma_id]]
+        node for sigma, _ in at_master[master_id] for node, _ in groups[sigma]
     )
     dropped = sorted(
         r.node_id for r in topology.roles if r.node_id not in contributors
     )
 
-    # Phase 4: hierarchical broadcast, in the listed (structural) order.
+    # Hierarchical broadcast, in the listed (structural) order.
     plans: Dict[int, tuple] = {}
-    sigma_ids = {s.node_id for s in sigmas}
-    sigma_recv: Dict[int, float] = {master.node_id: master_done}
+    sigma_recv: Dict[int, float] = {master_id: master_done}
     broadcast_done = master_done
     for src, dst, nbytes in broadcast_sends:
-        start = master_done if src == master.node_id else sigma_recv[src]
+        start = master_done if src == master_id else sigma_recv[src]
         if nbytes not in plans:
             plans[nbytes] = _chunk_plan(cfg, nbytes)
         _, last_arrival = _book_send(
             ledger, cfg, src, dst, start, plans[nbytes]
         )
-        if src == master.node_id and dst in sigma_ids:
+        if src == master_id and dst in sigma_done:
             sigma_recv[dst] = last_arrival
         broadcast_done = max(broadcast_done, last_arrival)
 
     total = broadcast_done + spec.management_overhead_s
-    agg_busy = sum(sum(p.agg_busy) for p in pipes.values())
-    agg_busy += sum(master_pipe.agg_busy)
-    sigma_rx_busy = sum(
-        ledger.rx_busy.get(s.node_id, 0.0) for s in sigmas
+    agg_busy = sum(
+        sum(p.agg_busy)
+        for pipes in (sigma_pipes, master_pipes)
+        for p in pipes.values()
     )
+    sigma_rx_busy = sum(ledger.rx_busy.get(s, 0.0) for s in sigma_ids)
     # Wire accounting covers what the real network carried: withheld
     # sends were refused by the receiver and never hit the wire.
-    gather_counted = [
-        nb for src, _, nb in gather_sends if src not in skip2
-    ]
-    reduce_counted = [
-        nb for src, _, nb in reduce_sends if src not in skip3
-    ]
-    broadcast_counted = [nb for _, _, nb in broadcast_sends]
+    counted = [nb for src, _, nb in gather_sends if src not in skip2]
+    counted += [nb for src, _, nb in reduce_sends if src not in skip3]
+    counted += [nb for _, _, nb in broadcast_sends]
     return IterationTiming(
         total_s=total,
         compute_s=sum(compute_times) / len(compute_times),
@@ -406,14 +395,10 @@ def replay_iteration(
         aggregation_busy_s=agg_busy,
         broadcast_s=broadcast_done - master_done,
         management_s=2 * spec.management_overhead_s,
-        wire_bytes=sum(gather_counted)
-        + sum(reduce_counted)
-        + sum(broadcast_counted),
-        wire_messages=len(gather_counted)
-        + len(reduce_counted)
-        + len(broadcast_counted),
+        wire_bytes=sum(counted),
+        wire_messages=len(counted),
         sigma_rx_busy_s=sigma_rx_busy,
-        sigma_count=len(sigmas),
+        sigma_count=len(sigma_ids),
         contributors=contributors,
         dropped=dropped,
     )

@@ -4,14 +4,19 @@ Every Table 1 benchmark is run through :class:`Interpreter` under both
 translations (paper-scale and functional), with and without a leading
 batch axis, against seeded feeds and two models: a seeded nonzero one
 and all zeros. Each benchmark also trains briefly with
-:class:`DistributedTrainer` in both worker modes. One SHA-256 pins the
-bytes of every output, every loss and every final model.
+:class:`DistributedTrainer` in both worker modes. Each artifact (one
+run's outputs, its gradients, a training run's loss history, its final
+model and iteration count) is pinned by a SHA-256 of its bytes in the
+committed map ``tests/golden/dfg_interpreter.json``, so a failure names
+the artifacts that moved.
 
-The digest below was recorded from the commit *before* the interpreter
-fused ``mul -> reduce_sum`` pairs into one contraction and fixed its
-operand views at compile time. Those rewrites must not move a single
-bit. Regenerate the digest only for a deliberate change to the
-interpreter's arithmetic.
+The map was recorded in the same run as the one whole-run digest it
+replaced, which dated from before the interpreter fused ``mul ->
+reduce_sum`` pairs into one contraction and fixed its operand views at
+compile time; those rewrites moved no bit. Regenerate the map only for
+a deliberate change to the interpreter's arithmetic::
+
+    PYTHONPATH=src:. python -c "import sys; from tests.dfg.test_bit_identity import artifact_digests; from tests.golden_diff import digests_json; sys.stdout.write(digests_json(artifact_digests()))" > tests/golden/dfg_interpreter.json
 """
 
 import hashlib
@@ -22,11 +27,7 @@ from repro.dfg import ir
 from repro.dfg.interpreter import Interpreter
 from repro.ml.benchmarks import BENCHMARKS
 from repro.runtime.trainer import DistributedTrainer
-
-#: SHA-256 of the canonical bytes below, recorded at the parent commit.
-PARENT_DIGEST = (
-    "5324c199a7e7ce687196f863cc0616db90392137500121ce0dd348e20595ee13"
-)
+from tests.golden_diff import assert_digests_match
 
 BATCH = 3
 
@@ -44,35 +45,44 @@ def _feeds(dfg: ir.Dfg, rng, batch: bool, zero_model: bool):
     return feeds
 
 
-def _update(digest, label: str, arrays):
-    digest.update(label.encode())
+def _array_bytes(label: str, arrays) -> bytes:
+    """The pinned bytes of named arrays: a label, then each array's
+    name, shape, dtype and raw bytes, by name."""
+    chunks = [label.encode()]
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        digest.update(f"{name}{arr.shape}{arr.dtype}".encode())
-        digest.update(arr.tobytes())
+        chunks.append(f"{name}{arr.shape}{arr.dtype}".encode())
+        chunks.append(arr.tobytes())
+    return b"".join(chunks)
 
 
-def interpreter_digest() -> str:
-    digest = hashlib.sha256()
+def interpreter_artifacts():
+    """Yield ``(key, data)`` for every interpreter run and its
+    gradients; ``data`` is the artifact's pinned bytes."""
     for bench in BENCHMARKS:
         for scaled in (False, True):
             interp = Interpreter(bench.translate(scaled=scaled).dfg)
+            translation = "functional" if scaled else "paper-scale"
             for batch in (False, True):
                 for zero_model in (False, True):
                     rng = np.random.default_rng(1)
                     feeds = _feeds(interp.dfg, rng, batch, zero_model)
                     label = f"{bench.name} {scaled} {batch} {zero_model}"
-                    _update(digest, label, interp.run(feeds, batch=batch))
-                    _update(
-                        digest,
+                    axis = "batch" if batch else "sample"
+                    kind = "zero-model" if zero_model else "seeded-model"
+                    key = f"{bench.name} {translation} {axis} {kind}"
+                    yield f"{key} outputs", _array_bytes(
+                        label, interp.run(feeds, batch=batch)
+                    )
+                    yield f"{key} gradients", _array_bytes(
                         label + " gradients",
                         interp.gradients(feeds, batch=batch),
                     )
-    return digest.hexdigest()
 
 
-def trainer_digest() -> str:
-    digest = hashlib.sha256()
+def trainer_artifacts():
+    """Yield ``(key, data)`` for every training run's loss history and
+    final model (whose label carries the iteration count)."""
     for bench in BENCHMARKS:
         dataset = bench.make_dataset(samples=48, seed=1)
         for mode, iterations in (("minibatch", None), ("local_sgd", 2)):
@@ -92,14 +102,21 @@ def trainer_digest() -> str:
                 max_iterations=iterations,
             )
             label = f"{bench.name} {mode} {result.iterations}"
-            digest.update(
-                " ".join(float(x).hex() for x in result.loss_history).encode()
+            yield f"{bench.name} {mode} loss_history", " ".join(
+                float(x).hex() for x in result.loss_history
+            ).encode()
+            yield f"{bench.name} {mode} model", _array_bytes(
+                label, result.model
             )
-            _update(digest, label, result.model)
-    return digest.hexdigest()
 
 
-def test_interpreter_and_trainer_match_parent_digest():
-    text = interpreter_digest() + trainer_digest()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == PARENT_DIGEST
+def artifact_digests():
+    digests = {}
+    for artifacts in (interpreter_artifacts(), trainer_artifacts()):
+        for key, data in artifacts:
+            digests[key] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_interpreter_and_trainer_match_golden_digests():
+    assert_digests_match(artifact_digests(), "dfg_interpreter.json")

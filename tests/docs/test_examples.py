@@ -1,4 +1,5 @@
-"""Docs CI gate: every ```python block in docs/*.md must execute.
+"""Docs gate: every ```python block in docs/*.md must execute, and
+README.md must link every guide.
 
 The guides promise runnable examples; this suite keeps the promise from
 rotting. Blocks of one file run top to bottom in a shared namespace
@@ -102,6 +103,13 @@ class TestExtraction:
             "runtime_guide.md",
             "simulation_internals.md",
         } <= names
+
+    def test_readme_links_every_guide(self):
+        readme = (DOCS_DIR.parent / "README.md").read_text()
+        unlinked = [
+            p.name for p in doc_files() if f"docs/{p.name}" not in readme
+        ]
+        assert not unlinked, f"README.md does not link {unlinked}"
 
     def test_the_guides_actually_contain_examples(self):
         counts = {

@@ -16,15 +16,11 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.runtime import schedule
-from repro.runtime.cluster import (
-    ClusterSpec,
-    IterationTiming,
-    QuorumConfig,
-    _close_window,
-)
+from repro.runtime.cluster import ClusterSpec, IterationTiming, QuorumConfig
 from repro.runtime.director import Topology
 from repro.runtime.events import EventLoop
 from repro.runtime.network import Network
+from repro.runtime.schedule import _close_window
 from repro.runtime.threads import SigmaPipeline
 
 

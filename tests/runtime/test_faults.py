@@ -6,8 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.runtime.cluster import ClusterSimulator, ClusterSpec
+from repro.runtime.cluster import ClusterSimulator, ClusterSpec, QuorumConfig
+from repro.runtime.director import HeartbeatConfig
 from repro.runtime.faults import FaultTimeline, NodeCrash, Partition
+from repro.runtime.network import RetryPolicy
+
+NAN = float("nan")
 
 
 def healthy(nodes=8, compute_s=10e-3, update_bytes=100_000):
@@ -169,3 +173,39 @@ class TestFaultTimeline:
     def test_invalid_timelines_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+
+class TestRejectsNaN:
+    """Each runtime time and factor check is written so that NaN fails
+    it, keeping the message a bad finite value gets."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: QuorumConfig(deadline_s=NAN), "straggler deadline"),
+            (lambda: HeartbeatConfig(period_s=NAN), "heartbeat period"),
+            (lambda: HeartbeatConfig(timeout_s=NAN), "shorter than"),
+            (lambda: RetryPolicy(timeout_s=NAN), "per-message timeout"),
+            (lambda: RetryPolicy(backoff=NAN), "backoff factor"),
+            (lambda: NodeCrash(0, NAN), "crash time"),
+            (lambda: NodeCrash(0, 1.0, recover_s=NAN), "recovery at"),
+            (lambda: Partition({1}, NAN, 1.0), "partition window"),
+            (lambda: Partition({1}, 0.0, NAN), "partition window"),
+            (lambda: FaultTimeline.from_iterations(NAN), "iteration_s"),
+        ],
+        ids=[
+            "QuorumConfig.deadline_s",
+            "HeartbeatConfig.period_s",
+            "HeartbeatConfig.timeout_s",
+            "RetryPolicy.timeout_s",
+            "RetryPolicy.backoff",
+            "NodeCrash.at_s",
+            "NodeCrash.recover_s",
+            "Partition.start_s",
+            "Partition.end_s",
+            "FaultTimeline.from_iterations",
+        ],
+    )
+    def test_rejects_nan(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
